@@ -126,7 +126,11 @@ def writhe_polynomial(d):
     """-(det(M-P)/(1-st)) at (s, t) = (t^-1, t); a one-variable concordance
     invariant of the knot.  Powers of st die under the substitution, so the
     result needs no unit normalization."""
-    g = delta0(d)
+    return writhe_from_delta0(delta0(d), d)
+
+
+def writhe_from_delta0(g, d):
+    """The writhe polynomial of the knot d from its GeneralizedAlexander g."""
     quotient = divisibility_check(g, d)
     return (-quotient).substitute(T.inverse(), T)
 

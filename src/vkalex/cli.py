@@ -136,6 +136,8 @@ def cmd_group(args):
 
 def cmd_ideals(args):
     _no_csv(args)
+    if args.kmax < 0:
+        raise UsageError("--kmax must be at least 0")
     p = _presentation(args)
     alpha = groups.Abelianization.standard(p)
     ideals = groups.elementary_ideals(p, alpha, args.kmax)

@@ -58,14 +58,6 @@ class GaussCode:
         self.components = [list(c) for c in components]
         _validate(self.components)
 
-    def crossing_labels(self):
-        seen = []
-        for comp in self.components:
-            for (_, label, _) in comp:
-                if label not in seen:
-                    seen.append(label)
-        return seen
-
     def __eq__(self, other):
         if not isinstance(other, GaussCode):
             return NotImplemented
@@ -262,9 +254,7 @@ class ShortArcStructure:
     (component, position) slot that arc a runs into.
     """
 
-    def __init__(self, arcs, incoming, successor, end_slot):
-        self.arcs = arcs
-        self.incoming = incoming
+    def __init__(self, successor, end_slot):
         self.successor = successor
         self.end_slot = end_slot
 
@@ -297,8 +287,7 @@ def short_arcs(d, convention="over-first"):
     for (ci, pos), a in arc_at_slot.items():
         length = len(d.components[ci])
         succ[a] = arc_at_slot[(ci, (pos + 1) % length)]
-    incoming = [(2 * k, 2 * k + 1) for k in range(n)]
-    return ShortArcStructure(list(range(2 * n)), incoming, succ, end_slot)
+    return ShortArcStructure(succ, end_slot)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ top are the hot path; LaurentPoly is a thin immutable wrapper around them.
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd as igcd
 
 
 class NotDivisible(ArithmeticError):
@@ -36,6 +37,9 @@ UNIT_CLASSES = (MONOMIAL_SIGN, POWERS_OF_ST, EXACT)
 
 # ---------------------------------------------------------------------------
 # raw dict arithmetic
+
+_ONE = {(0, 0): 1}
+
 
 def _add(a, b):
     out = dict(a)
@@ -166,209 +170,72 @@ def _render(a):
 
 
 # ---------------------------------------------------------------------------
-# gcd: view Z[s,t] as (Z[s])[t], take out content, run a primitive
-# pseudo-remainder sequence.  Desk-scale degrees, no modular tricks needed.
+# gcd: a primitive pseudo-remainder sequence in t over Z[s], run on the same
+# (e_s, e_t) dicts as the rest of the ring.  The content of a polynomial (the
+# gcd of its t-coefficients) is a gcd of t-free polynomials, which _gcd takes
+# by swapping s and t and recursing; two integers end the recursion.
+# Desk-scale degrees, no modular tricks needed.
 
-def _u_deg(a):
-    # univariate over Z as dict {exp: coeff}
-    return max(a) if a else -1
-
-
-def _u_sub(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        nc = out.get(k, 0) - c
-        if nc:
-            out[k] = nc
-        else:
-            out.pop(k, None)
-    return out
+def _swap(a):
+    return {(et, es): c for (es, et), c in a.items()}
 
 
-def _u_mul(a, b):
-    out = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            out[k] = out.get(k, 0) + ca * cb
-    return {k: c for k, c in out.items() if c}
+def _t_lead(a):
+    """t-degree of the nonzero a and its t-leading coefficient."""
+    d = max(et for _, et in a)
+    return d, {(es, 0): c for (es, et), c in a.items() if et == d}
 
 
-def _u_scale(a, c):
-    return {k: v * c for k, v in a.items()} if c else {}
-
-
-def _u_content(a):
-    from math import gcd as igcd
-    g = 0
-    for c in a.values():
-        g = igcd(g, c)
-    return g
-
-
-def _u_div_exact(a, b):
-    """Exact division in Z[x]; returns None when not divisible."""
-    if not b:
-        raise ZeroDivisionError
-    rem = dict(a)
-    quo = {}
-    db = _u_deg(b)
-    lb = b[db]
-    while rem:
-        da = _u_deg(rem)
-        if da < db or rem[da] % lb != 0:
-            return None
-        q = rem[da] // lb
-        quo[da - db] = q
-        rem = _u_sub(rem, _u_mul({da - db: q}, b))
-    return quo
-
-
-def _u_prem(a, b):
-    """Pseudo-remainder of a by b in Z[x]."""
-    da, db = _u_deg(a), _u_deg(b)
-    lb = b[db]
-    rem = dict(a)
-    while _u_deg(rem) >= db and rem:
-        d = _u_deg(rem)
-        lc = rem[d]
-        rem = _u_sub(_u_scale(rem, lb), _u_mul({d - db: lc}, b))
-    return rem
-
-
-def _u_norm(a):
-    """Sign normalization only: leading coefficient positive."""
-    if not a:
-        return {}
-    if a[_u_deg(a)] < 0:
-        return {k: -v for k, v in a.items()}
-    return a
-
-
-def _u_pp(a):
-    c = _u_content(a)
-    if c == 0:
-        return {}
-    out = {k: v // c for k, v in a.items()}
-    return _u_norm(out)
-
-
-def _u_gcd(a, b):
-    """gcd in Z[x] via the primitive PRS, leading coefficient positive.
-    gcd(0, b) is b itself (content kept), not its primitive part."""
-    from math import gcd as igcd
-    if not a:
-        return _u_norm(b)
-    if not b:
-        return _u_norm(a)
-    ca, cb = _u_content(a), _u_content(b)
-    f, g = _u_pp(a), _u_pp(b)
-    if _u_deg(f) < _u_deg(g):
-        f, g = g, f
-    while g:
-        r = _u_prem(f, g)
-        f, g = g, _u_pp(r)
-    return _u_scale(f, igcd(ca, cb))
-
-
-def _b_split(p):
-    """bivariate dict -> dict {t-exponent: Z[s] coefficient dict}."""
-    out = {}
-    for (es, et), c in p.items():
-        out.setdefault(et, {})[es] = c
-    return out
-
-
-def _b_join(coeffs):
-    out = {}
-    for et, u in coeffs.items():
-        for es, c in u.items():
-            if c:
-                out[(es, et)] = c
-    return out
-
-
-def _bt_deg(p):
-    return max(p) if p else -1
-
-
-def _bt_scale(a, u):
-    """multiply every (Z[s])[t] coefficient by the Z[s] element u."""
-    out = {}
-    for k, v in a.items():
-        w = _u_mul(v, u)
-        if w:
-            out[k] = w
-    return out
-
-
-def _bt_shift_mul(a, d, u):
-    """multiply by u * t^d."""
-    out = {}
-    for k, v in a.items():
-        w = _u_mul(v, u)
-        if w:
-            out[k + d] = w
-    return out
-
-
-def _bt_content(a):
+def _primitive(a):
+    """(content, primitive part) of the nonzero a as a polynomial in t over
+    Z[s]; the content is canonical up to +-s^k."""
+    by_t = {}
+    for (es, et), c in a.items():
+        by_t.setdefault(et, {})[(es, 0)] = c
     g = {}
-    for v in a.values():
-        g = _u_gcd(g, v)
-    return g
+    for coeff in by_t.values():
+        g = _gcd(g, coeff)
+        if g == _ONE:
+            return g, a
+    q = _div_exact(a, g)
+    if q is None:
+        raise NotDivisible("content does not divide its polynomial")
+    return g, q
 
 
-def _bt_pp(a):
-    c = _bt_content(a)
-    if not c:
-        return {}
-    out = {}
-    for k, v in a.items():
-        q = _u_div_exact(v, c)
-        out[k] = q
-    return out
-
-
-def _bt_prem(a, b):
-    """Pseudo-remainder in (Z[s])[t]; degree must drop each round."""
-    db = _bt_deg(b)
-    lb = b[db]
-    rem = {k: dict(v) for k, v in a.items()}
-    while rem and _bt_deg(rem) >= db:
-        d = _bt_deg(rem)
-        lc = rem[d]
-        scaled = _bt_scale(rem, lb)
-        sub = _bt_shift_mul(b, d - db, lc)
-        nxt = {}
-        for k in set(scaled) | set(sub):
-            w = _u_sub(scaled.get(k, {}), sub.get(k, {}))
-            if w:
-                nxt[k] = w
-        if nxt and _bt_deg(nxt) >= d:
-            raise AssertionError("pseudo-remainder failed to drop degree")
-        rem = nxt
-    return rem
+def _prem(a, b):
+    """Pseudo-remainder of the nonzero a by b as polynomials in t."""
+    db, lb = _t_lead(b)
+    da, la = _t_lead(a)
+    while da >= db:
+        a = _sub(_mul(lb, a), _shift(_mul(la, b), 0, da - db))
+        if not a:
+            break
+        d, la = _t_lead(a)
+        if d >= da:
+            raise NotDivisible("pseudo-remainder failed to drop degree")
+        da = d
+    return a
 
 
 def _gcd(p, q):
     """gcd in Z[s^{+-1}, t^{+-1}], canonicalized up to +-s^a t^b."""
-    if not p:
-        return _canon_monomial_sign(q)
-    if not q:
-        return _canon_monomial_sign(p)
-    a = _b_split(_canon_monomial_sign(p))
-    b = _b_split(_canon_monomial_sign(q))
-    ca, cb = _bt_content(a), _bt_content(b)
-    content = _u_gcd(ca, cb)
-    f, g = _bt_pp(a), _bt_pp(b)
-    if _bt_deg(f) < _bt_deg(g):
+    if not p or not q:
+        return _canon_monomial_sign(p or q)
+    p = _canon_monomial_sign(p)
+    q = _canon_monomial_sign(q)
+    if not any(et for _, et in p) and not any(et for _, et in q):
+        if len(p) == 1 and len(q) == 1:
+            return {(0, 0): igcd(p[(0, 0)], q[(0, 0)])}
+        return _canon_monomial_sign(_swap(_gcd(_swap(p), _swap(q))))
+    cp, f = _primitive(p)
+    cq, g = _primitive(q)
+    if _t_lead(f)[0] < _t_lead(g)[0]:
         f, g = g, f
     while g:
-        r = _bt_prem(f, g)
-        f, g = g, _bt_pp(r)
-    out = _b_join(_bt_scale(f, content))
-    return _canon_monomial_sign(out)
+        r = _prem(f, g)
+        f, g = g, (_primitive(r)[1] if r else r)
+    return _canon_monomial_sign(_mul(f, _gcd(cp, cq)))
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +498,72 @@ def substitute(p, s_image, t_image):
 
 
 # ---------------------------------------------------------------------------
+# fraction-free (Bareiss 1968) elimination on rows of raw dicts
+
+def _prescale(rows):
+    """Multiply each row, in place, by the monomial that clears its negative
+    exponents.  Returns the (ds, dt) to shift a determinant back by, or None
+    when some row is zero."""
+    shift_s = shift_t = 0
+    for i, row in enumerate(rows):
+        entries = [e for e in row if e]
+        if not entries:
+            return None
+        ds = min(0, min(es for e in entries for es, _ in e))
+        dt = min(0, min(et for e in entries for _, et in e))
+        if ds or dt:
+            rows[i] = [_shift(e, -ds, -dt) if e else e for e in row]
+            shift_s += ds
+            shift_t += dt
+    return shift_s, shift_t
+
+
+def _step(m, k, cols, prev):
+    """Bareiss step k in place: pivot on column cols[k], swapping a lower row
+    up if m[k] has a zero there, then clear that column below row k over the
+    columns cols[k+1:]; prev is the previous pivot.  Returns -1 after a swap,
+    0 when the column is zero from row k down, else 1."""
+    ck = cols[k]
+    sign = 1
+    if not m[k][ck]:
+        piv = next((i for i in range(k + 1, len(m)) if m[i][ck]), None)
+        if piv is None:
+            return 0
+        m[k], m[piv] = m[piv], m[k]
+        sign = -1
+    top = m[k]
+    pivot = top[ck]
+    rest = cols[k + 1:]
+    for i in range(k + 1, len(m)):
+        row = m[i]
+        lead = row[ck]
+        for cj in rest:
+            q = _div_exact(_sub(_mul(pivot, row[cj]), _mul(lead, top[cj])),
+                           prev)
+            if q is None:
+                raise NotDivisible("Bareiss division failed")
+            row[cj] = q
+        row[ck] = {}
+    return sign
+
+
+def _eliminate(m, cols, k, prev, sign):
+    """Determinant of the square block of rows m and columns cols whose first
+    k Bareiss steps are done, prev being the last pivot and sign the parity
+    of the row swaps so far.  Finishes the elimination in place."""
+    for k in range(k, len(cols) - 1):
+        s = _step(m, k, cols, prev)
+        if not s:
+            return {}
+        sign *= s
+        prev = m[k][cols[k]]
+    if not cols:
+        return dict(_ONE)
+    d = m[-1][cols[-1]]
+    return _neg(d) if sign < 0 else d
+
+
+# ---------------------------------------------------------------------------
 # matrices
 
 class PolyMatrix:
@@ -696,8 +629,12 @@ class PolyMatrix:
         out of the result.  0x0 matrices have determinant 1."""
         if self.rows != self.cols:
             raise NotSquare("det of a %dx%d matrix" % (self.rows, self.cols))
-        raw = [[e.terms for e in self.row(r)] for r in range(self.rows)]
-        return LaurentPoly._raw(_det_bareiss(raw))
+        m = [[e.terms for e in self.row(r)] for r in range(self.rows)]
+        shift = _prescale(m)
+        if shift is None:
+            return ZERO
+        d = _eliminate(m, list(range(self.rows)), 0, _ONE, 1)
+        return LaurentPoly._raw(_shift(d, *shift))
 
     def det_cofactor(self):
         """Cofactor-expansion determinant, the independent oracle for det().
@@ -742,8 +679,7 @@ class PolyMatrix:
         if k == self.rows and self.cols == self.rows + 1:
             # shared-prefix fast path; lex order over column sets means the
             # dropped column runs from last to first
-            dets = self._dets_dropping_one_column()
-            return [dets[j] for j in range(self.cols - 1, -1, -1)]
+            return self._dets_dropping_one_column()[::-1]
         out = []
         for ri in combinations(range(self.rows), k):
             for ci in combinations(range(self.cols), k):
@@ -751,143 +687,30 @@ class PolyMatrix:
         return out
 
     def _dets_dropping_one_column(self):
-        """For an r x (r+1) matrix: the r+1 maximal minors, dets[j] being the
-        determinant of the matrix with column j removed.  Shares the Bareiss
-        elimination prefix across minors instead of starting each from
-        scratch."""
+        """For an r x (r+1) matrix: the r+1 maximal minors, the j-th being
+        the determinant with column j removed.  Minor j shares its first j
+        elimination steps with every later minor, so they are done once."""
         r = self.rows
-        if self.cols != r + 1:
-            raise NotSquare("expected r x (r+1)")
-        raw = [[e.terms for e in self.row(i)] for i in range(r)]
-        out = [None] * (r + 1)
-
-        # Pre-scale rows once; the same shift applies to every minor since
-        # each minor uses every row.
-        shift_s = shift_t = 0
-        m = [row[:] for row in raw]
-        for i in range(r):
-            entries = [e for e in m[i] if e]
-            if not entries:
-                for j in range(r + 1):
-                    out[j] = ZERO
-                return out
-            ms = min(min(es for es, _ in e) for e in entries)
-            mt = min(min(et for _, et in e) for e in entries)
-            ds, dt = min(ms, 0), min(mt, 0)
-            if ds or dt:
-                m[i] = [_shift(e, -ds, -dt) if e else e for e in m[i]]
-                shift_s += ds
-                shift_t += dt
-
-        def finish(state, cols, sign, prev, start):
-            """Run Bareiss to completion on the live columns; state rows are
-            shared up to `start` eliminations."""
-            mat = [row[:] for row in state]
-            n = len(cols)
-            if n == 0:
-                return {(0, 0): 1}
-            for k in range(start, n - 1):
-                ck = cols[k]
-                if not mat[k][ck]:
-                    piv = next((i for i in range(k + 1, n) if mat[i][ck]), None)
-                    if piv is None:
-                        return {}
-                    mat[k], mat[piv] = mat[piv], mat[k]
-                    sign = -sign
-                for i in range(k + 1, n):
-                    for j in range(k + 1, n):
-                        cj = cols[j]
-                        num = _sub(_mul(mat[k][ck], mat[i][cj]),
-                                   _mul(mat[i][ck], mat[k][cj]))
-                        q = _div_exact(num, prev)
-                        if q is None:
-                            raise AssertionError("bareiss division failed")
-                        mat[i][cj] = q
-                    mat[i][ck] = {}
-                prev = mat[k][ck]
-            d = mat[n - 1][cols[n - 1]]
-            return _neg(d) if sign < 0 else d
-
-        # Walk the prefix: before eliminating column c we branch off the
-        # minor that skips column c entirely.
-        state = [row[:] for row in m]
-        sign = 1
-        prev = {(0, 0): 1}
-        dead = False
-        for c in range(r + 1):
-            cols_wo_c = list(range(c)) + list(range(c + 1, r + 1))
-            if dead:
-                out[c] = ZERO
-            else:
-                d = finish(state, cols_wo_c, sign, prev, c)
-                out[c] = LaurentPoly._raw(_shift(d, shift_s, shift_t)
-                                          if d else {})
-            if c == r:
-                break
-            # extend the shared prefix by eliminating column c
-            if not dead:
-                if not state[c][c]:
-                    piv = next((i for i in range(c + 1, r) if state[i][c]), None)
-                    if piv is None:
-                        # every remaining minor keeps column c and is singular
-                        dead = True
-                        continue
-                    state[c], state[piv] = state[piv], state[c]
-                    sign = -sign
-                for i in range(c + 1, r):
-                    for j in range(c + 1, r + 1):
-                        num = _sub(_mul(state[c][c], state[i][j]),
-                                   _mul(state[i][c], state[c][j]))
-                        q = _div_exact(num, prev)
-                        if q is None:
-                            raise AssertionError("bareiss division failed")
-                        state[i][j] = q
-                    state[i][c] = {}
-                prev = state[c][c]
+        m = [[e.terms for e in self.row(i)] for i in range(r)]
+        shift = _prescale(m)  # every minor uses every row
+        if shift is None:
+            return [ZERO] * (r + 1)
+        cols = list(range(r + 1))
+        out = []
+        prev, sign = _ONE, 1
+        for c in range(r):
+            d = _eliminate([row[:] for row in m], cols[:c] + cols[c + 1:],
+                           c, prev, sign)
+            out.append(LaurentPoly._raw(_shift(d, *shift)))
+            s = _step(m, c, cols, prev)
+            if not s:
+                # every later minor keeps column c, zero from row c down
+                return out + [ZERO] * (r - c)
+            sign *= s
+            prev = m[c][c]
+        d = _eliminate(m, cols[:r], r, prev, sign)
+        out.append(LaurentPoly._raw(_shift(d, *shift)))
         return out
-
-
-def _det_bareiss(raw):
-    """Bareiss on raw dict entries, with row pre-scaling for negative
-    exponents and row pivoting."""
-    n = len(raw)
-    if n == 0:
-        return {(0, 0): 1}
-    m = [row[:] for row in raw]
-    shift_s = shift_t = 0
-    for i in range(n):
-        entries = [e for e in m[i] if e]
-        if not entries:
-            return {}
-        ms = min(min(es for es, _ in e) for e in entries)
-        mt = min(min(et for _, et in e) for e in entries)
-        ds, dt = min(ms, 0), min(mt, 0)
-        if ds or dt:
-            m[i] = [_shift(e, -ds, -dt) if e else e for e in m[i]]
-            shift_s += ds
-            shift_t += dt
-    sign = 1
-    prev = {(0, 0): 1}
-    for k in range(n - 1):
-        if not m[k][k]:
-            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if piv is None:
-                return {}
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _sub(_mul(m[k][k], m[i][j]), _mul(m[i][k], m[k][j]))
-                q = _div_exact(num, prev)
-                if q is None:
-                    raise AssertionError("bareiss exact division failed")
-                m[i][j] = q
-            m[i][k] = {}
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    if sign < 0:
-        d = _neg(d)
-    return _shift(d, shift_s, shift_t)
 
 
 def det(m):

@@ -15,6 +15,11 @@ from concurrent.futures import ProcessPoolExecutor
 from . import alexander, gauss
 
 
+# Row fields the sieve computes; a flags file may not set them.
+_COMPUTED_FIELDS = ("name", "crossings", "delta0", "delta0_zero", "writhe",
+                   "obstructed", "survives", "error")
+
+
 class CensusParseError(Exception):
     def __init__(self, message, line_no):
         super().__init__("line %d: %s" % (line_no, message))
@@ -35,9 +40,10 @@ class CensusRecord:
 
 def load_census(path, skip_bad=False):
     """Read census records.  Returns (records, skipped_count); a malformed
-    line raises CensusParseError unless skip_bad is set, in which case it is
-    only counted."""
+    line, or one repeating an earlier name, raises CensusParseError unless
+    skip_bad is set, in which case it is only counted."""
     records = []
+    names = set()
     skipped = 0
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -45,26 +51,35 @@ def load_census(path, skip_bad=False):
             if not text or text.startswith("#"):
                 continue
             parts = text.split(None, 1)
+            error = None
             if len(parts) != 2:
+                error = "expected 'name gausscode'"
+            elif parts[0] in names:
+                error = "duplicate name %r" % parts[0]
+            else:
+                try:
+                    gauss.parse_gauss_code(parts[1])
+                except (gauss.GaussSyntaxError,
+                        gauss.GaussValidationError) as exc:
+                    error = str(exc)
+            if error:
                 if skip_bad:
                     skipped += 1
                     continue
-                raise CensusParseError("expected 'name gausscode'", line_no)
-            name, code = parts[0], parts[1].strip()
-            try:
-                gauss.parse_gauss_code(code)
-            except (gauss.GaussSyntaxError, gauss.GaussValidationError) as exc:
-                if skip_bad:
-                    skipped += 1
-                    continue
-                raise CensusParseError(str(exc), line_no)
-            records.append(CensusRecord(name, code))
+                raise CensusParseError(error, line_no)
+            names.add(parts[0])
+            records.append(CensusRecord(parts[0], parts[1]))
     return records, skipped
+
+
+_ROW_ERRORS = (gauss.GaussSyntaxError, gauss.GaussValidationError,
+               alexander.NotAKnot)
 
 
 def _sieve_one(item):
     """Worker: compute one row from (name, code).  Must stay module-level
-    and take plain data so process pools can pickle it."""
+    and take plain data so process pools can pickle it.  Input errors become
+    an error row; anything else is a bug and propagates."""
     name, code = item
     try:
         d = gauss.to_diagram(gauss.parse_gauss_code(code))
@@ -77,12 +92,12 @@ def _sieve_one(item):
             "delta0_zero": zero,
         }
         if len(d.components) == 1:
-            row["writhe"] = str(alexander.writhe_polynomial(d))
+            row["writhe"] = str(alexander.writhe_from_delta0(g, d))
         else:
             row["writhe"] = ""
         row["obstructed"] = not zero
         return row
-    except Exception as exc:
+    except _ROW_ERRORS as exc:
         return {"name": name, "error": "%s: %s" % (type(exc).__name__, exc)}
 
 
@@ -167,7 +182,7 @@ def _parse_flag_value(v):
 
 def load_flags(path):
     """Flags file: `name key=value [key=value ...]` per line, same comment
-    rules as the census."""
+    rules as the census.  A key naming a computed row field is an error."""
     flags = {}
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -181,6 +196,10 @@ def load_flags(path):
             kv = {}
             for p in parts[1:]:
                 k, _, v = p.partition("=")
+                if k in _COMPUTED_FIELDS:
+                    raise CensusParseError(
+                        "flag %r would overwrite a computed field" % k,
+                        line_no)
                 kv[k] = _parse_flag_value(v)
             flags.setdefault(parts[0], {}).update(kv)
     return flags

@@ -190,3 +190,61 @@ def test_internal_invariant_breaks_exit_3(capsys, monkeypatch):
     rc, _, err = run(capsys, "writhe", "O1+O2+U1+U2+")
     assert rc == 3
     assert "internal error" in err
+
+
+def test_bareiss_division_failure_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr("vkalex.laurent._div_exact", lambda a, b: None)
+    rc, out, err = run(capsys, "delta", TABLE1["4.12"])
+    assert rc == 3
+    assert "internal error" in err
+    assert out == ""
+
+
+def test_sieve_internal_error_exits_3(capsys, monkeypatch):
+    def boom(d):
+        raise NotDivisible("synthetic divisibility failure")
+    monkeypatch.setattr("vkalex.sieve.alexander.delta0", boom)
+    rc, _, err = run(capsys, "--serial", "sieve", "--census", CENSUS)
+    assert rc == 3
+    assert "internal error" in err
+
+
+def test_flags_cannot_mark_an_obstructed_knot_surviving(capsys, tmp_path):
+    f = tmp_path / "f.flags"
+    f.write_text("4.12 graded_genus_zero=true delta0_zero=true\n")
+    rc, out, err = run(capsys, "--format", "json", "sieve", "--census",
+                       CENSUS, "--flags", str(f))
+    assert rc == 2
+    assert "delta0_zero" in err
+    assert out == ""
+
+
+def test_flags_cannot_overwrite_crossings(capsys, tmp_path):
+    f = tmp_path / "f.flags"
+    f.write_text("4.12 crossings=x\n")
+    rc, out, err = run(capsys, "sieve", "--census", CENSUS, "--flags", str(f))
+    assert rc == 2
+    assert "crossings" in err
+    assert out == ""
+
+
+def test_sieve_duplicate_census_name(capsys, tmp_path):
+    p = tmp_path / "c.census"
+    p.write_text("k1 O1+O2+U1+U2+\nk2 O1-U1-\nk1 O1+U1+\n")
+    rc, out, err = run(capsys, "sieve", "--census", str(p))
+    assert rc == 2
+    assert "line 3" in err and "duplicate" in err
+    rc, out, _ = run(capsys, "--format", "json", "--skip-bad", "sieve",
+                     "--census", str(p))
+    assert rc == 0
+    doc = json.loads(out)
+    assert [r["name"] for r in doc["rows"]] == ["k1", "k2"]
+    assert doc["rows"][0]["obstructed"]
+    assert doc["summary"]["skipped_lines"] == 1
+
+
+def test_ideals_negative_kmax_exits_2(capsys):
+    rc, out, err = run(capsys, "ideals", "--kmax", "-3", "O1+U2+O3+U1+O2+U3+")
+    assert rc == 2
+    assert "kmax" in err
+    assert out == ""

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,6 +157,15 @@ def test_gcd_goldens():
     assert gcd(ONE, a) == ONE
     # coprime polynomials
     assert gcd(ONE - S, ONE - T) == ONE
+    # t-free inputs and integer content
+    assert gcd(6 * (ONE - S * S), 4 * (ONE - S)) == \
+        canonicalize(2 * (ONE - S), MONOMIAL_SIGN).poly
+    assert gcd(3 * S, 3 * T) == 3 * ONE
+    assert gcd(2 - 2 * T, 4 * S - 4 * S * T) == \
+        canonicalize(2 * (ONE - T), MONOMIAL_SIGN).poly
+    assert gcd(-4 * ONE, 6 * ONE) == 2 * ONE
+    assert gcd(6 * (ONE - T) * (ONE + S), 9 * (ONE + S) * S) == \
+        canonicalize(3 * (ONE + S), MONOMIAL_SIGN).poly
 
 
 def test_gcd_properties():
@@ -192,7 +202,7 @@ def test_det_goldens():
 def test_det_matches_cofactor_expansion():
     rng = random.Random(11)
     for _ in range(40):
-        n = rng.randint(1, 4)
+        n = rng.randint(1, 6)
         m = PolyMatrix([[random_poly(rng, span=2, terms=2)
                          for _ in range(n)] for _ in range(n)])
         assert m.det() == m.det_cofactor()
@@ -229,15 +239,25 @@ def test_minors_conventions():
 
 def test_minors_shared_prefix_agrees_with_bruteforce():
     rng = random.Random(17)
+    cases = []
     for _ in range(30):
         r = rng.randint(1, 5)
-        m = PolyMatrix([[random_poly(rng, span=2, terms=2)
-                         for _ in range(r + 1)] for _ in range(r)])
+        cases.append(PolyMatrix([[random_poly(rng, span=2, terms=2)
+                                  for _ in range(r + 1)] for _ in range(r)]))
+    cases += [
+        # all-zero column: the shared prefix dies at that column
+        PolyMatrix([[S, ZERO, T, ONE], [ONE, ZERO, S, T], [T, ZERO, ONE, S]]),
+        # zero row: every maximal minor vanishes
+        PolyMatrix([[S, T, ONE], [ZERO, ZERO, ZERO]]),
+        # zero (0,0) entry: the first pivot needs a row swap
+        PolyMatrix([[ZERO, S, T, ONE], [T.inverse(), ONE, ZERO, S],
+                    [ONE - S, ZERO, S * T, T]]),
+    ]
+    for m in cases:
+        r = m.rows
         got = m.minors(r)
-        cols = list(range(r + 1))
-        expect = []
-        for drop_sets in __import__("itertools").combinations(cols, r):
-            expect.append(m.submatrix(list(range(r)), list(drop_sets)).det())
+        expect = [m.submatrix(range(r), cols).det_cofactor()
+                  for cols in combinations(range(r + 1), r)]
         assert got == expect
 
 
