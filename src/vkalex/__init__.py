@@ -7,10 +7,9 @@ longitudes, the omega-extension, and batch slice obstructions.
 """
 
 from .laurent import (
-    CanonicalForm, LaurentPoly, PolyMatrix, add, canonicalize, det, eval_at,
-    exact_div, gcd, minors, mul, substitute, EXACT, MONOMIAL_SIGN, ONE,
-    POWERS_OF_ST, S, T, ZERO, NotDivisible, NotSquare, SizeTooLarge,
-    ZeroSubstitution,
+    CanonicalForm, LaurentPoly, PolyMatrix, canonicalize, gcd, EXACT,
+    MONOMIAL_SIGN, ONE, POWERS_OF_ST, S, T, ZERO, NotDivisible, NotSquare,
+    SizeTooLarge, ZeroSubstitution,
 )
 from .gauss import (
     GaussCode, GaussDiagram, GaussSyntaxError, GaussValidationError,
@@ -23,8 +22,7 @@ from .alexander import (
     build_m_matrix, build_p_matrix, delta0, divisibility_check,
     obstruct_slice, writhe_polynomial,
 )
-from .zh import AlreadyHasOmega, ZhDiagram, delete_omega, zh, \
-    zh_component_count
+from .zh import AlreadyHasOmega, ZhDiagram, delete_omega, zh
 from .groups import (
     Abelianization, ElementaryIdeal, GroupPresentation, Word,
     alexander_matrix, elementary_ideals, fox_derivative, longitude,

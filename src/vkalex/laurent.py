@@ -9,7 +9,7 @@ top are the hot path; LaurentPoly is a thin immutable wrapper around them.
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd as igcd
+from math import comb, gcd as igcd
 
 
 class NotDivisible(ArithmeticError):
@@ -459,19 +459,7 @@ class CanonicalForm:
         return "CanonicalForm(%s, %r)" % (self.poly, self.unit_class)
 
 
-# module-level operations, mirroring the engine interfaces ------------------
-
-def add(p, q):
-    return p + q
-
-
-def mul(p, q):
-    return p * q
-
-
-def exact_div(p, q):
-    return p.exact_div(q)
-
+# module-level operations ---------------------------------------------------
 
 def gcd(p, q):
     """A gcd in the UFD Z[s^{+-1}, t^{+-1}], canonical up to +-s^a t^b.
@@ -487,14 +475,6 @@ def canonicalize(p, mode=MONOMIAL_SIGN):
     if mode == EXACT:
         return CanonicalForm(p, mode)
     raise ValueError("unknown unit class %r" % (mode,))
-
-
-def eval_at(p, s_val, t_val):
-    return p.eval_at(s_val, t_val)
-
-
-def substitute(p, s_image, t_image):
-    return p.substitute(s_image, t_image)
 
 
 # ---------------------------------------------------------------------------
@@ -518,49 +498,58 @@ def _prescale(rows):
     return shift_s, shift_t
 
 
-def _step(m, k, cols, prev):
-    """Bareiss step k in place: pivot on column cols[k], swapping a lower row
-    up if m[k] has a zero there, then clear that column below row k over the
-    columns cols[k+1:]; prev is the previous pivot.  Returns -1 after a swap,
-    0 when the column is zero from row k down, else 1."""
-    ck = cols[k]
+def _step(m, k, c, prev):
+    """Bareiss step k in place: pivot on column c, swapping a lower row up if
+    m[k] has a zero there, then clear that column below row k over every
+    later column; prev is the previous pivot.  Returns -1 after a swap, 0
+    when the column is zero from row k down, else 1."""
     sign = 1
-    if not m[k][ck]:
-        piv = next((i for i in range(k + 1, len(m)) if m[i][ck]), None)
+    if not m[k][c]:
+        piv = next((i for i in range(k + 1, len(m)) if m[i][c]), None)
         if piv is None:
             return 0
         m[k], m[piv] = m[piv], m[k]
         sign = -1
     top = m[k]
-    pivot = top[ck]
-    rest = cols[k + 1:]
+    pivot = top[c]
+    rest = range(c + 1, len(top))
     for i in range(k + 1, len(m)):
         row = m[i]
-        lead = row[ck]
-        for cj in rest:
-            q = _div_exact(_sub(_mul(pivot, row[cj]), _mul(lead, top[cj])),
-                           prev)
+        lead = row[c]
+        for j in rest:
+            q = _div_exact(_sub(_mul(pivot, row[j]), _mul(lead, top[j])), prev)
             if q is None:
                 raise NotDivisible("Bareiss division failed")
-            row[cj] = q
-        row[ck] = {}
+            row[j] = q
+        row[c] = {}
     return sign
 
 
-def _eliminate(m, cols, k, prev, sign):
-    """Determinant of the square block of rows m and columns cols whose first
-    k Bareiss steps are done, prev being the last pivot and sign the parity
-    of the row swaps so far.  Finishes the elimination in place."""
-    for k in range(k, len(cols) - 1):
-        s = _step(m, k, cols, prev)
+def _walk(m, k, lo, prev, sign, out):
+    """Append to out the r x r minors of the r prescaled rows m, over the
+    column sets in lex order whose first k columns are fixed and whose
+    others are taken from lo on.  The first k Bareiss steps are done, prev
+    being the last pivot and sign the parity of the row swaps, so column
+    sets with a common prefix share that prefix's steps.  The last column
+    choice at each depth continues in place; only the earlier ones copy the
+    rows and recurse, so a square m is never copied."""
+    r, n = len(m), len(m[0])
+    while k < r - 1:
+        last = n - r + k
+        for c in range(lo, last + 1):
+            mc = m if c == last else m[:k] + [row[:] for row in m[k:]]
+            s = _step(mc, k, c, prev)
+            if not s:
+                # column c is zero from row k down in every set of the subtree
+                out.extend([{}] * comb(n - 1 - c, r - 1 - k))
+            elif c < last:
+                _walk(mc, k + 1, c + 1, mc[k][c], sign * s, out)
         if not s:
-            return {}
-        sign *= s
-        prev = m[k][cols[k]]
-    if not cols:
-        return dict(_ONE)
-    d = m[-1][cols[-1]]
-    return _neg(d) if sign < 0 else d
+            return
+        prev, sign = m[k][last], sign * s
+        k, lo = k + 1, last + 1
+    for d in m[k][lo:]:
+        out.append(_neg(d) if sign < 0 else d)
 
 
 # ---------------------------------------------------------------------------
@@ -597,16 +586,6 @@ class PolyMatrix:
     def row(self, r):
         return self.entries[r * self.cols:(r + 1) * self.cols]
 
-    def transpose(self):
-        out = [self.entries[r * self.cols + c]
-               for c in range(self.cols) for r in range(self.rows)]
-        return PolyMatrix(self.cols, self.rows, out)
-
-    def with_rows_swapped(self, i, j):
-        rows = [self.row(r) for r in range(self.rows)]
-        rows[i], rows[j] = rows[j], rows[i]
-        return PolyMatrix([r for r in rows])
-
     def submatrix(self, row_idx, col_idx):
         ent = [self.entries[r * self.cols + c]
                for r in row_idx for c in col_idx]
@@ -629,44 +608,7 @@ class PolyMatrix:
         out of the result.  0x0 matrices have determinant 1."""
         if self.rows != self.cols:
             raise NotSquare("det of a %dx%d matrix" % (self.rows, self.cols))
-        m = [[e.terms for e in self.row(r)] for r in range(self.rows)]
-        shift = _prescale(m)
-        if shift is None:
-            return ZERO
-        d = _eliminate(m, list(range(self.rows)), 0, _ONE, 1)
-        return LaurentPoly._raw(_shift(d, *shift))
-
-    def det_cofactor(self):
-        """Cofactor-expansion determinant, the independent oracle for det().
-        Exponential; refuses anything larger than 8x8."""
-        if self.rows != self.cols:
-            raise NotSquare("det of a %dx%d matrix" % (self.rows, self.cols))
-        if self.rows > 8:
-            raise SizeTooLarge("cofactor oracle capped at 8x8")
-        raw = [[e.terms for e in self.row(r)] for r in range(self.rows)]
-        memo = {}
-
-        def minor(rows_left, cols_left):
-            if not rows_left:
-                return {(0, 0): 1}
-            key = (rows_left, cols_left)
-            if key in memo:
-                return memo[key]
-            r = rows_left[0]
-            rest = rows_left[1:]
-            acc = {}
-            for pos, c in enumerate(cols_left):
-                e = raw[r][c]
-                if not e:
-                    continue
-                sub = minor(rest, cols_left[:pos] + cols_left[pos + 1:])
-                term = _mul(e, sub)
-                acc = _add(acc, term) if pos % 2 == 0 else _sub(acc, term)
-            memo[key] = acc
-            return acc
-
-        n = self.rows
-        return LaurentPoly._raw(minor(tuple(range(n)), tuple(range(n))))
+        return self._minors_on_rows(range(self.rows))[0]
 
     def minors(self, k):
         """All k x k minors, ordered by (row-set, col-set) lexicographically.
@@ -674,48 +616,19 @@ class PolyMatrix:
         if k < 0 or k > min(self.rows, self.cols):
             raise SizeTooLarge(
                 "no %dx%d minors of a %dx%d matrix" % (k, k, self.rows, self.cols))
-        if k == 0:
-            return [ONE]
-        if k == self.rows and self.cols == self.rows + 1:
-            # shared-prefix fast path; lex order over column sets means the
-            # dropped column runs from last to first
-            return self._dets_dropping_one_column()[::-1]
         out = []
         for ri in combinations(range(self.rows), k):
-            for ci in combinations(range(self.cols), k):
-                out.append(self.submatrix(ri, ci).det())
+            out += self._minors_on_rows(ri)
         return out
 
-    def _dets_dropping_one_column(self):
-        """For an r x (r+1) matrix: the r+1 maximal minors, the j-th being
-        the determinant with column j removed.  Minor j shares its first j
-        elimination steps with every later minor, so they are done once."""
-        r = self.rows
-        m = [[e.terms for e in self.row(i)] for i in range(r)]
-        shift = _prescale(m)  # every minor uses every row
+    def _minors_on_rows(self, ri):
+        """The maximal minors of the rows ri, column sets in lex order."""
+        if not ri:
+            return [ONE]
+        m = [[e.terms for e in self.row(i)] for i in ri]
+        shift = _prescale(m)
         if shift is None:
-            return [ZERO] * (r + 1)
-        cols = list(range(r + 1))
+            return [ZERO] * comb(self.cols, len(m))
         out = []
-        prev, sign = _ONE, 1
-        for c in range(r):
-            d = _eliminate([row[:] for row in m], cols[:c] + cols[c + 1:],
-                           c, prev, sign)
-            out.append(LaurentPoly._raw(_shift(d, *shift)))
-            s = _step(m, c, cols, prev)
-            if not s:
-                # every later minor keeps column c, zero from row c down
-                return out + [ZERO] * (r - c)
-            sign *= s
-            prev = m[c][c]
-        d = _eliminate(m, cols[:r], r, prev, sign)
-        out.append(LaurentPoly._raw(_shift(d, *shift)))
-        return out
-
-
-def det(m):
-    return m.det()
-
-
-def minors(m, k):
-    return m.minors(k)
+        _walk(m, 0, 0, _ONE, 1, out)
+        return [LaurentPoly._raw(_shift(d, *shift)) for d in out]

@@ -27,12 +27,11 @@ class CensusParseError(Exception):
 
 
 class CensusRecord:
-    __slots__ = ("name", "code", "flags")
+    __slots__ = ("name", "code")
 
-    def __init__(self, name, code, flags=None):
+    def __init__(self, name, code):
         self.name = name
         self.code = code
-        self.flags = dict(flags or {})
 
     def __repr__(self):
         return "CensusRecord(%r, %r)" % (self.name, self.code)

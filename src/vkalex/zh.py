@@ -85,10 +85,6 @@ def zh(d, head_role=None):
     return ZhDiagram(gauss.GaussDiagram(comps, signs, roles), len(comps) - 1)
 
 
-def zh_component_count(z):
-    return len(z.diagram.components)
-
-
 def delete_omega(z):
     """Drop the omega component and its chords; returns the original diagram."""
     return gauss.delete_component(z.diagram, z.omega_index)

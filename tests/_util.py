@@ -1,10 +1,11 @@
-"""Shared fixtures: the golden table of small virtual knots and random
-diagram generators for fuzzing."""
+"""Shared fixtures: the golden table of small virtual knots, random
+diagram generators for fuzzing, and the cofactor-expansion determinant
+oracle."""
 
 import random
 
 from vkalex import gauss
-from vkalex.laurent import ONE, S, T
+from vkalex.laurent import NotSquare, ONE, S, SizeTooLarge, T, ZERO
 
 ST = S * T
 
@@ -105,3 +106,35 @@ def random_poly(rng, span=3, terms=4, coeff=9):
         if c:
             d[(es, et)] = d.get((es, et), 0) + c
     return LaurentPoly(d)
+
+
+def det_cofactor(m):
+    """Cofactor-expansion determinant of the PolyMatrix m, the independent
+    oracle for PolyMatrix.det.  Exponential; refuses anything larger than
+    8x8."""
+    if m.rows != m.cols:
+        raise NotSquare("det of a %dx%d matrix" % (m.rows, m.cols))
+    if m.rows > 8:
+        raise SizeTooLarge("cofactor oracle capped at 8x8")
+    memo = {}
+
+    def minor(rows_left, cols_left):
+        if not rows_left:
+            return ONE
+        key = (rows_left, cols_left)
+        if key in memo:
+            return memo[key]
+        r = rows_left[0]
+        rest = rows_left[1:]
+        acc = ZERO
+        for pos, c in enumerate(cols_left):
+            e = m[r, c]
+            if not e:
+                continue
+            term = e * minor(rest, cols_left[:pos] + cols_left[pos + 1:])
+            acc = acc + term if pos % 2 == 0 else acc - term
+        memo[key] = acc
+        return acc
+
+    n = m.rows
+    return minor(tuple(range(n)), tuple(range(n)))

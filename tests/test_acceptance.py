@@ -15,7 +15,7 @@ from vkalex.laurent import (
 )
 from vkalex.zh import delete_omega, zh
 from _util import (
-    CLASSICAL_TREFOIL, TABLE1, TABLE1_EXPECTED, ZERO_NAMES,
+    CLASSICAL_TREFOIL, TABLE1, TABLE1_EXPECTED, ZERO_NAMES, det_cofactor,
     random_knot, random_link, random_poly, table1_diagram,
 )
 
@@ -222,7 +222,7 @@ def test_criterion_07_determinant_oracle(capsys):
         n = rng.randint(1, 6)
         m = PolyMatrix(n, n, [random_poly(rng, span=2, terms=2, coeff=5)
                               for _ in range(n * n)])
-        if m.det() != m.det_cofactor():
+        if m.det() != det_cofactor(m):
             mismatches += 1
     dt = time.monotonic() - t0
     _verdict(capsys, 7, mismatches == 0 and dt < 30.0,

@@ -4,7 +4,7 @@ import pytest
 
 from vkalex import alexander, gauss
 from vkalex.laurent import (
-    canonicalize, eval_at, MONOMIAL_SIGN, ONE, S, T, ZERO,
+    canonicalize, MONOMIAL_SIGN, ONE, S, T, ZERO,
 )
 from _util import (
     TABLE1, TABLE1_EXPECTED, ZERO_NAMES, CLASSICAL_TREFOIL, VIRTUAL_TREFOIL,
@@ -58,7 +58,7 @@ def test_worked_example_fixes_arc_convention():
 
 def test_expected_product_evaluates_correctly():
     # (1-t)(1-s)(t-s)(1-st)^2 at s=2, t=3: (1-3)(1-2)(3-2)(1-6)^2 = 50
-    assert eval_at(TABLE1_EXPECTED["4.12"], 2, 3) == 50
+    assert TABLE1_EXPECTED["4.12"].eval_at(2, 3) == 50
 
 
 def test_matrix_shapes():

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vkalex.laurent import (
-    CanonicalForm, LaurentPoly, PolyMatrix, canonicalize, det, eval_at,
-    exact_div, gcd, minors, EXACT, MONOMIAL_SIGN, NotDivisible, NotSquare,
-    POWERS_OF_ST, SizeTooLarge, ZeroSubstitution, ONE, S, T, ZERO,
+    CanonicalForm, LaurentPoly, PolyMatrix, canonicalize, gcd, EXACT,
+    MONOMIAL_SIGN, NotDivisible, NotSquare, POWERS_OF_ST, SizeTooLarge,
+    ZeroSubstitution, ONE, S, T, ZERO,
 )
-from _util import random_poly
+from _util import det_cofactor, random_poly
 
 exps = st.integers(min_value=-3, max_value=3)
 coeffs = st.integers(min_value=-1000, max_value=1000)
@@ -66,7 +66,7 @@ def test_ring_axioms(p, q, r):
 def test_exact_division_inverts_multiplication(p, q):
     if q.is_zero():
         return
-    assert exact_div(p * q, q) == p
+    assert (p * q).exact_div(q) == p
     assert q.divides(p * q)
 
 
@@ -100,10 +100,10 @@ def test_inverse():
 
 def test_eval_at():
     p = (ONE - T) * (ONE - S)
-    assert eval_at(p, 2, 3) == 2
-    assert eval_at(S.inverse(), 2, 5) == 0.5
+    assert p.eval_at(2, 3) == 2
+    assert S.inverse().eval_at(2, 5) == 0.5
     with pytest.raises(ZeroSubstitution):
-        eval_at(p, 0, 1)
+        p.eval_at(0, 1)
 
 
 def test_substitute():
@@ -190,13 +190,13 @@ def test_gcd_properties():
 
 def test_det_goldens():
     m = PolyMatrix([[S, T], [ONE, S]])
-    assert det(m) == S * S - T
-    assert det(PolyMatrix([[S]])) == S
-    assert det(PolyMatrix(0, 0, [])) == ONE
+    assert m.det() == S * S - T
+    assert PolyMatrix([[S]]).det() == S
+    assert PolyMatrix(0, 0, []).det() == ONE
     # identical rows
-    assert det(PolyMatrix([[S, T], [S, T]])) == ZERO
+    assert PolyMatrix([[S, T], [S, T]]).det() == ZERO
     with pytest.raises(NotSquare):
-        det(PolyMatrix(1, 2, [S, T]))
+        PolyMatrix(1, 2, [S, T]).det()
 
 
 def test_det_matches_cofactor_expansion():
@@ -205,7 +205,7 @@ def test_det_matches_cofactor_expansion():
         n = rng.randint(1, 6)
         m = PolyMatrix([[random_poly(rng, span=2, terms=2)
                          for _ in range(n)] for _ in range(n)])
-        assert m.det() == m.det_cofactor()
+        assert m.det() == det_cofactor(m)
 
 
 def test_det_row_swap_flips_sign():
@@ -214,23 +214,26 @@ def test_det_row_swap_flips_sign():
         n = rng.randint(2, 4)
         m = PolyMatrix([[random_poly(rng, span=2, terms=2)
                          for _ in range(n)] for _ in range(n)])
+        rows = [m.row(r) for r in range(n)]
         i, j = rng.sample(range(n), 2)
-        assert m.with_rows_swapped(i, j).det() == -m.det()
-        assert m.transpose().det() == m.det()
+        swapped = list(rows)
+        swapped[i], swapped[j] = rows[j], rows[i]
+        assert PolyMatrix(swapped).det() == -m.det()
+        assert PolyMatrix(list(zip(*rows))).det() == m.det()
 
 
 def test_det_cofactor_size_cap():
     big = PolyMatrix([[ONE] * 9 for _ in range(9)])
     with pytest.raises(SizeTooLarge):
-        big.det_cofactor()
+        det_cofactor(big)
 
 
 def test_minors_conventions():
     m = PolyMatrix([[S, T, ONE], [ONE, S, T]])
-    assert minors(m, 0) == [ONE]
+    assert m.minors(0) == [ONE]
     with pytest.raises(SizeTooLarge):
-        minors(m, 3)
-    got = minors(m, 2)
+        m.minors(3)
+    got = m.minors(2)
     # all 2x2 submatrix determinants, column sets in lex order
     expected = [m.submatrix([0, 1], cols).det()
                 for cols in ([0, 1], [0, 2], [1, 2])]
@@ -240,10 +243,11 @@ def test_minors_conventions():
 def test_minors_shared_prefix_agrees_with_bruteforce():
     rng = random.Random(17)
     cases = []
-    for _ in range(30):
-        r = rng.randint(1, 5)
+    for _ in range(40):
+        r = rng.randint(1, 4)
+        c = rng.randint(r, 5)
         cases.append(PolyMatrix([[random_poly(rng, span=2, terms=2)
-                                  for _ in range(r + 1)] for _ in range(r)]))
+                                  for _ in range(c)] for _ in range(r)]))
     cases += [
         # all-zero column: the shared prefix dies at that column
         PolyMatrix([[S, ZERO, T, ONE], [ONE, ZERO, S, T], [T, ZERO, ONE, S]]),
@@ -252,19 +256,25 @@ def test_minors_shared_prefix_agrees_with_bruteforce():
         # zero (0,0) entry: the first pivot needs a row swap
         PolyMatrix([[ZERO, S, T, ONE], [T.inverse(), ONE, ZERO, S],
                     [ONE - S, ZERO, S * T, T]]),
+        # zero middle row: every row set that holds it is all zero
+        PolyMatrix([[S, T, ONE, S * T], [ZERO, ZERO, ZERO, ZERO],
+                    [ONE, S, T, ONE - S]]),
+        # row set (1, 2) has a zero first pivot, so it swaps there
+        PolyMatrix([[ONE, S, T, ONE], [ZERO, T, ONE - S, S],
+                    [S + T, ZERO, ONE, T.inverse()]]),
     ]
     for m in cases:
-        r = m.rows
-        got = m.minors(r)
-        expect = [m.submatrix(range(r), cols).det_cofactor()
-                  for cols in combinations(range(r + 1), r)]
-        assert got == expect
+        # every k, so k = 1 on the 3 x 4 cases as well
+        for k in range(m.rows + 1):
+            expect = [det_cofactor(m.submatrix(ri, ci))
+                      for ri in combinations(range(m.rows), k)
+                      for ci in combinations(range(m.cols), k)]
+            assert m.minors(k) == expect
 
 
 def test_matrix_views():
     m = PolyMatrix([[S, T], [ONE, ZERO]])
     assert m[0, 1] == T
     assert m.row(1) == [ONE, ZERO]
-    assert m.transpose()[1, 0] == T
     assert m.submatrix([0], [1]) == PolyMatrix([[T]])
     assert m == PolyMatrix(2, 2, [S, T, ONE, ZERO])

@@ -4,15 +4,14 @@ import pytest
 
 from vkalex import alexander, gauss, groups
 from vkalex.laurent import canonicalize, MONOMIAL_SIGN, ONE, S, T
-from vkalex.zh import AlreadyHasOmega, ZhDiagram, delete_omega, zh, \
-    zh_component_count
+from vkalex.zh import AlreadyHasOmega, ZhDiagram, delete_omega, zh
 from _util import TABLE1, CLASSICAL_TREFOIL, KINK, random_knot, random_link
 
 
 def test_zh_of_unknot():
     d = gauss.to_diagram(gauss.parse_gauss_code(""))
     z = zh(d)
-    assert zh_component_count(z) == 2
+    assert len(z.diagram.components) == 2
     assert z.diagram.crossings == 0
     assert z.omega_index == 1
     assert z.diagram.components[1] == []
@@ -25,7 +24,7 @@ def test_zh_structure():
         z = zh(d)
         n = d.crossings
         assert z.diagram.crossings == 3 * n
-        assert zh_component_count(z) == len(d.components) + 1
+        assert len(z.diagram.components) == len(d.components) + 1
         assert z.omega_index == len(z.diagram.components) - 1
         assert z.diagram.component_roles[-1] == gauss.OMEGA
         # the omega circle carries one O endpoint per new chord
