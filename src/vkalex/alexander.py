@@ -37,6 +37,12 @@ _ST = S * T
 _ONE_MINUS_ST = ONE - _ST
 
 
+_BLOCKS = {
+    1: PolyMatrix([[T.inverse(), ONE - _ST.inverse()], [ZERO, S.inverse()]]),
+    -1: PolyMatrix([[S, ZERO], [ONE - _ST, T]]),
+}
+
+
 class CrossingBlock:
     """The 2x2 block a crossing contributes to M."""
 
@@ -44,16 +50,7 @@ class CrossingBlock:
         if sign not in (1, -1):
             raise ValueError("sign must be +-1")
         self.sign = sign
-        if sign > 0:
-            self.block = PolyMatrix([
-                [T.inverse(), ONE - _ST.inverse()],
-                [ZERO, S.inverse()],
-            ])
-        else:
-            self.block = PolyMatrix([
-                [S, ZERO],
-                [ONE - _ST, T],
-            ])
+        self.block = _BLOCKS[sign]
 
 
 class GeneralizedAlexander:
@@ -76,7 +73,7 @@ def build_m_matrix(d):
         raise gauss.NoCrossings("M needs at least one crossing")
     entries = [ZERO] * (2 * n) * (2 * n)
     for k, sign in enumerate(d.signs):
-        blk = CrossingBlock(sign).block
+        blk = _BLOCKS[sign]
         for r in range(2):
             for c in range(2):
                 entries[(2 * k + r) * 2 * n + (2 * k + c)] = blk[r, c]
@@ -104,10 +101,11 @@ def delta0(d):
     n = len(d.signs)
     if n == 0:
         return GeneralizedAlexander(ZERO)
-    m = build_m_matrix(d)
-    p = build_p_matrix(d)
-    diff = PolyMatrix(2 * n, 2 * n,
-                      [a - b for a, b in zip(m.entries, p.entries)])
+    diff = build_m_matrix(d)
+    # P is nonzero only at (i, successor(i)), so only there is a 1 taken off
+    for i, j in enumerate(gauss.short_arcs(d, ARC_CONVENTION).successor):
+        k = i * 2 * n + j
+        diff.entries[k] = diff.entries[k] - ONE
     return GeneralizedAlexander(diff.det())
 
 

@@ -478,6 +478,74 @@ def canonicalize(p, mode=MONOMIAL_SIGN):
 
 
 # ---------------------------------------------------------------------------
+# Schur steps on unit pivots (+-s^a t^b) in Markowitz (1957) order, on
+# sparse rows {col: raw dict}
+
+def _unit_schur(rows):
+    """Eliminate unit pivots from the square matrix given by the sparse rows,
+    in place.  Each step takes the unit entry (i, j) of least fill cost
+    (nnz(row i) - 1) * (nnz(col j) - 1), the first such in row and then
+    column order, and sets row k <- row k - (a_kj / u) row i for every other
+    row k with an entry in column j; a unit divides exactly, so this is a
+    monomial shift and a sign.  Stops when no unit is left.  Returns
+    (sign, ds, dt, live rows, live cols): the determinant is
+    sign * s^ds t^dt times that of the live rows and columns in their
+    original order.  Returns None when a row empties, the determinant being
+    0 then."""
+    live = list(range(len(rows)))
+    cols = list(range(len(rows)))
+    where = [set() for _ in cols]          # column -> rows with an entry there
+    for i, row in enumerate(rows):
+        if not row:
+            return None
+        for j in row:
+            where[j].add(i)
+    sign = 1
+    ds = dt = 0
+    while True:
+        best = None
+        for i in live:
+            row = rows[i]
+            fill = len(row) - 1
+            for j in sorted(row):
+                e = row[j]
+                if len(e) == 1 and abs(next(iter(e.values()))) == 1:
+                    cost = fill * (len(where[j]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+            if best is not None and not best[0]:
+                break
+        if best is None:
+            return sign, ds, dt, live, cols
+        _, i, j = best
+        top = rows[i]
+        for col in top:
+            where[col].discard(i)
+        ((a, b), c), = top.pop(j).items()
+        # Laplace expansion along column j once the rest of it is cleared
+        sign *= -c if (live.index(i) + cols.index(j)) % 2 else c
+        ds += a
+        dt += b
+        live.remove(i)
+        cols.remove(j)
+        for k in where[j]:
+            row = rows[k]
+            # a_kj / u, with 1/u = c s^-a t^-b
+            f = {(es - a, et - b): c * v for (es, et), v in row.pop(j).items()}
+            for col, v in top.items():
+                e = _sub(row.get(col, {}), _mul(f, v))
+                if e:
+                    if col not in row:
+                        where[col].add(k)
+                    row[col] = e
+                elif col in row:
+                    del row[col]
+                    where[col].discard(k)
+            if not row:
+                return None
+
+
+# ---------------------------------------------------------------------------
 # fraction-free (Bareiss 1968) elimination on rows of raw dicts
 
 def _prescale(rows):
@@ -552,6 +620,19 @@ def _walk(m, k, lo, prev, sign, out):
         out.append(_neg(d) if sign < 0 else d)
 
 
+def _maximal_minors(m, ncols):
+    """The maximal minors of the dense rows m of ncols columns, column sets
+    in lex order.  No rows yield the single empty minor 1."""
+    if not m:
+        return [{(0, 0): 1}]
+    shift = _prescale(m)
+    if shift is None:
+        return [{}] * comb(ncols, len(m))
+    out = []
+    _walk(m, 0, 0, _ONE, 1, out)
+    return [_shift(d, *shift) for d in out]
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -603,12 +684,23 @@ class PolyMatrix:
         return "PolyMatrix[%s]" % body
 
     def det(self):
-        """Fraction-free Bareiss determinant.  Rows are pre-scaled by
-        monomials to clear negative exponents; the scaling is divided back
-        out of the result.  0x0 matrices have determinant 1."""
+        """Determinant: Schur steps on unit pivots in least-fill order, then
+        fraction-free Bareiss on the rows and columns left.  Those are
+        pre-scaled by monomials to clear negative exponents, and the scaling
+        is divided back out of the result.  0x0 matrices have determinant
+        1."""
         if self.rows != self.cols:
             raise NotSquare("det of a %dx%d matrix" % (self.rows, self.cols))
-        return self._minors_on_rows(range(self.rows))[0]
+        rows = [{j: e.terms for j, e in enumerate(self.row(i)) if e.terms}
+                for i in range(self.rows)]
+        left = _unit_schur(rows)
+        if left is None:
+            return ZERO
+        sign, ds, dt, ri, ci = left
+        m = [[rows[i].get(j, {}) for j in ci] for i in ri]
+        d = _maximal_minors(m, len(ci))[0]
+        return LaurentPoly._raw({(es + ds, et + dt): sign * c
+                                 for (es, et), c in d.items()})
 
     def minors(self, k):
         """All k x k minors, ordered by (row-set, col-set) lexicographically.
@@ -623,12 +715,5 @@ class PolyMatrix:
 
     def _minors_on_rows(self, ri):
         """The maximal minors of the rows ri, column sets in lex order."""
-        if not ri:
-            return [ONE]
         m = [[e.terms for e in self.row(i)] for i in ri]
-        shift = _prescale(m)
-        if shift is None:
-            return [ZERO] * comb(self.cols, len(m))
-        out = []
-        _walk(m, 0, 0, _ONE, 1, out)
-        return [LaurentPoly._raw(_shift(d, *shift)) for d in out]
+        return [LaurentPoly._raw(d) for d in _maximal_minors(m, self.cols)]

@@ -10,6 +10,7 @@ sieve when its graded genus flag is zero and its polynomial vanishes.
 import csv
 import io
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 from . import alexander, gauss
@@ -156,8 +157,12 @@ def run_sieve(records, parallel=True):
     everything in-process; the outputs are identical either way."""
     items = [(r.name, r.code) for r in records]
     if parallel and len(items) > 1:
-        with ProcessPoolExecutor() as pool:
-            rows = list(pool.map(_sieve_one, items))
+        workers = os.cpu_count() or 1
+        # about four chunks per worker: a row takes around a millisecond, so
+        # one round trip per row would cost more than the row itself
+        chunk = -(-len(items) // (4 * workers))
+        with ProcessPoolExecutor(workers) as pool:
+            rows = list(pool.map(_sieve_one, items, chunksize=chunk))
     else:
         rows = [_sieve_one(it) for it in items]
     errors = sum(1 for r in rows if "error" in r)

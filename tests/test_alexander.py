@@ -4,11 +4,11 @@ import pytest
 
 from vkalex import alexander, gauss
 from vkalex.laurent import (
-    canonicalize, MONOMIAL_SIGN, ONE, S, T, ZERO,
+    canonicalize, MONOMIAL_SIGN, ONE, PolyMatrix, S, T, ZERO,
 )
 from _util import (
     TABLE1, TABLE1_EXPECTED, ZERO_NAMES, CLASSICAL_TREFOIL, VIRTUAL_TREFOIL,
-    KINK, table1_diagram, random_knot,
+    KINK, table1_diagram, random_knot, random_link,
 )
 
 ST = S * T
@@ -26,7 +26,6 @@ def test_table_polynomials():
 
 
 def _delta_under_convention(d, convention):
-    from vkalex.laurent import PolyMatrix
     n = d.crossings
     m = alexander.build_m_matrix(d)
     sa = gauss.short_arcs(d, convention)
@@ -54,6 +53,29 @@ def test_worked_example_fixes_arc_convention():
     sep_expected = canonicalize(TABLE1_EXPECTED["5.344"], MONOMIAL_SIGN)
     assert _delta_under_convention(sep, "over-first") == sep_expected
     assert _delta_under_convention(sep, "under-first") != sep_expected
+
+
+def _m_minus_p(d):
+    n = 2 * d.crossings
+    m = alexander.build_m_matrix(d)
+    p = alexander.build_p_matrix(d)
+    return PolyMatrix(n, n, [a - b for a, b in zip(m.entries, p.entries)])
+
+
+def test_unit_pivot_det_matches_plain_bareiss():
+    """det takes Schur steps on unit pivots before Bareiss, while the one
+    maximal minor is the plain Bareiss walk: the two agree exactly, sign
+    included, and delta0 takes the determinant of this very matrix."""
+    rng = random.Random(23)
+    diagrams = [table1_diagram(name) for name in TABLE1]
+    diagrams += [random_knot(rng, rng.randint(1, 8)) for _ in range(150)]
+    diagrams += [random_link(rng, rng.randint(1, 8), rng.randint(2, 3))
+                 for _ in range(100)]
+    for d in diagrams:
+        diff = _m_minus_p(d)
+        det = diff.det()
+        assert det == diff.minors(diff.rows)[0]
+        assert alexander.delta0(d).raw == det
 
 
 def test_expected_product_evaluates_correctly():

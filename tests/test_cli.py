@@ -193,8 +193,16 @@ def test_internal_invariant_breaks_exit_3(capsys, monkeypatch):
 
 
 def test_bareiss_division_failure_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr("vkalex.laurent._div_exact", lambda a, b: None)
-    rc, out, err = run(capsys, "delta", TABLE1["4.12"])
+    # 5.2430 leaves a 2x2 residual after the unit pivots, so its Bareiss
+    # walk divides at least once
+    calls = []
+
+    def fail(a, b):
+        calls.append((a, b))
+        return None
+    monkeypatch.setattr("vkalex.laurent._div_exact", fail)
+    rc, out, err = run(capsys, "delta", TABLE1["5.2430"])
+    assert calls
     assert rc == 3
     assert "internal error" in err
     assert out == ""

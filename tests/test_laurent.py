@@ -206,6 +206,30 @@ def test_det_matches_cofactor_expansion():
         m = PolyMatrix([[random_poly(rng, span=2, terms=2)
                          for _ in range(n)] for _ in range(n)])
         assert m.det() == det_cofactor(m)
+    # sparse inputs where most pivots are units +-s^a t^b
+    z = ZERO
+    # signed monomial permutation matrix of the 4-cycle 0->2->3->1 (odd):
+    # every pivot is a unit and nothing is left for Bareiss
+    perm = PolyMatrix([[z, z, -S * T, z],
+                       [T.inverse(), z, z, z],
+                       [z, z, z, S * S],
+                       [z, -ONE, z, z]])
+    assert perm.det() == -(-S * T) * T.inverse() * (S * S) * -ONE
+    # the only unit sits at (0, 1), an odd position
+    odd = PolyMatrix([[ONE + S, -T, 2 * ONE],
+                      [2 * S, ONE + T, ONE - S],
+                      [ONE - T, 3 * ONE, S + T]])
+    # two crossing blocks, positive then negative, minus a permutation, as
+    # in M - P
+    mp = PolyMatrix([[T.inverse(), ONE - (S * T).inverse(), -ONE, z],
+                     [z, S.inverse(), z, -ONE],
+                     [z, -ONE, S, z],
+                     [-ONE, z, ONE - S * T, T]])
+    # row 1 is t times row 0, so the first Schur step empties it
+    empty = PolyMatrix([[ONE, S, z], [T, S * T, z], [ONE + S, T, 2 * ONE]])
+    assert empty.det() == ZERO
+    for m in (perm, odd, mp, empty):
+        assert m.det() == det_cofactor(m)
 
 
 def test_det_row_swap_flips_sign():
