@@ -133,7 +133,7 @@ class ElementaryIdeal:
         self.gcd_generator = gcd_generator
 
     def is_zero(self):
-        return all(m.is_zero() for m in self.generators)
+        return self.gcd_generator.is_zero()
 
     def __repr__(self):
         return "ElementaryIdeal(k=%d, gcd=%s)" % (self.k, self.gcd_generator)

@@ -9,7 +9,7 @@ top are the hot path; LaurentPoly is a thin immutable wrapper around them.
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd as igcd
+from math import gcd as igcd
 
 
 class NotDivisible(ArithmeticError):
@@ -566,71 +566,58 @@ def _prescale(rows):
     return shift_s, shift_t
 
 
-def _step(m, k, c, prev):
-    """Bareiss step k in place: pivot on column c, swapping a lower row up if
-    m[k] has a zero there, then clear that column below row k over every
-    later column; prev is the previous pivot.  Returns -1 after a swap, 0
-    when the column is zero from row k down, else 1."""
+def _step(m, k, prev):
+    """Bareiss step k in place: pivot on m[k][k], swapping a lower row up if
+    it is zero, then clear column k below row k over every later column;
+    prev is the previous pivot.  Returns -1 after a swap, 0 when the column
+    is zero from row k down, else 1."""
     sign = 1
-    if not m[k][c]:
-        piv = next((i for i in range(k + 1, len(m)) if m[i][c]), None)
+    if not m[k][k]:
+        piv = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
         if piv is None:
             return 0
         m[k], m[piv] = m[piv], m[k]
         sign = -1
     top = m[k]
-    pivot = top[c]
-    rest = range(c + 1, len(top))
+    pivot = top[k]
+    rest = range(k + 1, len(top))
     for i in range(k + 1, len(m)):
         row = m[i]
-        lead = row[c]
+        lead = row[k]
         for j in rest:
             q = _div_exact(_sub(_mul(pivot, row[j]), _mul(lead, top[j])), prev)
             if q is None:
                 raise NotDivisible("Bareiss division failed")
             row[j] = q
-        row[c] = {}
+        row[k] = {}
     return sign
 
 
-def _walk(m, k, lo, prev, sign, out):
-    """Append to out the r x r minors of the r prescaled rows m, over the
-    column sets in lex order whose first k columns are fixed and whose
-    others are taken from lo on.  The first k Bareiss steps are done, prev
-    being the last pivot and sign the parity of the row swaps, so column
-    sets with a common prefix share that prefix's steps.  The last column
-    choice at each depth continues in place; only the earlier ones copy the
-    rows and recurse, so a square m is never copied."""
-    r, n = len(m), len(m[0])
-    while k < r - 1:
-        last = n - r + k
-        for c in range(lo, last + 1):
-            mc = m if c == last else m[:k] + [row[:] for row in m[k:]]
-            s = _step(mc, k, c, prev)
-            if not s:
-                # column c is zero from row k down in every set of the subtree
-                out.extend([{}] * comb(n - 1 - c, r - 1 - k))
-            elif c < last:
-                _walk(mc, k + 1, c + 1, mc[k][c], sign * s, out)
-        if not s:
-            return
-        prev, sign = m[k][last], sign * s
-        k, lo = k + 1, last + 1
-    for d in m[k][lo:]:
-        out.append(_neg(d) if sign < 0 else d)
-
-
-def _maximal_minors(m, ncols):
-    """The maximal minors of the dense rows m of ncols columns, column sets
-    in lex order.  No rows yield the single empty minor 1."""
-    if not m:
-        return [{(0, 0): 1}]
+def _det(rows):
+    """Determinant of the square matrix given by the sparse rows
+    {col: raw dict}, which it consumes: Schur steps on unit pivots, then
+    fraction-free Bareiss on the rows and columns left.  Those are
+    pre-scaled by monomials to clear negative exponents, and the scaling is
+    divided back out of the result.  No rows give 1."""
+    left = _unit_schur(rows)
+    if left is None:
+        return {}
+    sign, ds, dt, ri, ci = left
+    m = [[rows[i].get(j, {}) for j in ci] for i in ri]
     shift = _prescale(m)
     if shift is None:
-        return [{}] * comb(ncols, len(m))
-    out = []
-    _walk(m, 0, 0, _ONE, 1, out)
-    return [_shift(d, *shift) for d in out]
+        return {}
+    prev = _ONE
+    for k in range(len(m) - 1):
+        s = _step(m, k, prev)
+        if not s:
+            return {}
+        sign *= s
+        prev = m[k][k]
+    d = m[-1][-1] if m else _ONE
+    ds += shift[0]
+    dt += shift[1]
+    return {(es + ds, et + dt): sign * c for (es, et), c in d.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -684,36 +671,27 @@ class PolyMatrix:
         return "PolyMatrix[%s]" % body
 
     def det(self):
-        """Determinant: Schur steps on unit pivots in least-fill order, then
-        fraction-free Bareiss on the rows and columns left.  Those are
-        pre-scaled by monomials to clear negative exponents, and the scaling
-        is divided back out of the result.  0x0 matrices have determinant
-        1."""
+        """Determinant, by unit pivots and then fraction-free Bareiss.  0x0
+        matrices have determinant 1."""
         if self.rows != self.cols:
             raise NotSquare("det of a %dx%d matrix" % (self.rows, self.cols))
         rows = [{j: e.terms for j, e in enumerate(self.row(i)) if e.terms}
                 for i in range(self.rows)]
-        left = _unit_schur(rows)
-        if left is None:
-            return ZERO
-        sign, ds, dt, ri, ci = left
-        m = [[rows[i].get(j, {}) for j in ci] for i in ri]
-        d = _maximal_minors(m, len(ci))[0]
-        return LaurentPoly._raw({(es + ds, et + dt): sign * c
-                                 for (es, et), c in d.items()})
+        return LaurentPoly._raw(_det(rows))
 
     def minors(self, k):
-        """All k x k minors, ordered by (row-set, col-set) lexicographically.
-        k = 0 yields the single empty minor 1."""
+        """All k x k minors, ordered by (row-set, col-set) lexicographically,
+        each taken as its own determinant.  k = 0 yields the single empty
+        minor 1."""
         if k < 0 or k > min(self.rows, self.cols):
             raise SizeTooLarge(
                 "no %dx%d minors of a %dx%d matrix" % (k, k, self.rows, self.cols))
+        col_sets = list(combinations(range(self.cols), k))
         out = []
         for ri in combinations(range(self.rows), k):
-            out += self._minors_on_rows(ri)
+            m = [[e.terms for e in self.row(i)] for i in ri]
+            for ci in col_sets:
+                rows = [{p: row[j] for p, j in enumerate(ci) if row[j]}
+                        for row in m]
+                out.append(LaurentPoly._raw(_det(rows)))
         return out
-
-    def _minors_on_rows(self, ri):
-        """The maximal minors of the rows ri, column sets in lex order."""
-        m = [[e.terms for e in self.row(i)] for i in ri]
-        return [LaurentPoly._raw(d) for d in _maximal_minors(m, self.cols)]

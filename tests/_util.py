@@ -1,6 +1,6 @@
 """Shared fixtures: the golden table of small virtual knots, random
-diagram generators for fuzzing, and the cofactor-expansion determinant
-oracle."""
+diagram generators for fuzzing, ribbon doubles, and the cofactor-expansion
+and plain Bareiss determinant oracles."""
 
 import random
 
@@ -95,6 +95,16 @@ def random_link(rng, n, ncomps):
     return gauss.GaussDiagram(comps, signs)
 
 
+def ribbon_double(d):
+    """K # -K* of the one-component diagram d: its word followed by the
+    reversed word, each appended crossing keeping its O/U role under a fresh
+    label and with its sign flipped.  A ribbon knot, so virtually slice."""
+    (comp,) = d.components
+    n = len(d.signs)
+    tail = [(c + n, role) for c, role in reversed(comp)]
+    return gauss.GaussDiagram([comp + tail], d.signs + [-e for e in d.signs])
+
+
 def random_poly(rng, span=3, terms=4, coeff=9):
     """Random Laurent polynomial with exponents in [-span, span]."""
     from vkalex.laurent import LaurentPoly
@@ -138,3 +148,30 @@ def det_cofactor(m):
 
     n = m.rows
     return minor(tuple(range(n)), tuple(range(n)))
+
+
+def det_bareiss(m):
+    """Plain fraction-free Bareiss determinant of the PolyMatrix m: step k
+    pivots on the first nonzero entry of column k from row k down, with no
+    unit pivots and no pre-scaling.  The oracle for PolyMatrix.det on
+    matrices too large for det_cofactor."""
+    if m.rows != m.cols:
+        raise NotSquare("det of a %dx%d matrix" % (m.rows, m.cols))
+    n = m.rows
+    if n == 0:
+        return ONE
+    a = [m.row(i) for i in range(n)]
+    sign = 1
+    prev = ONE
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return ZERO
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).exact_div(prev)
+        prev = a[k][k]
+    return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]

@@ -83,9 +83,12 @@ def test_criterion_04_divisibility(capsys):
 
 
 def test_criterion_05_cross_path_equivalence(capsys):
+    """The two paths to the polynomial agree exactly: with g the gcd of
+    E_1(Zh K), omega generators sent to s, delta0 = (1 - t) g(t, st) up to
+    +-s^a t^b on every table-1 knot."""
     t0 = time.monotonic()
     vanish_bad = []
-    gcd_hits = 0
+    gcd_bad = []
     for name in TABLE1:
         d = table1_diagram(name)
         g = alexander.delta0(d)
@@ -94,17 +97,15 @@ def test_criterion_05_cross_path_equivalence(capsys):
         e1 = ideals[1]
         if e1.is_zero() != g.is_zero:
             vanish_bad.append(name)
-        if canonicalize(e1.gcd_generator, MONOMIAL_SIGN) == g.canonical:
-            gcd_hits += 1
+        lifted = (ONE - T) * e1.gcd_generator.substitute(T, S * T)
+        if canonicalize(lifted, MONOMIAL_SIGN) != g.canonical:
+            gcd_bad.append(name)
     dt = time.monotonic() - t0
-    ok = not vanish_bad and dt < 30.0
-    # The stronger identity gcd(E_1) = delta0 up to units holds only on the
-    # three vanishing rows.  Its failure with the vanishing clause passing is
-    # explicitly downgraded to an open question, recorded in the notes ledger.
+    ok = not vanish_bad and not gcd_bad and dt < 30.0
     _verdict(capsys, 5, ok,
              "E_1 vanishes iff delta0 = 0 on 12/12 (mismatches=%r); "
-             "gcd identity on %d/12, downgraded to open question; %.1fs < 30s"
-             % (vanish_bad, gcd_hits, dt))
+             "delta0 = (1-t) gcd(E_1)(t, st) on %d/12 (mismatches=%r); "
+             "%.1fs < 30s" % (vanish_bad, 12 - len(gcd_bad), gcd_bad, dt))
 
 
 def _kink_chords(d):

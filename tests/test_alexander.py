@@ -8,7 +8,8 @@ from vkalex.laurent import (
 )
 from _util import (
     TABLE1, TABLE1_EXPECTED, ZERO_NAMES, CLASSICAL_TREFOIL, VIRTUAL_TREFOIL,
-    KINK, table1_diagram, random_knot, random_link,
+    KINK, det_bareiss, ribbon_double, table1_diagram, random_knot,
+    random_link,
 )
 
 ST = S * T
@@ -63,8 +64,8 @@ def _m_minus_p(d):
 
 
 def test_unit_pivot_det_matches_plain_bareiss():
-    """det takes Schur steps on unit pivots before Bareiss, while the one
-    maximal minor is the plain Bareiss walk: the two agree exactly, sign
+    """det takes Schur steps on unit pivots before Bareiss; the oracle is a
+    plain dense Bareiss with no unit pivots.  The two agree exactly, sign
     included, and delta0 takes the determinant of this very matrix."""
     rng = random.Random(23)
     diagrams = [table1_diagram(name) for name in TABLE1]
@@ -74,7 +75,7 @@ def test_unit_pivot_det_matches_plain_bareiss():
     for d in diagrams:
         diff = _m_minus_p(d)
         det = diff.det()
-        assert det == diff.minors(diff.rows)[0]
+        assert det == det_bareiss(diff)
         assert alexander.delta0(d).raw == det
 
 
@@ -187,3 +188,24 @@ def test_delta0_works_on_links():
     assert g.raw * ONE == g.raw  # smoke: it computed something
     two_unknots = gauss.to_diagram(gauss.parse_gauss_code(","))
     assert alexander.delta0(two_unknots).is_zero
+
+
+def test_ribbon_doubles_vanish():
+    """K # -K* is ribbon, hence virtually slice, so delta0 and the writhe
+    polynomial vanish on it, also where they do not vanish on K; the last
+    knot is a 40-crossing double, beyond the reach of the cofactor
+    oracle."""
+    rng = random.Random(3)
+    knots = [d for d in (random_knot(rng, rng.randint(1, 6))
+                         for _ in range(200))
+             if not alexander.delta0(d).is_zero]
+    assert len(knots) >= 50
+    d = random_knot(rng, 20)
+    while alexander.delta0(d).is_zero:
+        d = random_knot(rng, 20)
+    knots.append(d)
+    for d in knots:
+        dd = ribbon_double(d)
+        assert dd.crossings == 2 * d.crossings
+        assert alexander.delta0(dd).is_zero
+        assert alexander.writhe_polynomial(dd) == ZERO

@@ -9,7 +9,8 @@ from vkalex.laurent import (
     MONOMIAL_SIGN, NotDivisible, NotSquare, POWERS_OF_ST, SizeTooLarge,
     ZeroSubstitution, ONE, S, T, ZERO,
 )
-from _util import det_cofactor, random_poly
+from vkalex import gauss, groups
+from _util import VIRTUAL_TREFOIL, det_cofactor, random_poly
 
 exps = st.integers(min_value=-3, max_value=3)
 coeffs = st.integers(min_value=-1000, max_value=1000)
@@ -273,7 +274,7 @@ def test_minors_shared_prefix_agrees_with_bruteforce():
         cases.append(PolyMatrix([[random_poly(rng, span=2, terms=2)
                                   for _ in range(c)] for _ in range(r)]))
     cases += [
-        # all-zero column: the shared prefix dies at that column
+        # all-zero column: every minor that takes it vanishes
         PolyMatrix([[S, ZERO, T, ONE], [ONE, ZERO, S, T], [T, ZERO, ONE, S]]),
         # zero row: every maximal minor vanishes
         PolyMatrix([[S, T, ONE], [ZERO, ZERO, ZERO]]),
@@ -287,6 +288,14 @@ def test_minors_shared_prefix_agrees_with_bruteforce():
         PolyMatrix([[ONE, S, T, ONE], [ZERO, T, ONE - S, S],
                     [S + T, ZERO, ONE, T.inverse()]]),
     ]
+    # the unit-rich 6 x 7 Fox matrix of the extension's group of the
+    # virtual trefoil, the kind of matrix every minor the program takes
+    # comes from
+    p = groups.reduced_group(
+        gauss.to_diagram(gauss.parse_gauss_code(VIRTUAL_TREFOIL)))
+    fox = groups.alexander_matrix(p, groups.Abelianization.standard(p))
+    assert (fox.rows, fox.cols) == (6, 7)
+    cases.append(fox)
     for m in cases:
         # every k, so k = 1 on the 3 x 4 cases as well
         for k in range(m.rows + 1):

@@ -5,7 +5,9 @@ import pytest
 from vkalex import alexander, gauss, groups
 from vkalex.laurent import canonicalize, MONOMIAL_SIGN, ONE, S, T
 from vkalex.zh import AlreadyHasOmega, ZhDiagram, delete_omega, zh
-from _util import TABLE1, CLASSICAL_TREFOIL, KINK, random_knot, random_link
+from _util import (
+    TABLE1, CLASSICAL_TREFOIL, KINK, random_knot, random_link, ribbon_double,
+)
 
 
 def test_zh_of_unknot():
@@ -71,26 +73,29 @@ def test_zh_diagram_validates_role():
         ZhDiagram(d, 0)  # component 0 is not tagged omega
 
 
+def _zh_path_matches(d, head):
+    """delta0 = (1 - t) g(t, st) up to +-s^a t^b, g the gcd of the first
+    elementary ideal of the extension's group with omega generators sent
+    to s."""
+    p = groups.wirtinger(zh(d, head_role=head).diagram)
+    g = groups.elementary_ideals(p, groups.Abelianization.standard(p), 1)[1]
+    lifted = (ONE - T) * g.gcd_generator.substitute(T, S * T)
+    return canonicalize(lifted, MONOMIAL_SIGN) == alexander.delta0(d).canonical
+
+
 def test_head_role_calibration():
     """Which endpoint of a chord counts as its head decides where the new
-    chords land.  The head = O choice is pinned by a worked example: the
-    first elementary ideal of the extension's group, with omega generators
-    sent to s and t lifted to st, recovers the determinant polynomial of the
-    4-crossing knot after multiplying by (1 - s).  The head = U alternative
-    breaks the identity on the same input."""
+    chords land.  The head = O choice is pinned by the cross-path identity
+    delta0 = (1 - t) gcd(E_1)(t, st), which it meets on every table-1 knot
+    and on random knots; the head = U alternative breaks it."""
     from vkalex.zh import HEAD_ROLE
     assert HEAD_ROLE == "O"
-    d = gauss.to_diagram(gauss.parse_gauss_code(TABLE1["4.12"]))
-    target = alexander.delta0(d).canonical
-    results = {}
-    for head in ("O", "U"):
-        p = groups.wirtinger(zh(d, head_role=head).diagram)
-        alpha = groups.Abelianization.standard(p)
-        g = groups.elementary_ideals(p, alpha, 1)[1].gcd_generator
-        lifted = (ONE - S) * g.substitute(S, S * T)
-        results[head] = canonicalize(lifted, MONOMIAL_SIGN) == target
-    assert results["O"]
-    assert not results["U"]
+    rng = random.Random(11)
+    diagrams = [gauss.to_diagram(gauss.parse_gauss_code(c))
+                for c in TABLE1.values()]
+    diagrams += [random_knot(rng, rng.randint(1, 6)) for _ in range(80)]
+    assert all(_zh_path_matches(d, "O") for d in diagrams)
+    assert not all(_zh_path_matches(d, "U") for d in diagrams)
 
 
 def test_zh_delta0_vanishes_on_extension_of_classical():
@@ -99,3 +104,17 @@ def test_zh_delta0_vanishes_on_extension_of_classical():
     d = gauss.to_diagram(gauss.parse_gauss_code(CLASSICAL_TREFOIL))
     z = zh(d)
     assert alexander.delta0(z.diagram).is_zero
+
+
+def test_zh_path_vanishes_on_ribbon_doubles():
+    """The first elementary ideal of Zh(K # -K*) is zero, as delta0 is."""
+    rng = random.Random(3)
+    doubled = 0
+    while doubled < 30:
+        d = random_knot(rng, rng.randint(1, 4))
+        if alexander.delta0(d).is_zero:
+            continue
+        p = groups.wirtinger(zh(ribbon_double(d)).diagram)
+        e1 = groups.elementary_ideals(p, groups.Abelianization.standard(p), 1)[1]
+        assert e1.gcd_generator == 0
+        doubled += 1
