@@ -9,7 +9,7 @@ longitudes, the omega-extension, and batch slice obstructions.
 from .laurent import (
     CanonicalForm, LaurentPoly, PolyMatrix, canonicalize, gcd, EXACT,
     MONOMIAL_SIGN, ONE, POWERS_OF_ST, S, T, ZERO, NotDivisible, NotSquare,
-    SizeTooLarge, ZeroSubstitution,
+    SizeTooLarge,
 )
 from .gauss import (
     GaussCode, GaussDiagram, GaussSyntaxError, GaussValidationError,
@@ -18,15 +18,14 @@ from .gauss import (
     undo_r1, undo_r2,
 )
 from .alexander import (
-    GeneralizedAlexander, NotAKnot, OBSTRUCTED, NO_OBSTRUCTION,
-    build_m_matrix, build_p_matrix, delta0, divisibility_check,
-    obstruct_slice, writhe_polynomial,
+    GeneralizedAlexander, NotAKnot, build_m_matrix, delta0,
+    divisibility_check, writhe_polynomial,
 )
 from .zh import AlreadyHasOmega, ZhDiagram, delete_omega, zh
 from .groups import (
     Abelianization, ElementaryIdeal, GroupPresentation, Word,
-    alexander_matrix, elementary_ideals, fox_derivative, longitude,
-    reduced_group, tietze_eliminate, wirtinger,
+    alexander_matrix, elementary_ideals, longitude, reduced_group,
+    tietze_eliminate, wirtinger,
 )
 from .sieve import (
     CensusParseError, CensusRecord, SieveReport, load_census, load_flags,

@@ -1,7 +1,7 @@
 """The generalized Alexander polynomial of a virtual link, computed as the
 determinant det(M - P) over the short-arc structure of its Gauss diagram,
-plus the quantities derived from it (divisibility by 1-st, the writhe
-polynomial, and the slice obstruction verdict).
+plus the quantities derived from it (divisibility by 1-st and the writhe
+polynomial).  A nonzero value obstructs the knot from being slice.
 
 M is block diagonal with one 2x2 block per crossing:
 
@@ -14,9 +14,7 @@ comparison additionally quotients by the sign, i.e. by +-s^a t^b.
 """
 
 from . import gauss
-from .laurent import (
-    LaurentPoly, PolyMatrix, canonicalize, MONOMIAL_SIGN, ONE, S, T, ZERO,
-)
+from .laurent import PolyMatrix, canonicalize, MONOMIAL_SIGN, ONE, S, T, ZERO
 
 
 class NotAKnot(ValueError):
@@ -30,9 +28,6 @@ class NotAKnot(ValueError):
 # tests/test_alexander.py documents the survivor.  Flip only to recalibrate.
 ARC_CONVENTION = "over-first"
 
-OBSTRUCTED = "Obstructed"
-NO_OBSTRUCTION = "NoObstruction"
-
 _ST = S * T
 _ONE_MINUS_ST = ONE - _ST
 
@@ -41,16 +36,6 @@ _BLOCKS = {
     1: PolyMatrix([[T.inverse(), ONE - _ST.inverse()], [ZERO, S.inverse()]]),
     -1: PolyMatrix([[S, ZERO], [ONE - _ST, T]]),
 }
-
-
-class CrossingBlock:
-    """The 2x2 block a crossing contributes to M."""
-
-    def __init__(self, sign):
-        if sign not in (1, -1):
-            raise ValueError("sign must be +-1")
-        self.sign = sign
-        self.block = _BLOCKS[sign]
 
 
 class GeneralizedAlexander:
@@ -66,8 +51,8 @@ class GeneralizedAlexander:
 
 
 def build_m_matrix(d):
-    """Block-diagonal 2n x 2n matrix with CrossingBlock(sign_k) at rows and
-    columns (2k, 2k+1)."""
+    """Block-diagonal 2n x 2n matrix with the block of sign_k (see the module
+    docstring) at rows and columns (2k, 2k+1)."""
     n = len(d.signs)
     if n == 0:
         raise gauss.NoCrossings("M needs at least one crossing")
@@ -77,19 +62,6 @@ def build_m_matrix(d):
         for r in range(2):
             for c in range(2):
                 entries[(2 * k + r) * 2 * n + (2 * k + c)] = blk[r, c]
-    return PolyMatrix(2 * n, 2 * n, entries)
-
-
-def build_p_matrix(d):
-    """Permutation matrix of the short-arc successor: entry (i, j) is 1 iff
-    arc i immediately precedes arc j."""
-    n = len(d.signs)
-    if n == 0:
-        raise gauss.NoCrossings("P needs at least one crossing")
-    sa = gauss.short_arcs(d, ARC_CONVENTION)
-    entries = [ZERO] * (2 * n) * (2 * n)
-    for i, j in enumerate(sa.successor):
-        entries[i * 2 * n + j] = ONE
     return PolyMatrix(2 * n, 2 * n, entries)
 
 
@@ -131,12 +103,3 @@ def writhe_from_delta0(g, d):
     """The writhe polynomial of the knot d from its GeneralizedAlexander g."""
     quotient = divisibility_check(g, d)
     return (-quotient).substitute(T.inverse(), T)
-
-
-def obstruct_slice(d):
-    """Obstructed iff the polynomial is nonzero; a slice knot has vanishing
-    generalized Alexander polynomial.  NoObstruction says nothing in the
-    other direction."""
-    if len(d.components) != 1:
-        raise NotAKnot("slice obstruction applies to knots")
-    return OBSTRUCTED if not delta0(d).is_zero else NO_OBSTRUCTION

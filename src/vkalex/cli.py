@@ -13,8 +13,8 @@ import sys
 from . import alexander, gauss, groups, sieve
 from .zh import zh as _zh
 from .laurent import (
-    canonicalize, EXACT, MONOMIAL_SIGN, NotDivisible, NotSquare,
-    POWERS_OF_ST, SizeTooLarge, UNIT_CLASSES, ZeroSubstitution,
+    canonicalize, MONOMIAL_SIGN, NotDivisible, NotSquare, SizeTooLarge,
+    UNIT_CLASSES,
 )
 
 
@@ -25,7 +25,7 @@ class UsageError(ValueError):
 _INPUT_ERRORS = (gauss.GaussSyntaxError, gauss.GaussValidationError,
                  gauss.BadIndex, gauss.NotApplicable, alexander.NotAKnot,
                  sieve.CensusParseError, UsageError, OSError)
-_INTERNAL_ERRORS = (NotDivisible, NotSquare, SizeTooLarge, ZeroSubstitution)
+_INTERNAL_ERRORS = (NotDivisible, NotSquare, SizeTooLarge)
 
 
 def _add_common(parser, suppress):

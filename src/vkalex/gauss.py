@@ -145,20 +145,6 @@ class GaussDiagram:
     def crossings(self):
         return len(self.signs)
 
-    def chords(self):
-        """List of (over_slot, under_slot, sign), indexed by chord id,
-        slots as (component, position)."""
-        over = [None] * len(self.signs)
-        under = [None] * len(self.signs)
-        for ci, comp in enumerate(self.components):
-            for pos, (c, role) in enumerate(comp):
-                if role == OVER:
-                    over[c] = (ci, pos)
-                else:
-                    under[c] = (ci, pos)
-        return [(over[c], under[c], self.signs[c])
-                for c in range(len(self.signs))]
-
     def __eq__(self, other):
         if not isinstance(other, GaussDiagram):
             return NotImplemented
@@ -230,17 +216,10 @@ def delete_component(d, idx):
     Surviving chords are reindexed in order."""
     if not 0 <= idx < len(d.components):
         raise BadIndex("no component %d" % idx)
-    doomed = set(c for (c, _) in d.components[idx])
-    keep = [c for c in range(len(d.signs)) if c not in doomed]
-    newid = {c: i for i, c in enumerate(keep)}
-    comps = []
-    roles = []
-    for ci, comp in enumerate(d.components):
-        if ci == idx:
-            continue
-        comps.append([(newid[c], role) for (c, role) in comp if c not in doomed])
-        roles.append(d.component_roles[ci])
-    return GaussDiagram(comps, [d.signs[c] for c in keep], roles)
+    rest = _remove_chords(d, {c for (c, _) in d.components[idx]})
+    comps, roles = rest.components, rest.component_roles
+    return GaussDiagram(comps[:idx] + comps[idx + 1:], rest.signs,
+                        roles[:idx] + roles[idx + 1:])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ minors are the elementary ideals.
 
 from . import gauss
 from .zh import zh as _zh
-from .laurent import LaurentPoly, PolyMatrix, gcd, ONE, S, T, ZERO
+from .laurent import PolyMatrix, gcd, ONE, S, T, ZERO
 
 
 class Word:
@@ -142,56 +142,47 @@ class ElementaryIdeal:
 # ---------------------------------------------------------------------------
 # presentations from diagrams
 
-def _arc_tables(d):
-    """Per component: positions of under slots, and generator ids for the
-    arcs (arc j of component ci ends at its j-th under slot; a component
-    without under slots keeps one free generator)."""
-    gen_of_arc = {}
-    under_pos = []
+def _arcs(d):
+    """One pass over the slots.  Returns at[ci][pos], the generator of the
+    arc covering slot pos of component ci; over[c], the generator of the arc
+    carrying chord c's over strand; and the component tag of each generator.
+    Arc j of a component runs up to and including its j-th under slot, the
+    slots after its last under slot belong to arc 0, and a component without
+    under slots is one free arc."""
+    at = []
+    over = {}
     tags = {}
-    count = 0
     for ci, comp in enumerate(d.components):
-        ups = [p for p, (c, role) in enumerate(comp) if role == gauss.UNDER]
-        under_pos.append(ups)
-        for j in range(max(1, len(ups))):
-            gen_of_arc[(ci, j)] = count
-            tags[count] = gauss.OMEGA if d.component_roles[ci] == gauss.OMEGA else ci
-            count += 1
-    return gen_of_arc, under_pos, tags
-
-
-def _containing_arc(gen_of_arc, under_pos, ci, pos):
-    """Generator of the arc covering slot (ci, pos): arc j covers the slots
-    up to and including its ending under slot."""
-    ups = under_pos[ci]
-    if not ups:
-        return gen_of_arc[(ci, 0)]
-    for j, u in enumerate(ups):
-        if u >= pos:
-            return gen_of_arc[(ci, j)]
-    return gen_of_arc[(ci, 0)]
+        first = len(tags)
+        nu = sum(1 for _, role in comp if role == gauss.UNDER)
+        tag = gauss.OMEGA if d.component_roles[ci] == gauss.OMEGA else ci
+        for g in range(first, first + max(1, nu)):
+            tags[g] = tag
+        row = []
+        j = 0
+        for c, role in comp:
+            g = first + (j if j < nu else 0)
+            row.append(g)
+            if role == gauss.UNDER:
+                j += 1
+            else:
+                over[c] = g
+        at.append(row)
+    return at, over, tags
 
 
 def wirtinger(d):
     """Wirtinger presentation of the diagram's group."""
-    gen_of_arc, under_pos, tags = _arc_tables(d)
-    over_at = {}
-    for ci, comp in enumerate(d.components):
-        for pos, (c, role) in enumerate(comp):
-            if role == gauss.OVER:
-                over_at[c] = (ci, pos)
+    at, over, tags = _arcs(d)
     relators = []
     for ci, comp in enumerate(d.components):
-        ups = under_pos[ci]
-        for j, u in enumerate(ups):
-            c, _ = comp[u]
-            eps = d.signs[c]
-            oc, op = over_at[c]
-            b = _containing_arc(gen_of_arc, under_pos, oc, op)
-            a = gen_of_arc[(ci, j)]
-            nxt = gen_of_arc[(ci, (j + 1) % len(ups))]
-            relators.append(Word([(b, eps), (a, 1), (b, -eps), (nxt, -1)]))
-    return GroupPresentation(sorted(set(gen_of_arc.values())), tags, relators)
+        row = at[ci]
+        for pos, (c, role) in enumerate(comp):
+            if role == gauss.UNDER:
+                a, b, eps = row[pos], over[c], d.signs[c]
+                nxt = row[(pos + 1) % len(row)]
+                relators.append(Word([(b, eps), (a, 1), (b, -eps), (nxt, -1)]))
+    return GroupPresentation(list(tags), tags, relators)
 
 
 def reduced_group(d):
@@ -202,31 +193,6 @@ def reduced_group(d):
 
 # ---------------------------------------------------------------------------
 # Fox calculus
-
-def fox_derivative(w, gen):
-    """Formal free derivative of the word w by the given generator: a list
-    of (+-1, Word prefix) pairs, one per occurrence."""
-    out = []
-    prefix = []
-    for (g, e) in w:
-        if e == 1:
-            if g == gen:
-                out.append((1, Word(prefix)))
-            prefix.append((g, e))
-        else:
-            prefix.append((g, e))
-            if g == gen:
-                out.append((-1, Word(prefix)))
-    return out
-
-
-def _alpha_word(alpha, w):
-    out = ONE
-    for (g, e) in w:
-        img = alpha(g)
-        out = out * (img if e == 1 else img.inverse())
-    return out
-
 
 def alexander_matrix(p, alpha):
     """Row per relator, column per generator; entry = image of the Fox
@@ -285,25 +251,13 @@ def longitude(d, comp):
     living on this component.  The correction makes the m-exponent sum zero."""
     if not 0 <= comp < len(d.components):
         raise gauss.BadIndex("no component %d" % comp)
-    gen_of_arc, under_pos, tags = _arc_tables(d)
-    comp_of_gen = {}
-    for (ci, j), g in gen_of_arc.items():
-        comp_of_gen[g] = ci
-    over_at = {}
-    for ci, cc in enumerate(d.components):
-        for pos, (c, role) in enumerate(cc):
-            if role == gauss.OVER:
-                over_at[c] = (ci, pos)
-    letters = []
-    for pos, (c, role) in enumerate(d.components[comp]):
-        if role != gauss.UNDER:
-            continue
-        oc, op = over_at[c]
-        b = _containing_arc(gen_of_arc, under_pos, oc, op)
-        letters.append((b, d.signs[c]))
-    w = sum(e for (g, e) in letters if comp_of_gen[g] == comp)
-    m = _containing_arc(gen_of_arc, under_pos, comp, 0)
-    letters.extend([(m, -1)] * w if w > 0 else [(m, 1)] * (-w))
+    at, over, _ = _arcs(d)
+    letters = [(over[c], d.signs[c])
+               for c, role in d.components[comp] if role == gauss.UNDER]
+    own = set(at[comp])
+    w = sum(e for (g, e) in letters if g in own)
+    if w:
+        letters += [(at[comp][0], -1 if w > 0 else 1)] * abs(w)
     return Word(letters).free_reduced()
 
 

@@ -7,7 +7,6 @@ is exact integer arithmetic, no floats anywhere.  The raw-dict helpers at the
 top are the hot path; LaurentPoly is a thin immutable wrapper around them.
 """
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd as igcd
 
@@ -22,10 +21,6 @@ class NotSquare(ValueError):
 
 class SizeTooLarge(ValueError):
     """Minor size exceeds the matrix dimensions."""
-
-
-class ZeroSubstitution(ZeroDivisionError):
-    """Evaluation at s=0 or t=0, which Laurent polynomials do not permit."""
 
 
 # unit classes for canonical forms
@@ -326,20 +321,12 @@ class LaurentPoly:
             return None
         return LaurentPoly.mono(c, -es, -et)
 
-    def shifted(self, ds, dt):
-        return LaurentPoly._raw(_shift(self.terms, ds, dt))
-
     # predicates and views ----------------------------------------------
     def __bool__(self):
         return bool(self.terms)
 
     def is_zero(self):
         return not self.terms
-
-    def min_exponents(self):
-        if not self.terms:
-            return (0, 0)
-        return _min_exp(self.terms)
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
@@ -357,28 +344,12 @@ class LaurentPoly:
     def __repr__(self):
         return "LaurentPoly(%s)" % _render(self.terms)
 
-    # division, gcd support, evaluation ----------------------------------
+    # division and substitution ------------------------------------------
     def exact_div(self, other):
         q = _div_exact(self.terms, _coerce_nonzero(other))
         if q is None:
             raise NotDivisible("%s is not divisible by %s" % (self, other))
         return LaurentPoly._raw(q)
-
-    def divides(self, other):
-        """True when self divides other exactly."""
-        if not self.terms:
-            return not _coerce(other)
-        return _div_exact(_coerce(other), self.terms) is not None
-
-    def eval_at(self, s_val, t_val):
-        s_val = Fraction(s_val)
-        t_val = Fraction(t_val)
-        if s_val == 0 or t_val == 0:
-            raise ZeroSubstitution("cannot evaluate at s=0 or t=0")
-        tot = Fraction(0)
-        for (es, et), c in self.terms.items():
-            tot += c * s_val ** es * t_val ** et
-        return tot
 
     def substitute(self, s_image, t_image):
         """Map s -> s_image, t -> t_image (both LaurentPoly).  Negative

@@ -144,6 +144,8 @@ class SieveReport:
                  "obstructed=%d" % self.summary["obstructed_count"]]
         if "errors" in self.summary:
             parts.append("errors=%d" % self.summary["errors"])
+        if self.summary.get("skipped_lines"):
+            parts.append("skipped=%d" % self.summary["skipped_lines"])
         if "survivor_count" in self.summary:
             parts.append("survivors=%d" % self.summary["survivor_count"])
         lines.append("  ".join(parts))

@@ -1,11 +1,12 @@
 """Shared fixtures: the golden table of small virtual knots, random
-diagram generators for fuzzing, ribbon doubles, and the cofactor-expansion
-and plain Bareiss determinant oracles."""
+diagram generators for fuzzing, ribbon doubles, and the reference code the
+tests compare against: exact divisibility, the symbolic Fox derivative, and
+the cofactor-expansion and plain Bareiss determinant oracles."""
 
-import random
-
-from vkalex import gauss
-from vkalex.laurent import NotSquare, ONE, S, SizeTooLarge, T, ZERO
+from vkalex import gauss, groups
+from vkalex.laurent import (
+    NotDivisible, NotSquare, ONE, S, SizeTooLarge, T, ZERO,
+)
 
 ST = S * T
 
@@ -116,6 +117,35 @@ def random_poly(rng, span=3, terms=4, coeff=9):
         if c:
             d[(es, et)] = d.get((es, et), 0) + c
     return LaurentPoly(d)
+
+
+def divides(a, b):
+    """True when the LaurentPoly a divides b exactly."""
+    if a.is_zero():
+        return b.is_zero()
+    try:
+        b.exact_div(a)
+    except NotDivisible:
+        return False
+    return True
+
+
+def fox_derivative(w, gen):
+    """Formal free derivative of the groups.Word w by the given generator:
+    a list of (+-1, Word prefix) pairs, one per occurrence.  The symbolic
+    oracle for groups.alexander_matrix, which streams the prefix images."""
+    out = []
+    prefix = []
+    for (g, e) in w:
+        if e == 1:
+            if g == gen:
+                out.append((1, groups.Word(prefix)))
+            prefix.append((g, e))
+        else:
+            prefix.append((g, e))
+            if g == gen:
+                out.append((-1, groups.Word(prefix)))
+    return out
 
 
 def det_cofactor(m):

@@ -4,15 +4,12 @@ Every test prints `criterion NN: PASS/FAIL (detail)` straight to the
 terminal (bypassing capture) so a plain pytest run shows the scorecard.
 Criteria with runtime budgets fold the elapsed time into the verdict.
 """
-import itertools
 import os
 import random
 import time
 
-from vkalex import alexander, gauss, groups, laurent, sieve, zh as zh_mod
-from vkalex.laurent import (
-    MONOMIAL_SIGN, ONE, S, T, ZERO, PolyMatrix, canonicalize,
-)
+from vkalex import alexander, gauss, groups, sieve
+from vkalex.laurent import MONOMIAL_SIGN, ONE, S, T, PolyMatrix, canonicalize
 from vkalex.zh import delete_omega, zh
 from _util import (
     CLASSICAL_TREFOIL, TABLE1, TABLE1_EXPECTED, ZERO_NAMES, det_cofactor,
@@ -271,8 +268,8 @@ def test_criterion_09_longitude_contract(capsys):
     checked = 0
     bad = 0
     for d in diagrams:
-        gen_of_arc, _, _ = groups._arc_tables(d)
-        comp_of_gen = {g: ci for (ci, _), g in gen_of_arc.items()}
+        # no omega component here, so each tag is a component index
+        comp_of_gen = groups.wirtinger(d).tags
         for ci in range(len(d.components)):
             w = groups.longitude(d, ci)
             own = sum(e for (g, e) in w if comp_of_gen[g] == ci)

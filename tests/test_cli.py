@@ -171,6 +171,20 @@ def test_sieve_skip_bad(capsys, tmp_path):
     assert "total=1" in out
 
 
+def test_sieve_text_reports_skipped_lines(capsys, tmp_path):
+    p = tmp_path / "c.census"
+    p.write_text("k1 O1+O2+U1+U2+\nbroken\nk2 O1+U1+\n")
+    rc, out, _ = run(capsys, "--skip-bad", "sieve", "--census", str(p))
+    assert rc == 0
+    assert out.splitlines()[-1] == \
+        "total=2  delta0_zero=1  obstructed=1  skipped=1"
+    # nothing skipped, nothing said
+    p.write_text("k1 O1+O2+U1+U2+\n")
+    rc, out, _ = run(capsys, "--skip-bad", "sieve", "--census", str(p))
+    assert rc == 0
+    assert "skipped" not in out
+
+
 def test_csv_rejected_outside_sieve(capsys):
     rc, _, err = run(capsys, "--format", "csv", "delta", "")
     assert rc == 2

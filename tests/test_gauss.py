@@ -3,7 +3,7 @@ import random
 import pytest
 
 from vkalex import gauss
-from _util import TABLE1, CLASSICAL_TREFOIL, KINK, random_knot, random_link
+from _util import TABLE1, CLASSICAL_TREFOIL, random_knot, random_link
 
 
 def test_parse_trefoil():
@@ -73,9 +73,9 @@ def test_multi_component_diagram():
     d = gauss.to_diagram(code)
     assert len(d.components) == 2
     assert d.crossings == 2
-    chords = d.chords()
-    assert chords[0] == ((0, 0), (1, 0), 1)
-    assert chords[1] == ((1, 1), (0, 1), 1)
+    # chord 0 runs over on component 0 and under on 1, chord 1 the reverse
+    assert d.components == [[(0, "O"), (1, "U")], [(0, "U"), (1, "O")]]
+    assert d.signs == [1, 1]
 
 
 def test_rotated():

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from vkalex.laurent import (
     CanonicalForm, LaurentPoly, PolyMatrix, canonicalize, gcd, EXACT,
     MONOMIAL_SIGN, NotDivisible, NotSquare, POWERS_OF_ST, SizeTooLarge,
-    ZeroSubstitution, ONE, S, T, ZERO,
+    ONE, S, T, ZERO,
 )
 from vkalex import gauss, groups
-from _util import VIRTUAL_TREFOIL, det_cofactor, random_poly
+from _util import VIRTUAL_TREFOIL, det_cofactor, divides, random_poly
 
 exps = st.integers(min_value=-3, max_value=3)
 coeffs = st.integers(min_value=-1000, max_value=1000)
@@ -68,7 +68,6 @@ def test_exact_division_inverts_multiplication(p, q):
     if q.is_zero():
         return
     assert (p * q).exact_div(q) == p
-    assert q.divides(p * q)
 
 
 def test_not_divisible():
@@ -76,9 +75,7 @@ def test_not_divisible():
         (ONE + S).exact_div(ONE + T)
     with pytest.raises(ZeroDivisionError):
         (ONE + S).exact_div(ZERO)
-    assert not (ONE + T).divides(ONE + S)
     # units divide everything
-    assert S.divides(ONE + T)
     assert (ONE + T).exact_div(S) == S.inverse() * (ONE + T)
 
 
@@ -97,14 +94,6 @@ def test_inverse():
     assert (S + T).inverse() is None
     assert (2 * ONE).inverse() is None
     assert ZERO.inverse() is None
-
-
-def test_eval_at():
-    p = (ONE - T) * (ONE - S)
-    assert p.eval_at(2, 3) == 2
-    assert S.inverse().eval_at(2, 5) == 0.5
-    with pytest.raises(ZeroSubstitution):
-        p.eval_at(0, 1)
 
 
 def test_substitute():
@@ -136,7 +125,8 @@ def test_canonicalize_idempotent(p):
     assert canonicalize(c.poly, MONOMIAL_SIGN) == c
     # canonical representative has min exponents (0, 0)
     if not p.is_zero():
-        assert c.poly.min_exponents() == (0, 0)
+        assert min(es for es, _ in c.poly.terms) == 0
+        assert min(et for _, et in c.poly.terms) == 0
 
 
 def test_canonical_form_classes_do_not_mix():
@@ -178,15 +168,15 @@ def test_gcd_properties():
         if g.is_zero():
             assert p.is_zero() and q.is_zero()
             continue
-        assert g.divides(p)
-        assert g.divides(q)
+        assert divides(g, p)
+        assert divides(g, q)
         cg = canonicalize(g, MONOMIAL_SIGN)
         assert canonicalize(gcd(q, p), MONOMIAL_SIGN) == cg
         # common factors show up
         h = random_poly(rng)
         if not h.is_zero():
             gh = gcd(p * h, q * h)
-            assert h.divides(gh) or (p.is_zero() and q.is_zero())
+            assert divides(h, gh) or (p.is_zero() and q.is_zero())
 
 
 def test_det_goldens():
