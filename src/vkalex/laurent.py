@@ -8,7 +8,7 @@ top are the hot path; LaurentPoly is a thin immutable wrapper around them.
 """
 
 from itertools import combinations
-from math import gcd as igcd
+from math import gcd as igcd, prod
 
 
 class NotDivisible(ArithmeticError):
@@ -517,7 +517,8 @@ def _unit_schur(rows):
 
 
 # ---------------------------------------------------------------------------
-# fraction-free (Bareiss 1968) elimination on rows of raw dicts
+# the residual left by the unit pivots: one fraction-free (Bareiss 1968)
+# integer determinant by Kronecker (1882) substitution
 
 def _prescale(rows):
     """Multiply each row, in place, by the monomial that clears its negative
@@ -537,57 +538,84 @@ def _prescale(rows):
     return shift_s, shift_t
 
 
-def _step(m, k, prev):
-    """Bareiss step k in place: pivot on m[k][k], swapping a lower row up if
-    it is zero, then clear column k below row k over every later column;
-    prev is the previous pivot.  Returns -1 after a swap, 0 when the column
-    is zero from row k down, else 1."""
-    sign = 1
-    if not m[k][k]:
-        piv = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
-        if piv is None:
-            return 0
-        m[k], m[piv] = m[piv], m[k]
-        sign = -1
-    top = m[k]
-    pivot = top[k]
-    rest = range(k + 1, len(top))
-    for i in range(k + 1, len(m)):
-        row = m[i]
-        lead = row[k]
-        for j in rest:
-            q = _div_exact(_sub(_mul(pivot, row[j]), _mul(lead, top[j])), prev)
-            if q is None:
-                raise NotDivisible("Bareiss division failed")
-            row[j] = q
-        row[k] = {}
-    return sign
+def _exact_quo(a, b):
+    """The integer a // b, raising NotDivisible unless b divides a."""
+    q, r = divmod(a, b)
+    if r:
+        raise NotDivisible("Bareiss division failed")
+    return q
+
+
+def _kronecker_det(m):
+    """Determinant of the square matrix m of raw dicts with exponents >= 0.
+
+    Kronecker substitution s = 2^B, t = 2^(B*Ds) maps Z[s, t] to Z as a
+    ring homomorphism, so fraction-free Bareiss over Z gives the image of
+    the determinant.  Ds exceeds its s-degree (the smaller of the row and
+    column sums of the largest s-exponents) and B makes 2^(B-1) exceed its
+    coefficients (|c| <= H, the smaller of the products of row and of
+    column L1 norms), so the image is read back as balanced base-2^B
+    digits, digit p being the coefficient of s^(p mod Ds) t^(p div Ds)."""
+    smax = [[max(es for es, _ in e) if e else 0 for e in row] for row in m]
+    l1 = [[sum(map(abs, e.values())) for e in row] for row in m]
+    big_s = min(sum(map(max, smax)), sum(map(max, zip(*smax)))) + 1
+    h = min(prod(map(sum, l1)), prod(map(sum, zip(*l1))))
+    b = (2 * h).bit_length() + 1
+    a = [[sum(c << b * (es + big_s * et) for (es, et), c in e.items())
+          for e in row] for row in m]
+    n = len(a)
+    sign = prev = 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return {}
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        top = a[k]
+        pivot = top[k]
+        for row in a[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = _exact_quo(pivot * row[j] - lead * top[j], prev)
+        prev = pivot
+    d = sign * a[-1][-1]
+    out = {}
+    half, mask = 1 << (b - 1), (1 << b) - 1
+    p = 0
+    while d:
+        c = d & mask
+        if c >= half:
+            c -= mask + 1
+        if c:
+            et, es = divmod(p, big_s)
+            out[(es, et)] = c
+        d = (d - c) >> b
+        p += 1
+    return out
 
 
 def _det(rows):
     """Determinant of the square matrix given by the sparse rows
     {col: raw dict}, which it consumes: Schur steps on unit pivots, then
-    fraction-free Bareiss on the rows and columns left.  Those are
-    pre-scaled by monomials to clear negative exponents, and the scaling is
-    divided back out of the result.  No rows give 1."""
+    one Kronecker-substituted integer Bareiss on the rows and columns left,
+    which are pre-scaled by monomials to clear negative exponents, the
+    scaling then divided back out of the result.  No rows left give 1 and
+    one row its entry."""
     left = _unit_schur(rows)
     if left is None:
         return {}
     sign, ds, dt, ri, ci = left
-    m = [[rows[i].get(j, {}) for j in ci] for i in ri]
-    shift = _prescale(m)
-    if shift is None:
-        return {}
-    prev = _ONE
-    for k in range(len(m) - 1):
-        s = _step(m, k, prev)
-        if not s:
+    if len(ri) < 2:
+        d = rows[ri[0]][ci[0]] if ri else _ONE
+    else:
+        m = [[rows[i].get(j, {}) for j in ci] for i in ri]
+        shift = _prescale(m)
+        if shift is None:
             return {}
-        sign *= s
-        prev = m[k][k]
-    d = m[-1][-1] if m else _ONE
-    ds += shift[0]
-    dt += shift[1]
+        d = _kronecker_det(m)
+        ds += shift[0]
+        dt += shift[1]
     return {(es + ds, et + dt): sign * c for (es, et), c in d.items()}
 
 
@@ -642,8 +670,8 @@ class PolyMatrix:
         return "PolyMatrix[%s]" % body
 
     def det(self):
-        """Determinant, by unit pivots and then fraction-free Bareiss.  0x0
-        matrices have determinant 1."""
+        """Determinant, by unit pivots and then a Kronecker-substituted
+        integer Bareiss.  0x0 matrices have determinant 1."""
         if self.rows != self.cols:
             raise NotSquare("det of a %dx%d matrix" % (self.rows, self.cols))
         rows = [{j: e.terms for j, e in enumerate(self.row(i)) if e.terms}

@@ -72,14 +72,16 @@ def load_census(path, skip_bad=False):
     return records, skipped
 
 
-_ROW_ERRORS = (gauss.GaussSyntaxError, gauss.GaussValidationError,
-               alexander.NotAKnot)
+_ROW_ERRORS = (gauss.GaussSyntaxError, gauss.GaussValidationError)
 
 
 def _sieve_one(item):
     """Worker: compute one row from (name, code).  Must stay module-level
-    and take plain data so process pools can pickle it.  Input errors become
-    an error row; anything else is a bug and propagates."""
+    and take plain data so process pools can pickle it.  Only a code that
+    fails to parse or validate becomes an error row, and only for a library
+    caller of run_sieve: the CLI's census comes through load_census, which
+    has already rejected or skipped such lines.  Anything else is a bug and
+    propagates."""
     name, code = item
     try:
         d = gauss.to_diagram(gauss.parse_gauss_code(code))

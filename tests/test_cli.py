@@ -207,14 +207,14 @@ def test_internal_invariant_breaks_exit_3(capsys, monkeypatch):
 
 
 def test_bareiss_division_failure_exits_3(capsys, monkeypatch):
-    # 5.2430 leaves a 2x2 residual after the unit pivots, so its Bareiss
-    # walk divides at least once
+    # 5.2430 leaves a 2x2 residual after the unit pivots, so its integer
+    # Bareiss divides at least once
     calls = []
 
     def fail(a, b):
         calls.append((a, b))
-        return None
-    monkeypatch.setattr("vkalex.laurent._div_exact", fail)
+        raise NotDivisible("synthetic Bareiss division failure")
+    monkeypatch.setattr("vkalex.laurent._exact_quo", fail)
     rc, out, err = run(capsys, "delta", TABLE1["5.2430"])
     assert calls
     assert rc == 3

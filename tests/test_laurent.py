@@ -9,8 +9,10 @@ from vkalex.laurent import (
     MONOMIAL_SIGN, NotDivisible, NotSquare, POWERS_OF_ST, SizeTooLarge,
     ONE, S, T, ZERO,
 )
-from vkalex import gauss, groups
-from _util import VIRTUAL_TREFOIL, det_cofactor, divides, random_poly
+from vkalex import gauss, groups, laurent
+from _util import (
+    VIRTUAL_TREFOIL, det_bareiss, det_cofactor, divides, random_poly,
+)
 
 exps = st.integers(min_value=-3, max_value=3)
 coeffs = st.integers(min_value=-1000, max_value=1000)
@@ -221,6 +223,102 @@ def test_det_matches_cofactor_expansion():
     assert empty.det() == ZERO
     for m in (perm, odd, mp, empty):
         assert m.det() == det_cofactor(m)
+
+
+# powers whose products cancel heavily in a determinant
+_POWER_BASES = (ONE - S * T, ONE - S, T - S * S, 3 * ONE + T.inverse())
+
+
+def _fuzz_entry(rng, kind, n):
+    r = rng.random() - 0.05 * n      # sparser as n grows, as in M - P
+    if r < 0.15:
+        return ZERO
+    if r < 0.3:
+        return LaurentPoly.mono(rng.choice((1, -1)), rng.randint(-2, 2),
+                                rng.randint(-2, 2))
+    if kind == "big":
+        return random_poly(rng, span=1, terms=2, coeff=1 << 45)
+    if kind == "powers" and rng.random() < 0.5:
+        return (rng.choice((1, -1, 2, -3))
+                * rng.choice(_POWER_BASES) ** rng.randint(1, 3)
+                * LaurentPoly.mono(1, rng.randint(-1, 1), rng.randint(-1, 1)))
+    return random_poly(rng, span=2, terms=3)
+
+
+def test_det_matches_plain_bareiss_fuzz():
+    """det against the independent dict Bareiss oracle on 1,000 matrices
+    of 1-6 rows: coefficients up to 2^45, negative exponents in s and t,
+    powers like (1 - st)^3, and a row that is a polynomial combination of
+    the others, so that det is 0 by cancellation."""
+    rng = random.Random(29)
+    kinds = ("small", "big", "powers", "dependent")
+    for i in range(1000):
+        n = rng.randint(1, 6)
+        kind = kinds[i % len(kinds)]
+        rows = [[_fuzz_entry(rng, kind, n) for _ in range(n)]
+                for _ in range(n)]
+        if kind == "dependent" and n > 1:
+            combo = [ZERO] * n
+            for other in rows[1:]:
+                f = random_poly(rng, span=1, terms=2)
+                combo = [a + f * b for a, b in zip(combo, other)]
+            rows[0] = combo
+            rng.shuffle(rows)
+        m = PolyMatrix(rows)
+        det = m.det()
+        assert det == det_bareiss(m), (i, kind)
+        if kind == "dependent" and n > 1:
+            assert det == ZERO
+
+
+def _residual_sizes(monkeypatch):
+    """Record the row count of every residual the Kronecker kernel gets."""
+    sizes = []
+    kernel = laurent._kronecker_det
+
+    def spy(m):
+        sizes.append(len(m))
+        return kernel(m)
+    monkeypatch.setattr(laurent, "_kronecker_det", spy)
+    return sizes
+
+
+def test_det_residual_bound_edges(monkeypatch):
+    sizes = _residual_sizes(monkeypatch)
+    # no unit pivot, so the whole diagonal is the residual, and |det| is
+    # the product of the row L1 norms, the coefficient bound H, exactly
+    big = [(1 << 40) + 1, 3, (1 << 21) - 1]
+    for signs in ((1, 1, 1), (1, -1, 1)):
+        diag = PolyMatrix([[(c * e if i == j else 0) for j in range(3)]
+                           for i, (c, e) in enumerate(zip(big, signs))])
+        expect = signs[1] * big[0] * big[1] * big[2]
+        assert diag.det() == det_cofactor(diag) == expect * ONE
+    # row sums of the largest s-exponents give Ds = 3 and det has s-degree
+    # 2: s^2 and t sit in adjacent digits, t's coefficient negative
+    edge = PolyMatrix([[2 * S, 3 * T], [2 * ONE, -2 * S]])
+    assert edge.det() == det_cofactor(edge) == -4 * S * S - 6 * T
+    # the same edge once prescaling by t and s clears the negative
+    # exponents: the prescaled det -4s^2 + 10s^2 t - 6t has s-degree 2
+    shifted = PolyMatrix([[2 * S * T.inverse(), 3 * ONE],
+                          [2 * S.inverse(), -2 * ONE + 5 * T]])
+    assert shifted.det() == det_cofactor(shifted) == \
+        -4 * S * T.inverse() + 10 * S - 6 * S.inverse()
+    assert sizes == [3, 3, 2, 2]
+
+
+def test_det_residual_shortcuts(monkeypatch):
+    sizes = _residual_sizes(monkeypatch)
+    z = ZERO
+    # every pivot a unit: nothing is left, the residual determinant is 1
+    perm = PolyMatrix([[z, -S * T, z], [T.inverse(), z, z], [z, z, S * S]])
+    # one unit pivot leaves the 1 x 1 residual 2 + s - st
+    one = PolyMatrix([[ONE, S], [T, 2 * ONE + S]])
+    # no unit at all, a 1 x 1 residual with negative exponents
+    lone = PolyMatrix([[2 * S.inverse() + 3 * T]])
+    for m in (perm, one, lone):
+        assert m.det() == det_cofactor(m)
+    assert one.det() == 2 * ONE + S - S * T
+    assert sizes == []
 
 
 def test_det_row_swap_flips_sign():
