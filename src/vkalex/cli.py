@@ -147,7 +147,7 @@ def cmd_ideals(args):
             "k": ideal.k,
             "gcd": _poly_str(ideal.gcd_generator, args.unit_class),
             "zero": ideal.is_zero(),
-            "generator_count": len(ideal.generators),
+            "generator_count": ideal.generator_count,
         })
     if args.format == "json":
         print(json.dumps({"ideals": rows}, indent=2))

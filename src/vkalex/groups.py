@@ -15,6 +15,9 @@ relators followed by this map yields the Alexander matrix, whose ideals of
 minors are the elementary ideals.
 """
 
+from itertools import combinations
+from math import comb
+
 from . import gauss
 from .zh import zh as _zh
 from .laurent import PolyMatrix, gcd, ONE, S, T, ZERO
@@ -125,11 +128,12 @@ class Abelianization:
 
 
 class ElementaryIdeal:
-    """k-th elementary ideal: the minors generating it and their gcd."""
+    """k-th elementary ideal: the number of minors generating it and their
+    gcd."""
 
-    def __init__(self, k, generators, gcd_generator):
+    def __init__(self, k, generator_count, gcd_generator):
         self.k = k
-        self.generators = generators
+        self.generator_count = generator_count
         self.gcd_generator = gcd_generator
 
     def is_zero(self):
@@ -216,28 +220,64 @@ def alexander_matrix(p, alpha):
     return PolyMatrix(rows) if rows else PolyMatrix(0, ncols, [])
 
 
+def _column_sets(mat, images, size):
+    """Column sets whose size x size minors, over every row set, have the
+    same gcd as all of them; images[j] is the image of generator j.  For
+    size g - 1, when Fox's fundamental formula sum_j A_ij (images[j] - 1)
+    = 0 holds (alpha kills every relator), that vector lies in the kernel
+    of each row set's g - 1 rows, and so does the vector of signed maximal
+    minors: two maximal minors of one row set whose dropped columns have
+    the same image agree up to sign.  One dropped column per image class
+    is then enough; a generator sent to 1 gets no relation and is its own
+    class."""
+    g = mat.cols
+    if size != g - 1:
+        return list(combinations(range(g), size))
+    v = [img - ONE for img in images]
+    if any(sum((e * vj for e, vj in zip(mat.row(i), v) if e), ZERO)
+           for i in range(mat.rows)):
+        return list(combinations(range(g), size))
+    seen = set()
+    dropped = []
+    for j, img in enumerate(images):
+        if img == ONE or img not in seen:
+            seen.add(img)
+            dropped.append(j)
+    return [tuple(c for c in range(g) if c != j) for j in reversed(dropped)]
+
+
 def elementary_ideals(p, alpha, k_max):
     """Ideals E_0 .. E_k_max of the presentation's Alexander matrix.  E_k is
     generated by the (g-k) x (g-k) minors, g the number of generators; when
     g-k exceeds the row count the ideal is zero, and when g-k <= 0 it is the
-    full ring."""
+    full ring.  The gcd of E_k starts from that of E_(k-1), takes the
+    minors one at a time, by (row set, column set), and stops once it is 1;
+    for E_1 only the column sets of `_column_sets` are taken.  The generator
+    count is that of all the minors, whether taken or not."""
     mat = alexander_matrix(p, alpha)
     g = len(p.generators)
+    images = [alpha(gen) for gen in p.generators]
     out = []
     for k in range(k_max + 1):
         size = g - k
         if size <= 0:
-            out.append(ElementaryIdeal(k, [ONE], ONE))
+            out.append(ElementaryIdeal(k, 1, ONE))
         elif size > mat.rows:
-            out.append(ElementaryIdeal(k, [], ZERO))
+            out.append(ElementaryIdeal(k, 0, ZERO))
         else:
-            mins = mat.minors(size)
-            acc = ZERO
-            for m in mins:
-                acc = gcd(acc, m)
+            col_sets = _column_sets(mat, images, size)
+            index_sets = ((ri, ci)
+                          for ri in combinations(range(mat.rows), size)
+                          for ci in col_sets)
+            # E_(k-1) lies in E_k, so the gcd of E_k divides that of
+            # E_(k-1) and may start from it
+            acc = out[-1].gcd_generator if out else ZERO
+            for ri, ci in index_sets:
                 if acc == ONE:
                     break
-            out.append(ElementaryIdeal(k, mins, acc))
+                acc = gcd(acc, mat.submatrix(ri, ci).det())
+            out.append(ElementaryIdeal(
+                k, comb(mat.rows, size) * comb(g, size), acc))
     return out
 
 
@@ -285,6 +325,10 @@ def tietze_eliminate(p):
     rels = [w.cyclically_reduced() for w in p.relators]
     rels = [w for w in rels if len(w)]
     while True:
+        total = {}
+        for v in rels:
+            for (h, _) in v:
+                total[h] = total.get(h, 0) + 1
         best = None
         for ri, w in enumerate(rels):
             counts = {}
@@ -293,8 +337,7 @@ def tietze_eliminate(p):
             for g, c in counts.items():
                 if c != 1:
                     continue
-                total = sum(1 for v in rels for (h, _) in v if h == g)
-                key = (len(w), total, g)
+                key = (len(w), total[g], g)
                 if best is None or key < best[0]:
                     best = (key, ri, g)
         if best is None:

@@ -1,11 +1,12 @@
 """Shared fixtures: the golden table of small virtual knots, random
 diagram generators for fuzzing, ribbon doubles, and the reference code the
-tests compare against: exact divisibility, the symbolic Fox derivative, and
-the cofactor-expansion and plain Bareiss determinant oracles."""
+tests compare against: exact divisibility, the symbolic Fox derivative, the
+cofactor-expansion and plain Bareiss determinant oracles, and the elementary
+ideals over all minors."""
 
 from vkalex import gauss, groups
 from vkalex.laurent import (
-    NotDivisible, NotSquare, ONE, S, SizeTooLarge, T, ZERO,
+    NotDivisible, NotSquare, ONE, S, SizeTooLarge, T, ZERO, gcd,
 )
 
 ST = S * T
@@ -205,3 +206,27 @@ def det_bareiss(m):
                 a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).exact_div(prev)
         prev = a[k][k]
     return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
+
+
+def ideals_by_all_minors(p, alpha, k_max):
+    """(gcd, generator count) of E_0 .. E_k_max of the presentation, with
+    the gcd taken over every (g-k)-minor of its Fox matrix from
+    PolyMatrix.minors: the oracle for groups.elementary_ideals, which takes
+    only the minors it needs.  Minors of negative size give the full ring,
+    minors larger than the row count the zero ideal."""
+    mat = groups.alexander_matrix(p, alpha)
+    g = len(p.generators)
+    out = []
+    for k in range(k_max + 1):
+        size = g - k
+        if size < 0:
+            out.append((ONE, 1))
+        elif size > mat.rows:
+            out.append((ZERO, 0))
+        else:
+            mins = mat.minors(size)
+            acc = ZERO
+            for m in mins:
+                acc = gcd(acc, m)
+            out.append((acc, len(mins)))
+    return out

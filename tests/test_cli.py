@@ -118,11 +118,25 @@ def test_group_json(capsys):
 
 
 def test_ideals(capsys):
-    rc, out, _ = run(capsys, "ideals", "--kmax", "1", "O1+U2+O3+U1+O2+U3+")
+    # the README example; the count is of all (g-k)-minors, C(3, 2)^2 = 9
+    # for E_1, although the Fox formula lets the gcd take only 3 of them
+    rc, out, err = run(capsys, "ideals", "--kmax", "1", "O1+U2+O3+U1+O2+U3+")
+    assert (rc, err) == (0, "")
+    assert out == ("E_0: gcd = 0 (1 generators)\n"
+                   "E_1: gcd = 1 - t + t^2 (9 generators)\n")
+
+
+def test_ideals_json_counts_every_minor(capsys):
+    # E_2 of this 6-crossing knot is the full ring and its gcd stops after
+    # 16 minors, but generator_count is still C(6, 4)^2
+    rc, out, _ = run(capsys, "--format", "json", "ideals",
+                     "O1-U2+O2+U3+O3+U4-U1-O4-O5+U6+U5+O6+")
     assert rc == 0
-    lines = out.strip().split("\n")
-    assert lines[0].startswith("E_0: gcd = 0")
-    assert lines[1].startswith("E_1: gcd = 1 - t + t^2")
+    assert out == json.dumps({"ideals": [
+        {"k": 0, "gcd": "0", "zero": True, "generator_count": 1},
+        {"k": 1, "gcd": "1 - t + t^2", "zero": False, "generator_count": 36},
+        {"k": 2, "gcd": "1", "zero": False, "generator_count": 225},
+    ]}, indent=2) + "\n"
 
 
 def test_longitude(capsys):

@@ -3,13 +3,18 @@ import random
 import pytest
 
 from vkalex import gauss, groups
-from vkalex.laurent import canonicalize, MONOMIAL_SIGN, ONE, S, T, ZERO
+from vkalex.laurent import (
+    canonicalize, gcd, MONOMIAL_SIGN, ONE, PolyMatrix, S, T, ZERO,
+)
 from _util import (
     TABLE1, CLASSICAL_TREFOIL, KINK, divides, fox_derivative, table1_diagram,
-    random_knot,
+    ideals_by_all_minors, random_knot, random_link,
 )
 
 W = groups.Word
+
+# a 6-crossing knot whose E_1 is 1 - t + t^2 and whose E_2 is the full ring
+SIX_E2_ONE = "O1-U2+O2+U3+O3+U4-U1-O4-O5+U6+U5+O6+"
 
 
 def test_word_basics():
@@ -178,6 +183,118 @@ def test_ideal_chain_divisibility():
     _assert_chain(groups.wirtinger(tref), 3)
     d = table1_diagram("4.12")
     _assert_chain(groups.tietze_eliminate(groups.reduced_group(d)), 2)
+
+
+def _tag_alpha(p, images):
+    """Abelianization sending the generators of the i-th component tag, in
+    sorted order, to images[i % len(images)]: a homomorphism, since every
+    relator of these presentations has zero exponent sum on each
+    component."""
+    tags = sorted({str(t) for t in p.tags.values()})
+    return groups.Abelianization(
+        {g: images[tags.index(str(p.tags[g])) % len(images)]
+         for g in p.generators})
+
+
+def test_elementary_ideals_match_all_minors():
+    # differential test against the gcd over every minor, on the three
+    # kinds of presentation and four abelianizations: the standard one, one
+    # sending a component to 1, one with three distinct images when there
+    # are three component tags, and one that need not kill the relators
+    # (each generator at random to t or s), where the Fox shortcut must not
+    # apply
+    rng = random.Random(61)
+    diagrams = [table1_diagram(name) for name in TABLE1]
+    diagrams += [random_knot(rng, rng.randint(1, 5)) for _ in range(60)]
+    diagrams += [random_link(rng, rng.randint(2, 5), rng.randint(2, 3))
+                 for _ in range(20)]
+    three = 0
+    for d in diagrams:
+        z = groups.reduced_group(d)
+        for p in (groups.wirtinger(d), z, groups.tietze_eliminate(z)):
+            alphas = [groups.Abelianization.standard(p),
+                      _tag_alpha(p, (ONE, T)),
+                      _tag_alpha(p, (T, S, S * T)),
+                      groups.Abelianization(
+                          {g: rng.choice((T, S)) for g in p.generators})]
+            three += len(set(alphas[2].images.values())) == 3
+            # the oracle takes every minor; keep it to E_0, E_1 on the
+            # larger extensions
+            k_max = 3 if len(p.generators) <= 6 else 1
+            for alpha in alphas:
+                _assert_ideals_match(p, alpha, k_max)
+    assert three >= 10
+    # torus knot groups <a, b | a^m b^-n>, under their abelianization
+    # a -> t^n, b -> t^m and under the trivial one, whose kernel the Fox
+    # formula does not see
+    for m, n in ((2, 3), (2, 5), (3, 4)):
+        p = groups.GroupPresentation(
+            [0, 1], {0: 0, 1: 0}, [W([(0, 1)] * m + [(1, -1)] * n)])
+        _assert_ideals_match(p, groups.Abelianization({0: T ** n, 1: T ** m}), 2)
+        _assert_ideals_match(p, groups.Abelianization({0: ONE, 1: ONE}), 2)
+
+
+def _assert_ideals_match(p, alpha, k_max):
+    got = groups.elementary_ideals(p, alpha, k_max)
+    want = ideals_by_all_minors(p, alpha, k_max)
+    assert [(e.gcd_generator, e.generator_count) for e in got] == want
+    assert [e.k for e in got] == list(range(k_max + 1))
+
+
+def _det_calls(monkeypatch):
+    calls = []
+    det = PolyMatrix.det
+
+    def spy(self):
+        calls.append(self.rows)
+        return det(self)
+
+    monkeypatch.setattr(PolyMatrix, "det", spy)
+    return calls
+
+
+def _dets_for_last_ideal(calls, p, k):
+    """Determinants elementary_ideals takes for E_k beyond those for
+    E_0 .. E_(k-1), counted in the spy list calls."""
+    alpha = groups.Abelianization.standard(p)
+    calls.clear()
+    groups.elementary_ideals(p, alpha, k - 1)
+    before = len(calls)
+    calls.clear()
+    groups.elementary_ideals(p, alpha, k)
+    return len(calls) - before
+
+
+def test_first_ideal_takes_one_minor_per_image_class(monkeypatch):
+    calls = _det_calls(monkeypatch)
+    for name in TABLE1:
+        d = table1_diagram(name)
+        z = groups.reduced_group(d)
+        assert len(z.relators) == len(z.generators) - 1
+        # one row set, two image classes (t and s)
+        assert _dets_for_last_ideal(calls, z, 1) <= 2
+        w = groups.wirtinger(d)
+        g = len(w.generators)
+        assert len(w.relators) == g
+        # g row sets, one image class; not g * g
+        assert _dets_for_last_ideal(calls, w, 1) <= g
+
+
+def test_second_ideal_stops_at_gcd_one(monkeypatch):
+    d = gauss.to_diagram(gauss.parse_gauss_code(SIX_E2_ONE))
+    p = groups.wirtinger(d)
+    alpha = groups.Abelianization.standard(p)
+    mat = groups.alexander_matrix(p, alpha)
+    # the gcd of E_2 starts from that of E_1 and walks the minors in
+    # PolyMatrix.minors order
+    acc = ideals_by_all_minors(p, alpha, 1)[1][0]
+    assert acc != ONE
+    minors = mat.minors(4)
+    first = next(i for i, m in enumerate(minors)
+                 if (acc := gcd(acc, m)) == ONE)
+    assert first + 1 < len(minors) == 225
+    calls = _det_calls(monkeypatch)
+    assert _dets_for_last_ideal(calls, p, 2) == first + 1
 
 
 def test_trefoil_first_ideal_is_classical_alexander():
