@@ -13,9 +13,8 @@ from .laurent import (
 )
 from .gauss import (
     GaussCode, GaussDiagram, GaussSyntaxError, GaussValidationError,
-    NoCrossings, BadIndex, NotApplicable, apply_r1, apply_r2, apply_r3,
-    delete_component, parse_gauss_code, short_arcs, to_code, to_diagram,
-    undo_r1, undo_r2,
+    NoCrossings, BadIndex, delete_component, parse_gauss_code, short_arcs,
+    to_code, to_diagram,
 )
 from .alexander import (
     GeneralizedAlexander, NotAKnot, build_m_matrix, delta0,

@@ -7,6 +7,7 @@ asked of the wrong kind of diagram), 3 when an internal invariant breaks.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -23,8 +24,8 @@ class UsageError(ValueError):
 
 
 _INPUT_ERRORS = (gauss.GaussSyntaxError, gauss.GaussValidationError,
-                 gauss.BadIndex, gauss.NotApplicable, alexander.NotAKnot,
-                 sieve.CensusParseError, UsageError, OSError)
+                 gauss.BadIndex, alexander.NotAKnot, sieve.CensusParseError,
+                 UsageError, OSError)
 _INTERNAL_ERRORS = (NotDivisible, NotSquare, SizeTooLarge)
 
 
@@ -236,10 +237,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

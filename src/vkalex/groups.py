@@ -34,22 +34,13 @@ class Word:
             raise ValueError("letter exponents must be +-1")
 
     def free_reduced(self):
-        out = []
-        for (g, e) in self.letters:
-            if out and out[-1][0] == g and out[-1][1] == -e:
-                out.pop()
-            else:
-                out.append((g, e))
-        return Word(out)
+        return Word(_free_reduced(self.letters))
 
     def cyclically_reduced(self):
-        w = list(self.free_reduced().letters)
-        while len(w) >= 2 and w[0][0] == w[-1][0] and w[0][1] == -w[-1][1]:
-            w = list(Word(w[1:-1]).free_reduced().letters)
-        return Word(w)
+        return Word(_cyclically_reduced(self.letters))
 
     def inverse(self):
-        return Word([(g, -e) for (g, e) in reversed(self.letters)])
+        return Word(_inverse(self.letters))
 
     def __mul__(self, other):
         return Word(self.letters + other.letters)
@@ -79,6 +70,32 @@ class Word:
 
     def __repr__(self):
         return "Word(%s)" % str(self)
+
+
+def _free_reduced(letters):
+    """The letters, as a list, with every adjacent g^e g^-e cancelled."""
+    out = []
+    for (g, e) in letters:
+        if out and out[-1][0] == g and out[-1][1] == -e:
+            out.pop()
+        else:
+            out.append((g, e))
+    return out
+
+
+def _cyclically_reduced(letters):
+    """Free reduction, then cancelling first/last pairs stripped; what is
+    left of a freely reduced word stays freely reduced."""
+    w = _free_reduced(letters)
+    i, j = 0, len(w)
+    while j - i >= 2 and w[i][0] == w[j - 1][0] and w[i][1] == -w[j - 1][1]:
+        i += 1
+        j -= 1
+    return w[i:j]
+
+
+def _inverse(letters):
+    return [(g, -e) for (g, e) in reversed(letters)]
 
 
 class GroupPresentation:
@@ -304,26 +321,17 @@ def longitude(d, comp):
 # ---------------------------------------------------------------------------
 # Tietze elimination
 
-def _substituted(w, g, repl):
-    out = []
-    for (h, e) in w:
-        if h == g:
-            out.extend(repl.letters if e == 1 else repl.inverse().letters)
-        else:
-            out.append((h, e))
-    return Word(out).cyclically_reduced()
-
-
 def tietze_eliminate(p):
     """Repeatedly eliminate a generator that occurs exactly once in some
     relator, substituting its expression into the rest.  Candidate order:
     shortest defining relator, then fewest total occurrences of the
     generator, then smallest generator id.  Relators are kept cyclically
-    reduced and empty relators dropped; generator ids are preserved."""
+    reduced and empty relators dropped; generator ids are preserved.  The
+    relators stay letter lists until the result is built."""
     gens = list(p.generators)
     tags = dict(p.tags)
-    rels = [w.cyclically_reduced() for w in p.relators]
-    rels = [w for w in rels if len(w)]
+    rels = [_cyclically_reduced(w.letters) for w in p.relators]
+    rels = [w for w in rels if w]
     while True:
         total = {}
         for v in rels:
@@ -344,15 +352,13 @@ def tietze_eliminate(p):
             break
         _, ri, g = best
         w = rels[ri]
-        i = next(i for i, (h, _) in enumerate(w.letters) if h == g)
-        u = Word(w.letters[:i])
-        e = w.letters[i][1]
-        v = Word(w.letters[i + 1:])
-        repl = (u.inverse() * v.inverse()).free_reduced()
-        if e == -1:
-            repl = repl.inverse()
-        rels = [_substituted(x, g, repl) for j, x in enumerate(rels) if j != ri]
-        rels = [x for x in rels if len(x)]
+        i = next(i for i, (h, _) in enumerate(w) if h == g)
+        # w = u g^e v, so g^e = u^-1 v^-1
+        repl = _free_reduced(_inverse(w[:i]) + _inverse(w[i + 1:]))
+        sub = {w[i]: repl, (g, -w[i][1]): _inverse(repl)}
+        rels = [_cyclically_reduced([y for l in x for y in sub.get(l, (l,))])
+                for x in rels[:ri] + rels[ri + 1:]]
+        rels = [x for x in rels if x]
         gens.remove(g)
         tags.pop(g, None)
-    return GroupPresentation(gens, tags, rels)
+    return GroupPresentation(gens, tags, [Word(w) for w in rels])

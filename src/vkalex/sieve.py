@@ -38,37 +38,54 @@ class CensusRecord:
         return "CensusRecord(%r, %r)" % (self.name, self.code)
 
 
+_NOT_UTF8 = "line is not valid UTF-8"
+
+
+def _lines(path):
+    """(line number, stripped text) of each line that is neither blank nor
+    a # comment, split as text mode splits lines.  Each line is decoded as
+    UTF-8 on its own; text is None where that fails."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh.read().splitlines(), start=1):
+            try:
+                text = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                yield line_no, None
+                continue
+            if text and not text.startswith("#"):
+                yield line_no, text
+
+
 def load_census(path, skip_bad=False):
     """Read census records.  Returns (records, skipped_count); a malformed
-    line, or one repeating an earlier name, raises CensusParseError unless
-    skip_bad is set, in which case it is only counted."""
+    line (one that is not UTF-8 included), or one repeating an earlier name,
+    raises CensusParseError unless skip_bad is set, in which case it is only
+    counted."""
     records = []
     names = set()
     skipped = 0
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
+    for line_no, text in _lines(path):
+        parts = text.split(None, 1) if text is not None else ()
+        error = None
+        if text is None:
+            error = _NOT_UTF8
+        elif len(parts) != 2:
+            error = "expected 'name gausscode'"
+        elif parts[0] in names:
+            error = "duplicate name %r" % parts[0]
+        else:
+            try:
+                gauss.parse_gauss_code(parts[1])
+            except (gauss.GaussSyntaxError,
+                    gauss.GaussValidationError) as exc:
+                error = str(exc)
+        if error:
+            if skip_bad:
+                skipped += 1
                 continue
-            parts = text.split(None, 1)
-            error = None
-            if len(parts) != 2:
-                error = "expected 'name gausscode'"
-            elif parts[0] in names:
-                error = "duplicate name %r" % parts[0]
-            else:
-                try:
-                    gauss.parse_gauss_code(parts[1])
-                except (gauss.GaussSyntaxError,
-                        gauss.GaussValidationError) as exc:
-                    error = str(exc)
-            if error:
-                if skip_bad:
-                    skipped += 1
-                    continue
-                raise CensusParseError(error, line_no)
-            names.add(parts[0])
-            records.append(CensusRecord(parts[0], parts[1]))
+            raise CensusParseError(error, line_no)
+        names.add(parts[0])
+        records.append(CensusRecord(parts[0], parts[1]))
     return records, skipped
 
 
@@ -180,36 +197,25 @@ def run_sieve(records, parallel=True):
     return SieveReport(rows, summary)
 
 
-def _parse_flag_value(v):
-    if v == "true":
-        return True
-    if v == "false":
-        return False
-    return v
-
-
 def load_flags(path):
     """Flags file: `name key=value [key=value ...]` per line, same comment
-    rules as the census.  A key naming a computed row field is an error."""
+    and encoding rules as the census.  A key naming a computed row field is
+    an error."""
     flags = {}
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) < 2 or any("=" not in p for p in parts[1:]):
-                raise CensusParseError("expected 'name key=value ...'",
-                                       line_no)
-            kv = {}
-            for p in parts[1:]:
-                k, _, v = p.partition("=")
-                if k in _COMPUTED_FIELDS:
-                    raise CensusParseError(
-                        "flag %r would overwrite a computed field" % k,
-                        line_no)
-                kv[k] = _parse_flag_value(v)
-            flags.setdefault(parts[0], {}).update(kv)
+    for line_no, text in _lines(path):
+        if text is None:
+            raise CensusParseError(_NOT_UTF8, line_no)
+        parts = text.split()
+        if len(parts) < 2 or any("=" not in p for p in parts[1:]):
+            raise CensusParseError("expected 'name key=value ...'", line_no)
+        kv = {}
+        for p in parts[1:]:
+            k, _, v = p.partition("=")
+            if k in _COMPUTED_FIELDS:
+                raise CensusParseError(
+                    "flag %r would overwrite a computed field" % k, line_no)
+            kv[k] = {"true": True, "false": False}.get(v, v)
+        flags.setdefault(parts[0], {}).update(kv)
     return flags
 
 

@@ -1,8 +1,9 @@
 """Shared fixtures: the golden table of small virtual knots, random
-diagram generators for fuzzing, ribbon doubles, and the reference code the
-tests compare against: exact divisibility, the symbolic Fox derivative, the
+diagram generators for fuzzing, ribbon doubles, the reference code the
+tests compare against (exact divisibility, the symbolic Fox derivative, the
 cofactor-expansion and plain Bareiss determinant oracles, and the elementary
-ideals over all minors."""
+ideals over all minors), and the Reidemeister rewrites the invariance tests
+walk diagrams with."""
 
 from vkalex import gauss, groups
 from vkalex.laurent import (
@@ -230,3 +231,224 @@ def ideals_by_all_minors(p, alpha, k_max):
                 acc = gcd(acc, m)
             out.append((acc, len(mins)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reidemeister rewrites
+#
+# The chord-level patterns below were frozen by fuzzing: a candidate pattern
+# counted as a valid move only if the generalized Alexander polynomial was
+# unchanged across every random host diagram and site.  The surviving
+# families are hard-coded here; the moves never search for sites.  Since
+# that makes a delta0 check of them partly circular, tests/test_moves.py
+# also checks them against the elementary ideals of the link group, which
+# no pattern was chosen by.
+
+
+class NotApplicable(ValueError):
+    """Move preconditions not met at the requested site."""
+
+
+def _insert(comps, jobs):
+    """jobs: list of ((ci, pos), [slots]) gap insertions.  Inserting at a gap
+    does not shift gaps with smaller positions, so apply each component's
+    jobs from the largest position down."""
+    comps = [list(c) for c in comps]
+    order = sorted(range(len(jobs)),
+                   key=lambda i: (jobs[i][0][0], -jobs[i][0][1], -i))
+    for i in order:
+        (ci, pos), slots = jobs[i]
+        if not 0 <= ci < len(comps):
+            raise gauss.BadIndex("no component %d" % ci)
+        if not 0 <= pos <= len(comps[ci]):
+            raise gauss.BadIndex("gap %d out of range on component %d" % (pos, ci))
+        comps[ci][pos:pos] = slots
+    return comps
+
+
+def apply_r1(d, site, sign, kind="over-first"):
+    """Insert an isolated kink chord at the gap `site` = (component, pos).
+    kind 'over-first' inserts the O endpoint first along the orientation,
+    'under-first' the U endpoint."""
+    if kind not in ("over-first", "under-first"):
+        raise NotApplicable("unknown R1 kind %r" % kind)
+    if sign not in (1, -1):
+        raise NotApplicable("sign must be +-1")
+    c = len(d.signs)
+    pair = [(c, gauss.OVER), (c, gauss.UNDER)]
+    if kind == "under-first":
+        pair.reverse()
+    comps = _insert(d.components, [(site, pair)])
+    return gauss.GaussDiagram(comps, d.signs + [sign], d.component_roles)
+
+
+def undo_r1(d, chord):
+    """Remove a kink: the chord's endpoints must be adjacent slots."""
+    if not 0 <= chord < len(d.signs):
+        raise gauss.BadIndex("no chord %d" % chord)
+    spots = [(ci, pos) for ci, comp in enumerate(d.components)
+             for pos, (c, _) in enumerate(comp) if c == chord]
+    (c1, p1), (c2, p2) = spots
+    if c1 != c2:
+        raise NotApplicable("chord %d spans two components" % chord)
+    length = len(d.components[c1])
+    if (p1 + 1) % length != p2 and (p2 + 1) % length != p1:
+        raise NotApplicable("chord %d endpoints are not adjacent" % chord)
+    return gauss._remove_chords(d, {chord})
+
+
+def apply_r2(d, site_a, site_b):
+    """Insert a cancelling pair of chords: both O endpoints at gap site_a (in
+    id order), both U endpoints at gap site_b, signs +1 then -1."""
+    n = len(d.signs)
+    c1, c2 = n, n + 1
+    jobs = [(site_a, [(c1, gauss.OVER), (c2, gauss.OVER)]),
+            (site_b, [(c1, gauss.UNDER), (c2, gauss.UNDER)])]
+    comps = _insert(d.components, jobs)
+    return gauss.GaussDiagram(comps, d.signs + [1, -1], d.component_roles)
+
+
+def undo_r2(d, chord_a, chord_b):
+    """Remove a cancelling pair.  Valid iff the two O endpoints are adjacent
+    at one site, the two U endpoints adjacent at the other (either order at
+    each site), and the signs are opposite."""
+    if chord_a == chord_b:
+        raise NotApplicable("need two distinct chords")
+    for c in (chord_a, chord_b):
+        if not 0 <= c < len(d.signs):
+            raise gauss.BadIndex("no chord %d" % c)
+    if d.signs[chord_a] + d.signs[chord_b] != 0:
+        raise NotApplicable("signs must cancel")
+    pair = {chord_a, chord_b}
+    sites = {gauss.OVER: [], gauss.UNDER: []}
+    for ci, comp in enumerate(d.components):
+        for pos, (c, role) in enumerate(comp):
+            if c in pair:
+                sites[role].append((ci, pos))
+    for role in (gauss.OVER, gauss.UNDER):
+        (c1, p1), (c2, p2) = sorted(sites[role])
+        if c1 != c2:
+            raise NotApplicable("the two %s endpoints sit on different components" % role)
+        length = len(d.components[c1])
+        if (p1 + 1) % length != p2 and (p2 + 1) % length != p1:
+            raise NotApplicable("the two %s endpoints are not adjacent" % role)
+    return gauss._remove_chords(d, pair)
+
+
+def _triangle_geometry(d, triangle):
+    """Shared validation for the triangle move.  `triangle` is either three
+    chord ids or three explicit (component, pos, pos+1-mod-L) slot pairs; the
+    explicit form disambiguates the rare case where four triangle endpoints
+    sit consecutively around a circle.  Returns (pairs, strand_chords) where
+    pairs[i] = (ci, p, q) is the i-th adjacent slot pair and strand_chords[i]
+    the two (chord, role) slots in walk order."""
+    triangle = list(triangle)
+    if len(triangle) != 3:
+        raise NotApplicable("need three chords")
+    if all(isinstance(x, tuple) for x in triangle):
+        pairs = []
+        for (ci, p, q) in triangle:
+            if not 0 <= ci < len(d.components):
+                raise gauss.BadIndex("no component %d" % ci)
+            length = len(d.components[ci])
+            if not (0 <= p < length and 0 <= q < length):
+                raise gauss.BadIndex("slot out of range on component %d" % ci)
+            if (p + 1) % length != q:
+                raise NotApplicable("slots %d,%d are not adjacent in order" % (p, q))
+            pairs.append((ci, p, q))
+        seen = set()
+        for (ci, p, q) in pairs:
+            if (ci, p) in seen or (ci, q) in seen:
+                raise NotApplicable("slot pairs overlap")
+            seen.add((ci, p))
+            seen.add((ci, q))
+    else:
+        tri = set(triangle)
+        if len(tri) != 3:
+            raise NotApplicable("need three distinct chords")
+        for c in tri:
+            if not 0 <= c < len(d.signs):
+                raise gauss.BadIndex("no chord %d" % c)
+        pairs = []
+        for ci, comp in enumerate(d.components):
+            length = len(comp)
+            pos_tri = [p for p in range(length) if comp[p][0] in tri]
+            used = set()
+            for p in pos_tri:
+                q = (p + 1) % length
+                if comp[q][0] in tri and p not in used and q not in used:
+                    pairs.append((ci, p, q))
+                    used.add(p)
+                    used.add(q)
+            if len(used) != len(pos_tri):
+                raise NotApplicable("triangle endpoints do not pair up into "
+                                    "adjacent slots")
+    if len(pairs) != 3:
+        raise NotApplicable("expected 3 adjacent endpoint pairs, found %d"
+                            % len(pairs))
+    strand_chords = []
+    for (ci, p, q) in pairs:
+        a, b = d.components[ci][p], d.components[ci][q]
+        if a[0] == b[0]:
+            raise NotApplicable("chord %d meets itself across a pair" % a[0])
+        strand_chords.append((a, b))
+    return pairs, strand_chords
+
+
+def _triangle_heights(strand_chords, signs):
+    """Height order and sign rule for the triangle move; raises NotApplicable
+    when the configuration is not slide-able."""
+    chord_strands = {}
+    for si, (a, b) in enumerate(strand_chords):
+        for (c, role) in (a, b):
+            chord_strands.setdefault(c, []).append((si, role))
+    if any(len(v) != 2 for v in chord_strands.values()):
+        raise NotApplicable("each chord must touch two of the three strands")
+    edges = {}
+    for c, ends in chord_strands.items():
+        (s1, r1), (s2, r2) = ends
+        if s1 == s2 or {r1, r2} != {gauss.OVER, gauss.UNDER}:
+            raise NotApplicable("chord %d does not join two strands" % c)
+        key = frozenset((s1, s2))
+        if key in edges:
+            raise NotApplicable("two chords join the same strand pair")
+        above, below = (s1, s2) if r1 == gauss.OVER else (s2, s1)
+        edges[key] = (c, above, below)
+    if len(edges) != 3:
+        raise NotApplicable("the three chords must pairwise join the strands")
+    wins = {0: 0, 1: 0, 2: 0}
+    for (_, above, _) in edges.values():
+        wins[above] += 1
+    if sorted(wins.values()) != [0, 1, 2]:
+        raise NotApplicable("over/under roles are cyclic; no strand is on top")
+    top = next(s for s, w in wins.items() if w == 2)
+    mid = next(s for s, w in wins.items() if w == 1)
+    bot = next(s for s, w in wins.items() if w == 0)
+    c_tm = edges[frozenset((top, mid))][0]
+    c_tb = edges[frozenset((top, bot))][0]
+    c_mb = edges[frozenset((mid, bot))][0]
+
+    def first_chord(strand):
+        return strand_chords[strand][0][0]
+
+    bit_t = first_chord(top) == c_tm
+    bit_m = first_chord(mid) == c_tm
+    bit_b = first_chord(bot) == c_tb
+    if (signs[c_tm] * signs[c_tb] == 1) != (bit_m == bit_b):
+        raise NotApplicable("sign pattern does not match the slide (top pair)")
+    if (signs[c_tb] * signs[c_mb] == 1) != (bit_t == bit_m):
+        raise NotApplicable("sign pattern does not match the slide (bottom pair)")
+
+
+def apply_r3(d, triangle):
+    """Slide move on three chords.  Their six endpoints must form three
+    adjacent slot pairs, one per strand, the over/under roles must order the
+    three strands top/middle/bottom, and the signs must satisfy the parity
+    rule frozen from invariance fuzzing (see tests).  The move transposes
+    each adjacent pair and is its own inverse."""
+    pairs, strand_chords = _triangle_geometry(d, triangle)
+    _triangle_heights(strand_chords, d.signs)
+    comps = [list(c) for c in d.components]
+    for (ci, p, q) in pairs:
+        comps[ci][p], comps[ci][q] = comps[ci][q], comps[ci][p]
+    return gauss.GaussDiagram(comps, d.signs, d.component_roles)

@@ -12,8 +12,9 @@ from vkalex import alexander, gauss, groups, sieve
 from vkalex.laurent import MONOMIAL_SIGN, ONE, S, T, PolyMatrix, canonicalize
 from vkalex.zh import delete_omega, zh
 from _util import (
-    CLASSICAL_TREFOIL, TABLE1, TABLE1_EXPECTED, ZERO_NAMES, det_cofactor,
-    random_knot, random_link, random_poly, table1_diagram,
+    CLASSICAL_TREFOIL, TABLE1, TABLE1_EXPECTED, ZERO_NAMES, NotApplicable,
+    apply_r1, apply_r2, apply_r3, det_cofactor, random_knot, random_link,
+    random_poly, table1_diagram, undo_r1, undo_r2,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -132,8 +133,8 @@ def _try_r3(d, rng, attempts=25):
     for _ in range(attempts):
         tri = tuple(rng.sample(range(len(d.signs)), 3))
         try:
-            return gauss.apply_r3(d, tri)
-        except gauss.NotApplicable:
+            return apply_r3(d, tri)
+        except NotApplicable:
             pass
     return None
 
@@ -158,25 +159,25 @@ def _move_walk(name, rng, nmoves, counts):
                 rng.shuffle(pairs)
                 for (a, b) in pairs[:8]:
                     try:
-                        new = gauss.undo_r2(d, a, b)
+                        new = undo_r2(d, a, b)
                         counts["r2-"] += 1
                         break
-                    except gauss.NotApplicable:
+                    except NotApplicable:
                         pass
             if new is None and kinks:
-                new = gauss.undo_r1(d, rng.choice(kinks))
+                new = undo_r1(d, rng.choice(kinks))
                 counts["r1-"] += 1
         if new is None:
             ci = rng.randrange(len(d.components))
             length = len(d.components[ci])
             if rng.random() < 0.5:
-                new = gauss.apply_r1(d, (ci, rng.randint(0, length)),
-                                     rng.choice((1, -1)),
-                                     rng.choice(("over-first", "under-first")))
+                new = apply_r1(d, (ci, rng.randint(0, length)),
+                               rng.choice((1, -1)),
+                               rng.choice(("over-first", "under-first")))
                 counts["r1+"] += 1
             else:
                 cj = rng.randrange(len(d.components))
-                new = gauss.apply_r2(
+                new = apply_r2(
                     d, (ci, rng.randint(0, length)),
                     (cj, rng.randint(0, len(d.components[cj]))))
                 counts["r2+"] += 1

@@ -1,6 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
+import pytest
+
+import vkalex
 from vkalex import cli
 from vkalex.laurent import NotDivisible
 from _util import TABLE1
@@ -109,6 +114,16 @@ def test_group_reduced_simplify(capsys):
     assert len(gens) == 2
 
 
+def test_group_reduced_simplify_table1_bytes(capsys):
+    # the eliminated Zh presentations of table 1, byte for byte
+    with open(os.path.join(DATA, "table1_simplify.json")) as fh:
+        expected = json.load(fh)
+    assert list(expected) == list(TABLE1)
+    for name, code in TABLE1.items():
+        rc, out, err = run(capsys, "group", "--reduced", "--simplify", code)
+        assert (rc, out, err) == (0, expected[name], ""), name
+
+
 def test_group_json(capsys):
     rc, out, _ = run(capsys, "--format", "json", "group", "--reduced", "O1+U1+")
     assert rc == 0
@@ -199,10 +214,46 @@ def test_sieve_text_reports_skipped_lines(capsys, tmp_path):
     assert "skipped" not in out
 
 
+def test_sieve_non_utf8_census_line_is_malformed(capsys, tmp_path):
+    p = tmp_path / "c.census"
+    p.write_bytes(b"k1 O1+O2+U1+U2+\nk2 O1+U1+ \xff\nk3 O1+U1+\n")
+    rc, out, err = run(capsys, "sieve", "--census", str(p))
+    assert (rc, out) == (2, "")
+    assert err == "error: line 2: line is not valid UTF-8\n"
+    rc, out, _ = run(capsys, "--skip-bad", "sieve", "--census", str(p))
+    assert rc == 0
+    assert out.splitlines()[-1] == \
+        "total=2  delta0_zero=1  obstructed=1  skipped=1"
+
+
+def test_sieve_non_utf8_flags_line_is_malformed(capsys, tmp_path):
+    f = tmp_path / "f.flags"
+    f.write_bytes(b"4.12 graded_genus_zero=false\n5.114 note=\xe9t\xe9\n")
+    rc, out, err = run(capsys, "sieve", "--census", CENSUS, "--flags", str(f))
+    assert (rc, out) == (2, "")
+    assert err == "error: line 2: line is not valid UTF-8\n"
+
+
 def test_csv_rejected_outside_sieve(capsys):
     rc, _, err = run(capsys, "--format", "csv", "delta", "")
     assert rc == 2
     assert "csv" in err
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    built = []
+
+    def spy():
+        built.append(1)
+        return build()
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", spy)
+    cli._parser.cache_clear()
+    rc1, out1, _ = run(capsys, "--format", "json", "delta", "")
+    rc2, out2, _ = run(capsys, "delta", "--format", "json", "")
+    assert built == [1]
+    assert rc1 == rc2 == 0
+    assert out1 == out2
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -284,3 +335,30 @@ def test_ideals_negative_kmax_exits_2(capsys):
     assert rc == 2
     assert "kmax" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("case", [
+    "non-utf8 census", "non-utf8 flags", "census is a directory",
+    "negative comp", "negative kmax", "csv outside sieve", "bad token",
+])
+def test_input_errors_exit_2_without_traceback(case, tmp_path):
+    # through the real entry point: a traceback the interpreter prints
+    # never reaches an in-process main() test
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"k1 O1+U1+\n\xff\xfe\n")
+    argv = {
+        "non-utf8 census": ["sieve", "--census", str(bad)],
+        "non-utf8 flags": ["sieve", "--census", CENSUS, "--flags", str(bad)],
+        "census is a directory": ["sieve", "--census", str(tmp_path)],
+        "negative comp": ["longitude", "--comp", "-1", "O1+U1+"],
+        "negative kmax": ["ideals", "--kmax", "-1", "O1+U1+"],
+        "csv outside sieve": ["--format", "csv", "delta", "O1+U1+"],
+        "bad token": ["delta", "O1+X2+U1+"],
+    }[case]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vkalex.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "vkalex.cli"] + argv,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -126,3 +126,35 @@ def test_flags_parse_errors(tmp_path):
     f.write_text("4.12 graded_genus_zero\n")
     with pytest.raises(sieve.CensusParseError):
         sieve.load_flags(str(f))
+
+
+def test_load_census_non_utf8_line(tmp_path):
+    p = tmp_path / "c.census"
+    p.write_bytes(b"k1 O1+U1+\n# caf\xc3\xa9\nk2 O1-U1- \xff\nk3 O1-U1-\n")
+    with pytest.raises(sieve.CensusParseError) as err:
+        sieve.load_census(str(p))
+    assert err.value.line_no == 3
+    records, skipped = sieve.load_census(str(p), skip_bad=True)
+    assert [r.name for r in records] == ["k1", "k3"]
+    assert skipped == 1
+
+
+def test_load_census_line_endings(tmp_path):
+    # lines end at \n, \r\n or \r, as in text mode
+    p = tmp_path / "c.census"
+    p.write_bytes(b"k1 O1+U1+\r\nk2 O1-U1-\rjunk\nk3 O1+U1+")
+    with pytest.raises(sieve.CensusParseError) as err:
+        sieve.load_census(str(p))
+    assert err.value.line_no == 3
+    records, skipped = sieve.load_census(str(p), skip_bad=True)
+    assert [(r.name, r.code) for r in records] == [
+        ("k1", "O1+U1+"), ("k2", "O1-U1-"), ("k3", "O1+U1+")]
+    assert skipped == 1
+
+
+def test_load_flags_non_utf8_line(tmp_path):
+    p = tmp_path / "f.flags"
+    p.write_bytes(b"k1 graded_genus_zero=true\nk2 x=\xff\n")
+    with pytest.raises(sieve.CensusParseError) as err:
+        sieve.load_flags(str(p))
+    assert err.value.line_no == 2
