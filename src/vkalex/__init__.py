@@ -13,14 +13,13 @@ from .laurent import (
 )
 from .gauss import (
     GaussCode, GaussDiagram, GaussSyntaxError, GaussValidationError,
-    NoCrossings, BadIndex, delete_component, parse_gauss_code, short_arcs,
-    to_code, to_diagram,
+    NoCrossings, BadIndex, parse_gauss_code, short_arcs, to_code, to_diagram,
 )
 from .alexander import (
     GeneralizedAlexander, NotAKnot, build_m_matrix, delta0,
     divisibility_check, writhe_polynomial,
 )
-from .zh import AlreadyHasOmega, ZhDiagram, delete_omega, zh
+from .zh import AlreadyHasOmega, ZhDiagram
 from .groups import (
     Abelianization, ElementaryIdeal, GroupPresentation, Word,
     alexander_matrix, elementary_ideals, longitude, reduced_group,

@@ -43,8 +43,13 @@ class GeneralizedAlexander:
 
     def __init__(self, raw):
         self.raw = raw
-        self.canonical = canonicalize(raw, MONOMIAL_SIGN)
         self.is_zero = raw.is_zero()
+
+    @property
+    def canonical(self):
+        """The monomial-sign canonical form, computed when read: the CLI
+        prints raw under its own unit class, and the writhe needs neither."""
+        return canonicalize(self.raw, MONOMIAL_SIGN)
 
     def __repr__(self):
         return "GeneralizedAlexander(%s)" % self.canonical

@@ -49,17 +49,11 @@ def _diagram(code):
     return gauss.to_diagram(gauss.parse_gauss_code(code))
 
 
-def _no_csv(args):
-    if args.format == "csv":
-        raise UsageError("csv format is only available for sieve")
-
-
 def _poly_str(poly, unit_class):
     return str(canonicalize(poly, unit_class))
 
 
 def cmd_delta(args):
-    _no_csv(args)
     d = _diagram(args.code)
     g = alexander.delta0(d)
     shown = _poly_str(g.raw, args.unit_class)
@@ -76,7 +70,6 @@ def cmd_delta(args):
 
 
 def cmd_writhe(args):
-    _no_csv(args)
     d = _diagram(args.code)
     w = alexander.writhe_polynomial(d)
     if args.format == "json":
@@ -87,25 +80,22 @@ def cmd_writhe(args):
 
 
 def cmd_zh(args):
-    _no_csv(args)
     d = _diagram(args.code)
     z = _zh(d)
-    code = gauss.to_code(z.diagram)
+    code = str(gauss.to_code(z.diagram))
+    parts = code.split(",")
     if args.format == "json":
-        comps = []
-        for ci, comp in enumerate(code.components):
-            text = "".join("%s%s%s" % (p, l, "+" if s > 0 else "-")
-                           for (p, l, s) in comp)
-            comps.append({"code": text, "omega": ci == z.omega_index})
+        comps = [{"code": text, "omega": ci == z.omega_index}
+                 for ci, text in enumerate(parts)]
         out = {
-            "code": str(code),
+            "code": code,
             "components": comps,
             "omega_index": z.omega_index,
         }
         print(json.dumps(out, indent=2))
     else:
-        print(str(code))
-        print("components: %d" % len(code.components))
+        print(code)
+        print("components: %d" % len(parts))
         print("omega: %d" % z.omega_index)
     return 0
 
@@ -119,7 +109,6 @@ def _presentation(args):
 
 
 def cmd_group(args):
-    _no_csv(args)
     p = _presentation(args)
     if args.format == "json":
         gens = [{"name": "a%d" % (g + 1),
@@ -136,7 +125,6 @@ def cmd_group(args):
 
 
 def cmd_ideals(args):
-    _no_csv(args)
     if args.kmax < 0:
         raise UsageError("--kmax must be at least 0")
     p = _presentation(args)
@@ -160,7 +148,6 @@ def cmd_ideals(args):
 
 
 def cmd_longitude(args):
-    _no_csv(args)
     d = _diagram(args.code)
     w = groups.longitude(d, args.comp)
     if args.format == "json":
@@ -248,6 +235,8 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if args.format == "csv" and args.subcommand != "sieve":
+            raise UsageError("csv format is only available for sieve")
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)

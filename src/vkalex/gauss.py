@@ -12,9 +12,10 @@ empty component between commas is a chordless circle, so "," is a 2-component
 unlink.
 
 A GaussDiagram stores each component as a list of slots (chord_id, role) with
-role 'O' or 'U', plus a sign per chord.  Chord ids are dense 0..n-1.  The
-Reidemeister rewrites are not in the library: the tests keep them, to check
-that the invariants do not change under moves.
+role 'O' or 'U', plus a sign (+1 or -1) per chord.  Chord ids are dense
+0..n-1.  Rotating a basepoint, relabelling chords, deleting a component and
+the Reidemeister rewrites are not in the library: no command runs them, and
+the tests keep them, to check that the invariants do not change under them.
 """
 
 import re
@@ -130,6 +131,8 @@ class GaussDiagram:
             for (c, role) in comp:
                 ends.setdefault(c, []).append(role)
         n = len(self.signs)
+        if any(s not in (1, -1) for s in self.signs):
+            raise ValueError("chord signs must be +1 or -1")
         if sorted(ends) != list(range(n)):
             raise ValueError("chord ids must be dense 0..n-1")
         for c, roles in ends.items():
@@ -150,29 +153,6 @@ class GaussDiagram:
 
     def __repr__(self):
         return "GaussDiagram(%r)" % str(to_code(self))
-
-    # ------------------------------------------------------ derived forms
-    def rotated(self, ci, k):
-        """Move the basepoint of component ci forward by k slots."""
-        if not 0 <= ci < len(self.components):
-            raise BadIndex("no component %d" % ci)
-        comps = [list(c) for c in self.components]
-        comp = comps[ci]
-        if comp:
-            k %= len(comp)
-            comps[ci] = comp[k:] + comp[:k]
-        return GaussDiagram(comps, self.signs, self.component_roles)
-
-    def relabeled(self, perm):
-        """Renumber chords: old id c becomes perm[c]."""
-        if sorted(perm) != list(range(len(self.signs))):
-            raise ValueError("perm must be a permutation of chord ids")
-        comps = [[(perm[c], role) for (c, role) in comp]
-                 for comp in self.components]
-        signs = [0] * len(self.signs)
-        for old, new in enumerate(perm):
-            signs[new] = self.signs[old]
-        return GaussDiagram(comps, signs, self.component_roles)
 
 
 def to_diagram(code):
@@ -205,25 +185,6 @@ def to_code(d):
             toks.append((role, labels[c], d.signs[c]))
         comps.append(toks)
     return GaussCode(comps)
-
-
-def delete_component(d, idx):
-    """Remove component idx and every chord with an endpoint on it.
-    Surviving chords are reindexed in order."""
-    if not 0 <= idx < len(d.components):
-        raise BadIndex("no component %d" % idx)
-    rest = _remove_chords(d, {c for (c, _) in d.components[idx]})
-    comps, roles = rest.components, rest.component_roles
-    return GaussDiagram(comps[:idx] + comps[idx + 1:], rest.signs,
-                        roles[:idx] + roles[idx + 1:])
-
-
-def _remove_chords(d, doomed):
-    keep = [c for c in range(len(d.signs)) if c not in doomed]
-    newid = {c: i for i, c in enumerate(keep)}
-    comps = [[(newid[c], role) for (c, role) in comp if c not in doomed]
-             for comp in d.components]
-    return GaussDiagram(comps, [d.signs[c] for c in keep], d.component_roles)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,13 @@ relators followed by this map yields the Alexander matrix, whose ideals of
 minors are the elementary ideals.
 """
 
+import operator
 from itertools import combinations
 from math import comb
 
 from . import gauss
 from .zh import zh as _zh
-from .laurent import PolyMatrix, gcd, ONE, S, T, ZERO
+from .laurent import LaurentPoly, PolyMatrix, gcd, ONE, S, T, ZERO
 
 
 class Word:
@@ -29,21 +30,13 @@ class Word:
     __slots__ = ("letters",)
 
     def __init__(self, letters=()):
-        self.letters = tuple((int(g), int(e)) for (g, e) in letters)
+        self.letters = tuple((operator.index(g), operator.index(e))
+                             for (g, e) in letters)
         if any(e not in (1, -1) for (_, e) in self.letters):
             raise ValueError("letter exponents must be +-1")
 
     def free_reduced(self):
         return Word(_free_reduced(self.letters))
-
-    def cyclically_reduced(self):
-        return Word(_cyclically_reduced(self.letters))
-
-    def inverse(self):
-        return Word(_inverse(self.letters))
-
-    def __mul__(self, other):
-        return Word(self.letters + other.letters)
 
     def __len__(self):
         return len(self.letters)
@@ -58,9 +51,6 @@ class Word:
 
     def __iter__(self):
         return iter(self.letters)
-
-    def exponent_sum(self, g):
-        return sum(e for (h, e) in self.letters if h == g)
 
     def __str__(self):
         if not self.letters:
@@ -126,11 +116,15 @@ class GroupPresentation:
 
 
 class Abelianization:
-    """Map from generator ids to monomials: regular components share t,
-    omega components share s."""
+    """Map from generator ids to units +-s^a t^b: in the standard map
+    regular components share t, omega components share s."""
 
     def __init__(self, images):
         self.images = dict(images)
+        for g, img in self.images.items():
+            if not isinstance(img, LaurentPoly) or img.inverse() is None:
+                raise ValueError("generator %r maps to %r, not a unit "
+                                 "+-s^a t^b" % (g, img))
 
     @classmethod
     def standard(cls, presentation):
@@ -237,23 +231,29 @@ def alexander_matrix(p, alpha):
     return PolyMatrix(rows) if rows else PolyMatrix(0, ncols, [])
 
 
-def _column_sets(mat, images, size):
-    """Column sets whose size x size minors, over every row set, have the
-    same gcd as all of them; images[j] is the image of generator j.  For
-    size g - 1, when Fox's fundamental formula sum_j A_ij (images[j] - 1)
-    = 0 holds (alpha kills every relator), that vector lies in the kernel
-    of each row set's g - 1 rows, and so does the vector of signed maximal
-    minors: two maximal minors of one row set whose dropped columns have
-    the same image agree up to sign.  One dropped column per image class
-    is then enough; a generator sent to 1 gets no relation and is its own
-    class."""
-    g = mat.cols
-    if size != g - 1:
+def _relator_image(w, alpha):
+    """alpha(w): the product of the images of the word's letters."""
+    img = ONE
+    for (g, e) in w:
+        img = img * (alpha(g) if e == 1 else alpha(g).inverse())
+    return img
+
+
+def _column_sets(p, alpha, size):
+    """Column sets whose size x size minors of the Alexander matrix of p
+    under alpha, over every row set, have the same gcd as all of them.
+    For size g - 1, when alpha kills every relator, Fox's fundamental
+    formula sum_j A_ij (alpha(g_j) - 1) = alpha(r_i) - 1 = 0 puts that
+    vector in the kernel of each row set's g - 1 rows, and the vector of
+    signed maximal minors lies there too: two maximal minors of one row
+    set whose dropped columns have the same image agree up to sign.  One
+    dropped column per image class is then enough; a generator sent to 1
+    gets no relation and is its own class."""
+    g = len(p.generators)
+    if size != g - 1 or any(_relator_image(w, alpha) != ONE
+                            for w in p.relators):
         return list(combinations(range(g), size))
-    v = [img - ONE for img in images]
-    if any(sum((e * vj for e, vj in zip(mat.row(i), v) if e), ZERO)
-           for i in range(mat.rows)):
-        return list(combinations(range(g), size))
+    images = [alpha(gen) for gen in p.generators]
     seen = set()
     dropped = []
     for j, img in enumerate(images):
@@ -273,7 +273,6 @@ def elementary_ideals(p, alpha, k_max):
     count is that of all the minors, whether taken or not."""
     mat = alexander_matrix(p, alpha)
     g = len(p.generators)
-    images = [alpha(gen) for gen in p.generators]
     out = []
     for k in range(k_max + 1):
         size = g - k
@@ -282,7 +281,7 @@ def elementary_ideals(p, alpha, k_max):
         elif size > mat.rows:
             out.append(ElementaryIdeal(k, 0, ZERO))
         else:
-            col_sets = _column_sets(mat, images, size)
+            col_sets = _column_sets(p, alpha, size)
             index_sets = ((ri, ci)
                           for ri in combinations(range(mat.rows), size)
                           for ci in col_sets)

@@ -7,6 +7,7 @@ is exact integer arithmetic, no floats anywhere.  The raw-dict helpers at the
 top are the hot path; LaurentPoly is a thin immutable wrapper around them.
 """
 
+import operator
 from itertools import combinations
 from math import gcd as igcd, prod
 
@@ -240,7 +241,9 @@ class LaurentPoly:
     """Immutable bivariate integer Laurent polynomial.
 
     `terms` maps (e_s, e_t) to nonzero int coefficients.  Instances are
-    hashable and must not be mutated after construction.
+    hashable and must not be mutated after construction.  Exponents and
+    coefficients must be integers (operator.index): a float or a string
+    raises TypeError rather than being truncated.
     """
 
     __slots__ = ("terms",)
@@ -248,10 +251,10 @@ class LaurentPoly:
     def __init__(self, terms=None):
         t = {}
         if terms:
-            for k, c in terms.items():
+            for (es, et), c in terms.items():
+                c = operator.index(c)
                 if c:
-                    es, et = k
-                    t[(int(es), int(et))] = int(c)
+                    t[(operator.index(es), operator.index(et))] = c
         object.__setattr__(self, "terms", t)
 
     def __setattr__(self, name, value):
@@ -522,15 +525,12 @@ def _unit_schur(rows):
 
 def _prescale(rows):
     """Multiply each row, in place, by the monomial that clears its negative
-    exponents.  Returns the (ds, dt) to shift a determinant back by, or None
-    when some row is zero."""
+    exponents.  Returns the (ds, dt) to shift a determinant back by.  Every
+    row has a nonzero entry, as _unit_schur leaves no row empty."""
     shift_s = shift_t = 0
     for i, row in enumerate(rows):
-        entries = [e for e in row if e]
-        if not entries:
-            return None
-        ds = min(0, min(es for e in entries for es, _ in e))
-        dt = min(0, min(et for e in entries for _, et in e))
+        ds = min(0, min(es for e in row for es, _ in e))
+        dt = min(0, min(et for e in row for _, et in e))
         if ds or dt:
             rows[i] = [_shift(e, -ds, -dt) if e else e for e in row]
             shift_s += ds
@@ -611,8 +611,6 @@ def _det(rows):
     else:
         m = [[rows[i].get(j, {}) for j in ci] for i in ri]
         shift = _prescale(m)
-        if shift is None:
-            return {}
         d = _kronecker_det(m)
         ds += shift[0]
         dt += shift[1]
@@ -686,11 +684,6 @@ class PolyMatrix:
             raise SizeTooLarge(
                 "no %dx%d minors of a %dx%d matrix" % (k, k, self.rows, self.cols))
         col_sets = list(combinations(range(self.cols), k))
-        out = []
-        for ri in combinations(range(self.rows), k):
-            m = [[e.terms for e in self.row(i)] for i in ri]
-            for ci in col_sets:
-                rows = [{p: row[j] for p, j in enumerate(ci) if row[j]}
-                        for row in m]
-                out.append(LaurentPoly._raw(_det(rows)))
-        return out
+        return [self.submatrix(ri, ci).det()
+                for ri in combinations(range(self.rows), k)
+                for ci in col_sets]

@@ -8,7 +8,8 @@ omega circle, in the traversal order of the flanking endpoints.  The chord
 near the head inherits the sign of c; the one near the foot gets the
 opposite sign, so the added chords contribute zero net writhe.
 
-Deleting the omega component undoes the construction exactly.
+Deleting the omega component and its chords gives back the original
+diagram; the tests check that, and the library has no deletion of its own.
 """
 
 from . import gauss
@@ -83,8 +84,3 @@ def zh(d, head_role=None):
     comps.append(omega)
     roles = list(d.component_roles) + [gauss.OMEGA]
     return ZhDiagram(gauss.GaussDiagram(comps, signs, roles), len(comps) - 1)
-
-
-def delete_omega(z):
-    """Drop the omega component and its chords; returns the original diagram."""
-    return gauss.delete_component(z.diagram, z.omega_index)

@@ -2,8 +2,9 @@
 diagram generators for fuzzing, ribbon doubles, the reference code the
 tests compare against (exact divisibility, the symbolic Fox derivative, the
 cofactor-expansion and plain Bareiss determinant oracles, and the elementary
-ideals over all minors), and the Reidemeister rewrites the invariance tests
-walk diagrams with."""
+ideals over all minors), the diagram transforms the invariance tests
+apply (basepoint rotation, chord relabelling, deleting a component or the
+omega circle), and the Reidemeister rewrites they walk diagrams with."""
 
 from vkalex import gauss, groups
 from vkalex.laurent import (
@@ -234,6 +235,59 @@ def ideals_by_all_minors(p, alpha, k_max):
 
 
 # ---------------------------------------------------------------------------
+# diagram transforms
+
+def rotated(d, ci, k):
+    """Move the basepoint of component ci forward by k slots."""
+    if not 0 <= ci < len(d.components):
+        raise gauss.BadIndex("no component %d" % ci)
+    comps = [list(c) for c in d.components]
+    comp = comps[ci]
+    if comp:
+        k %= len(comp)
+        comps[ci] = comp[k:] + comp[:k]
+    return gauss.GaussDiagram(comps, d.signs, d.component_roles)
+
+
+def relabeled(d, perm):
+    """Renumber chords: old id c becomes perm[c]."""
+    if sorted(perm) != list(range(len(d.signs))):
+        raise ValueError("perm must be a permutation of chord ids")
+    comps = [[(perm[c], role) for (c, role) in comp]
+             for comp in d.components]
+    signs = [0] * len(d.signs)
+    for old, new in enumerate(perm):
+        signs[new] = d.signs[old]
+    return gauss.GaussDiagram(comps, signs, d.component_roles)
+
+
+def delete_component(d, idx):
+    """Remove component idx and every chord with an endpoint on it.
+    Surviving chords are reindexed in order."""
+    if not 0 <= idx < len(d.components):
+        raise gauss.BadIndex("no component %d" % idx)
+    rest = _remove_chords(d, {c for (c, _) in d.components[idx]})
+    comps, roles = rest.components, rest.component_roles
+    return gauss.GaussDiagram(comps[:idx] + comps[idx + 1:], rest.signs,
+                              roles[:idx] + roles[idx + 1:])
+
+
+def _remove_chords(d, doomed):
+    keep = [c for c in range(len(d.signs)) if c not in doomed]
+    newid = {c: i for i, c in enumerate(keep)}
+    comps = [[(newid[c], role) for (c, role) in comp if c not in doomed]
+             for comp in d.components]
+    return gauss.GaussDiagram(comps, [d.signs[c] for c in keep],
+                              d.component_roles)
+
+
+def delete_omega(z):
+    """Drop the omega component of a ZhDiagram and its chords; returns the
+    original diagram."""
+    return delete_component(z.diagram, z.omega_index)
+
+
+# ---------------------------------------------------------------------------
 # Reidemeister rewrites
 #
 # The chord-level patterns below were frozen by fuzzing: a candidate pattern
@@ -294,7 +348,7 @@ def undo_r1(d, chord):
     length = len(d.components[c1])
     if (p1 + 1) % length != p2 and (p2 + 1) % length != p1:
         raise NotApplicable("chord %d endpoints are not adjacent" % chord)
-    return gauss._remove_chords(d, {chord})
+    return _remove_chords(d, {chord})
 
 
 def apply_r2(d, site_a, site_b):
@@ -332,7 +386,7 @@ def undo_r2(d, chord_a, chord_b):
         length = len(d.components[c1])
         if (p1 + 1) % length != p2 and (p2 + 1) % length != p1:
             raise NotApplicable("the two %s endpoints are not adjacent" % role)
-    return gauss._remove_chords(d, pair)
+    return _remove_chords(d, pair)
 
 
 def _triangle_geometry(d, triangle):

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import vkalex
-from vkalex import cli
+from vkalex import alexander, cli
 from vkalex.laurent import NotDivisible
 from _util import TABLE1
 
@@ -254,6 +254,23 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
     assert built == [1]
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_delta_canonicalizes_once(capsys, monkeypatch):
+    calls = []
+
+    def spy(poly, mode):
+        calls.append(mode)
+        return canonicalize(poly, mode)
+    canonicalize = cli.canonicalize
+    for module in (cli, alexander):
+        monkeypatch.setattr(module, "canonicalize", spy)
+    run(capsys, "delta", TABLE1["4.12"])
+    run(capsys, "--unit-class", "exact", "delta", TABLE1["4.12"])
+    assert calls == ["monomial-sign", "exact"]
+    calls.clear()
+    rc, out, _ = run(capsys, "writhe", TABLE1["4.12"])
+    assert rc == 0 and out.strip() and calls == []
 
 
 def test_unknown_subcommand_exits_2(capsys):

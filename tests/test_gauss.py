@@ -3,7 +3,10 @@ import random
 import pytest
 
 from vkalex import gauss
-from _util import TABLE1, CLASSICAL_TREFOIL, random_knot, random_link
+from _util import (
+    TABLE1, CLASSICAL_TREFOIL, delete_component, random_knot, random_link,
+    relabeled, rotated,
+)
 
 
 def test_parse_trefoil():
@@ -68,6 +71,15 @@ def test_diagram_validation():
         gauss.GaussDiagram([[(0, "O"), (0, "U")]], [1], ["regular", "omega"])
 
 
+def test_diagram_rejects_signs_other_than_plus_minus_one():
+    # a sign of 2 used to pass and then fail inside delta0 with a KeyError
+    comps = [[(0, "O"), (1, "U"), (0, "U"), (1, "O")]]
+    for signs in ([2, 0], [1, 0], [1, -2]):
+        with pytest.raises(ValueError):
+            gauss.GaussDiagram(comps, signs)
+    assert gauss.GaussDiagram(comps, [1, -1]).signs == [1, -1]
+
+
 def test_multi_component_diagram():
     code = gauss.parse_gauss_code("O1+U2+,U1+O2+")
     d = gauss.to_diagram(code)
@@ -80,34 +92,34 @@ def test_multi_component_diagram():
 
 def test_rotated():
     d = gauss.to_diagram(gauss.parse_gauss_code(CLASSICAL_TREFOIL))
-    r = d.rotated(0, 2)
+    r = rotated(d, 0, 2)
     assert r.components[0] == d.components[0][2:] + d.components[0][:2]
-    assert d.rotated(0, 6) == d
-    assert d.rotated(0, 0) == d
+    assert rotated(d, 0, 6) == d
+    assert rotated(d, 0, 0) == d
     with pytest.raises(gauss.BadIndex):
-        d.rotated(1, 1)
+        rotated(d, 1, 1)
 
 
 def test_relabeled():
     d = gauss.to_diagram(gauss.parse_gauss_code(CLASSICAL_TREFOIL))
-    assert d.relabeled([0, 1, 2]) == d
+    assert relabeled(d, [0, 1, 2]) == d
     perm = [2, 0, 1]
-    r = d.relabeled(perm)
+    r = relabeled(d, perm)
     assert r.signs == d.signs  # all positive here
     inverse = [perm.index(i) for i in range(3)]
-    assert r.relabeled(inverse) == d
+    assert relabeled(r, inverse) == d
     with pytest.raises(ValueError):
-        d.relabeled([0, 0, 1])
+        relabeled(d, [0, 0, 1])
 
 
 def test_delete_component():
     d = gauss.to_diagram(gauss.parse_gauss_code("O1+U2+,U1+O2+,O3-U3-"))
-    kept = gauss.delete_component(d, 0)
+    kept = delete_component(d, 0)
     assert len(kept.components) == 2
     assert kept.crossings == 1
     assert gauss.to_code(kept) == gauss.parse_gauss_code(",O1-U1-")
     with pytest.raises(gauss.BadIndex):
-        gauss.delete_component(d, 3)
+        delete_component(d, 3)
 
 
 def test_short_arcs_successor_is_permutation():

@@ -26,6 +26,16 @@ def test_construction_drops_zero_coefficients():
     assert LaurentPoly() == ZERO
 
 
+def test_construction_rejects_non_integers():
+    # int() would truncate 1.5 to 1 and 2.9 to 2 without a word
+    for terms in ({(0, 0): 1.5}, {(0, 0): "1"}, {(0.5, 0): 1}, {(0, "1"): 1}):
+        with pytest.raises(TypeError):
+            LaurentPoly(terms)
+    with pytest.raises(TypeError):
+        PolyMatrix([[2.9]])
+    assert PolyMatrix([[2]]).det() == 2 * ONE
+
+
 def test_rendering_goldens():
     p = ONE - S - T + 2 * S * T - (S * T) ** 2
     assert str(p) == "1 - s - t + 2*s*t - s^2*t^2"

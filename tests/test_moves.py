@@ -7,7 +7,8 @@ from vkalex import alexander, gauss, groups
 from vkalex.laurent import MONOMIAL_SIGN, canonicalize
 from _util import (
     TABLE1, CLASSICAL_TREFOIL, NotApplicable, _insert, apply_r1, apply_r2,
-    apply_r3, random_knot, random_link, table1_diagram, undo_r1, undo_r2,
+    apply_r3, random_knot, random_link, rotated, table1_diagram, undo_r1,
+    undo_r2,
 )
 
 # one circle, three chords, pairwise adjacent endpoint pairs, heights
@@ -61,7 +62,7 @@ def test_r1_wraparound_kink():
     d = gauss.to_diagram(gauss.parse_gauss_code("O1+U2+U1+O2+"))
     k = apply_r1(d, (0, 4), -1)
     assert undo_r1(k, 2) == d
-    rot = k.rotated(0, 5)  # kink chord now wraps the basepoint
+    rot = rotated(k, 0, 5)  # kink chord now wraps the basepoint
     assert undo_r1(rot, 2).crossings == 2
 
 

@@ -1,12 +1,14 @@
 import random
+import types
 
 import pytest
 
 from vkalex import alexander, gauss, groups
 from vkalex.laurent import canonicalize, MONOMIAL_SIGN, ONE, S, T
-from vkalex.zh import AlreadyHasOmega, ZhDiagram, delete_omega, zh
+from vkalex.zh import AlreadyHasOmega, ZhDiagram, zh
 from _util import (
-    TABLE1, CLASSICAL_TREFOIL, KINK, random_knot, random_link, ribbon_double,
+    TABLE1, CLASSICAL_TREFOIL, KINK, delete_omega, random_knot, random_link,
+    ribbon_double,
 )
 
 
@@ -65,6 +67,13 @@ def test_zh_refuses_second_omega():
     z = zh(d)
     with pytest.raises(AlreadyHasOmega):
         zh(z.diagram)
+
+
+def test_zh_submodule_is_importable_as_module():
+    import vkalex.zh as m
+    assert isinstance(m, types.ModuleType)
+    assert m.HEAD_ROLE == "O"
+    assert m.zh is zh
 
 
 def test_zh_diagram_validates_role():
