@@ -103,7 +103,8 @@ def _div_exact(a, b):
     bb = _shift(b, -bms, -bmt)
     lb = max(bb)
     lcb = bb[lb]
-    rem = dict(aa)
+    rem = aa
+    get = rem.get
     quo = {}
     while rem:
         la = max(rem)
@@ -113,7 +114,13 @@ def _div_exact(a, b):
             return None
         qc = ca // lcb
         quo[(ds, dt)] = qc
-        rem = _sub(rem, _mul({(ds, dt): qc}, bb))
+        for (es, et), c in bb.items():
+            k = (es + ds, et + dt)
+            nc = get(k, 0) - qc * c
+            if nc:
+                rem[k] = nc
+            else:
+                del rem[k]
     return _shift(quo, ams - bms, amt - bmt)
 
 
@@ -358,13 +365,17 @@ class LaurentPoly:
         """Map s -> s_image, t -> t_image (both LaurentPoly).  Negative
         exponents require the corresponding image to be a unit."""
         out = {}
+        get = out.get
         cache_s = {}
         cache_t = {}
         for (es, et), c in self.terms.items():
             ps = _pow_image(s_image, es, cache_s)
             pt = _pow_image(t_image, et, cache_t)
-            out = _add(out, _mul({(0, 0): c}, _mul(ps.terms, pt.terms)))
-        return LaurentPoly._raw(out)
+            for (e1s, e1t), c1 in ps.items():
+                for (e2s, e2t), c2 in pt.items():
+                    k = (e1s + e2s, e1t + e2t)
+                    out[k] = get(k, 0) + c * c1 * c2
+        return LaurentPoly._raw({k: c for k, c in out.items() if c})
 
 
 def _coerce(x):
@@ -383,16 +394,18 @@ def _coerce_nonzero(x):
 
 
 def _pow_image(image, e, cache):
+    """The raw dict of image ** e, kept in cache.  A unit image +-s^a t^b
+    gives the monomial +-s^(a e) t^(b e) at once, for any integer e."""
     if e in cache:
         return cache[e]
-    if e >= 0:
-        r = image ** e
+    if image.inverse() is not None:
+        ((a, b), c), = image.terms.items()
+        r = {(a * e, b * e): c if e % 2 else 1}
+    elif e >= 0:
+        r = (image ** e).terms
     else:
-        inv = image.inverse()
-        if inv is None:
-            raise NotDivisible("substitution needs a unit image for "
-                               "negative exponents, got %s" % image)
-        r = inv ** (-e)
+        raise NotDivisible("substitution needs a unit image for "
+                           "negative exponents, got %s" % image)
     cache[e] = r
     return r
 
@@ -455,6 +468,19 @@ def canonicalize(p, mode=MONOMIAL_SIGN):
 # Schur steps on unit pivots (+-s^a t^b) in Markowitz (1957) order, on
 # sparse rows {col: raw dict}
 
+def _rating(i, row, where):
+    """(fill cost, i, j) of the cheapest unit entry (i, j) of the row, the
+    first such in column order, or None when the row holds no unit."""
+    fill = len(row) - 1
+    best = None
+    for j, e in row.items():
+        if len(e) == 1 and abs(*e.values()) == 1:
+            r = (fill * (len(where[j]) - 1), i, j)
+            if best is None or r < best:
+                best = r
+    return best
+
+
 def _unit_schur(rows):
     """Eliminate unit pivots from the square matrix given by the sparse rows,
     in place.  Each step takes the unit entry (i, j) of least fill cost
@@ -465,7 +491,11 @@ def _unit_schur(rows):
     (sign, ds, dt, live rows, live cols): the determinant is
     sign * s^ds t^dt times that of the live rows and columns in their
     original order.  Returns None when a row empties, the determinant being
-    0 then."""
+    0 then.
+
+    Each live row's best (cost, i, j) is kept between steps.  A step changes
+    only the rows it updates and the counts of the pivot row's columns, so
+    only the rows in those columns are rated again."""
     live = list(range(len(rows)))
     cols = list(range(len(rows)))
     where = [set() for _ in cols]          # column -> rows with an entry there
@@ -474,24 +504,16 @@ def _unit_schur(rows):
             return None
         for j in row:
             where[j].add(i)
+    ratings = {}
+    for i, row in enumerate(rows):
+        r = _rating(i, row, where)
+        if r is not None:
+            ratings[i] = r
     sign = 1
     ds = dt = 0
-    while True:
-        best = None
-        for i in live:
-            row = rows[i]
-            fill = len(row) - 1
-            for j in sorted(row):
-                e = row[j]
-                if len(e) == 1 and abs(next(iter(e.values()))) == 1:
-                    cost = fill * (len(where[j]) - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, i, j)
-            if best is not None and not best[0]:
-                break
-        if best is None:
-            return sign, ds, dt, live, cols
-        _, i, j = best
+    while ratings:
+        _, i, j = min(ratings.values())
+        del ratings[i]
         top = rows[i]
         for col in top:
             where[col].discard(i)
@@ -517,22 +539,46 @@ def _unit_schur(rows):
                     where[col].discard(k)
             if not row:
                 return None
+        stale = set(where[j])
+        for col in top:
+            stale |= where[col]
+        for k in stale:
+            r = _rating(k, rows[k], where)
+            if r is None:
+                ratings.pop(k, None)
+            else:
+                ratings[k] = r
+    return sign, ds, dt, live, cols
 
 
 # ---------------------------------------------------------------------------
 # the residual left by the unit pivots: one fraction-free (Bareiss 1968)
 # integer determinant by Kronecker (1882) substitution
 
-def _prescale(rows):
-    """Multiply each row, in place, by the monomial that clears its negative
-    exponents.  Returns the (ds, dt) to shift a determinant back by.  Every
-    row has a nonzero entry, as _unit_schur leaves no row empty."""
+def _prescale(m):
+    """Divide each row of the square matrix m, in place, by the monomial
+    that brings its least s- and t-exponents to 0, and then each nonempty
+    column likewise.  Returns the (ds, dt) to shift a determinant back by.
+    Every row has a nonzero entry, as _unit_schur leaves no row empty; a
+    column may have none."""
     shift_s = shift_t = 0
-    for i, row in enumerate(rows):
-        ds = min(0, min(es for e in row for es, _ in e))
-        dt = min(0, min(et for e in row for _, et in e))
+    for i, row in enumerate(m):
+        ds = min([es for e in row for es, _ in e])
+        dt = min([et for e in row for _, et in e])
         if ds or dt:
-            rows[i] = [_shift(e, -ds, -dt) if e else e for e in row]
+            m[i] = [_shift(e, -ds, -dt) if e else e for e in row]
+            shift_s += ds
+            shift_t += dt
+    for j in range(len(m)):
+        col = [row[j] for row in m if row[j]]
+        if not col:
+            continue
+        ds = min([es for e in col for es, _ in e])
+        dt = min([et for e in col for _, et in e])
+        if ds or dt:
+            for row in m:
+                if row[j]:
+                    row[j] = _shift(row[j], -ds, -dt)
             shift_s += ds
             shift_t += dt
     return shift_s, shift_t
@@ -580,27 +626,26 @@ def _kronecker_det(m):
                 row[j] = _exact_quo(pivot * row[j] - lead * top[j], prev)
         prev = pivot
     d = sign * a[-1][-1]
-    out = {}
-    half, mask = 1 << (b - 1), (1 << b) - 1
-    p = 0
-    while d:
-        c = d & mask
-        if c >= half:
-            c -= mask + 1
-        if c:
-            et, es = divmod(p, big_s)
-            out[(es, et)] = c
-        d = (d - c) >> b
-        p += 1
-    return out
+    if not d:
+        return {}
+    # d has at most n balanced digits c, and d + sum of 2^(B-1) 2^(B p) over
+    # p < n has the plain digits c + 2^(B-1): one binary string, read in
+    # linear time, where peeling digits off d one by one is quadratic
+    n = d.bit_length() // b + 1
+    zero = "1" + "0" * (b - 1)
+    bits = format(d + int(zero * n, 2), "b").zfill(n * b)
+    half = 1 << (b - 1)
+    digits = (bits[i - b:i] for i in range(n * b, 0, -b))
+    return {(p % big_s, p // big_s): int(c, 2) - half
+            for p, c in enumerate(digits) if c != zero}
 
 
 def _det(rows):
     """Determinant of the square matrix given by the sparse rows
     {col: raw dict}, which it consumes: Schur steps on unit pivots, then
     one Kronecker-substituted integer Bareiss on the rows and columns left,
-    which are pre-scaled by monomials to clear negative exponents, the
-    scaling then divided back out of the result.  No rows left give 1 and
+    which are pre-scaled by monomials to least exponents 0, the scaling
+    then multiplied back into the result.  No rows left give 1 and
     one row its entry."""
     left = _unit_schur(rows)
     if left is None:

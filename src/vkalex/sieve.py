@@ -173,12 +173,20 @@ class SieveReport:
         return "\n".join(lines) + "\n"
 
 
+def _usable_cpus():
+    """The CPUs this process may run on, where the platform says."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sieve(records, parallel=True):
-    """Compute rows for all records, in input order.  parallel=False keeps
+    """Compute rows for all records, in input order, in a pool of one
+    worker per usable CPU.  parallel=False, or a single usable CPU, keeps
     everything in-process; the outputs are identical either way."""
     items = [(r.name, r.code) for r in records]
-    if parallel and len(items) > 1:
-        workers = os.cpu_count() or 1
+    workers = _usable_cpus() if parallel and len(items) > 1 else 1
+    if workers > 1:
         # about four chunks per worker: a row takes around a millisecond, so
         # one round trip per row would cost more than the row itself
         chunk = -(-len(items) // (4 * workers))

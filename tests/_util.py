@@ -1,14 +1,14 @@
 """Shared fixtures: the golden table of small virtual knots, random
 diagram generators for fuzzing, ribbon doubles, the reference code the
 tests compare against (exact divisibility, the symbolic Fox derivative, the
-cofactor-expansion and plain Bareiss determinant oracles, and the elementary
-ideals over all minors), the diagram transforms the invariance tests
+cofactor-expansion and plain Bareiss determinant oracles, the rescanning
+unit-pivot search, and the elementary ideals over all minors), the diagram transforms the invariance tests
 apply (basepoint rotation, chord relabelling, deleting a component or the
 omega circle), and the Reidemeister rewrites they walk diagrams with."""
 
 from vkalex import gauss, groups
 from vkalex.laurent import (
-    NotDivisible, NotSquare, ONE, S, SizeTooLarge, T, ZERO, gcd,
+    NotDivisible, NotSquare, ONE, S, SizeTooLarge, T, ZERO, _mul, _sub, gcd,
 )
 
 ST = S * T
@@ -208,6 +208,63 @@ def det_bareiss(m):
                 a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).exact_div(prev)
         prev = a[k][k]
     return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
+
+
+def unit_schur_scan(rows):
+    """The pivot-order oracle for laurent._unit_schur: the same unit-pivot
+    Schur steps and return value, with each step's pivot found by rating
+    every unit entry of every live row afresh, the least fill cost
+    (nnz(row) - 1) * (nnz(col) - 1) first, then the first in row and then
+    column order."""
+    live = list(range(len(rows)))
+    cols = list(range(len(rows)))
+    where = [set() for _ in cols]          # column -> rows with an entry there
+    for i, row in enumerate(rows):
+        if not row:
+            return None
+        for j in row:
+            where[j].add(i)
+    sign = 1
+    ds = dt = 0
+    while True:
+        best = None
+        for i in live:
+            row = rows[i]
+            fill = len(row) - 1
+            for j in sorted(row):
+                e = row[j]
+                if len(e) == 1 and abs(next(iter(e.values()))) == 1:
+                    cost = fill * (len(where[j]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+            if best is not None and not best[0]:
+                break
+        if best is None:
+            return sign, ds, dt, live, cols
+        _, i, j = best
+        top = rows[i]
+        for col in top:
+            where[col].discard(i)
+        ((a, b), c), = top.pop(j).items()
+        sign *= -c if (live.index(i) + cols.index(j)) % 2 else c
+        ds += a
+        dt += b
+        live.remove(i)
+        cols.remove(j)
+        for k in where[j]:
+            row = rows[k]
+            f = {(es - a, et - b): c * v for (es, et), v in row.pop(j).items()}
+            for col, v in top.items():
+                e = _sub(row.get(col, {}), _mul(f, v))
+                if e:
+                    if col not in row:
+                        where[col].add(k)
+                    row[col] = e
+                elif col in row:
+                    del row[col]
+                    where[col].discard(k)
+            if not row:
+                return None
 
 
 def ideals_by_all_minors(p, alpha, k_max):

@@ -9,9 +9,10 @@ from vkalex.laurent import (
     MONOMIAL_SIGN, NotDivisible, NotSquare, POWERS_OF_ST, SizeTooLarge,
     ONE, S, T, ZERO,
 )
-from vkalex import gauss, groups, laurent
+from vkalex import alexander, gauss, groups, laurent
 from _util import (
-    VIRTUAL_TREFOIL, det_bareiss, det_cofactor, divides, random_poly,
+    TABLE1, VIRTUAL_TREFOIL, det_bareiss, det_cofactor, divides, random_knot,
+    random_link, random_poly, unit_schur_scan,
 )
 
 exps = st.integers(min_value=-3, max_value=3)
@@ -116,6 +117,23 @@ def test_substitute():
     assert (S + T).substitute(T, T) == 2 * T
     with pytest.raises(NotDivisible):
         (S.inverse()).substitute(ONE + T, T)
+    # unit images with coefficient -1 and negative exponents, and non-unit
+    # images of a polynomial with no negative exponent, against the sum of
+    # the images of its terms taken one by one
+    rng = random.Random(19)
+    units = (-S * T.inverse(), -T, S.inverse() * T * T, -ONE, T.inverse())
+    others = (ONE - S, 2 * T + S.inverse(), -3 * ONE)
+    for _ in range(40):
+        p = random_poly(rng, span=3, terms=5)
+        images = [rng.choice(units), rng.choice(units)]
+        if rng.random() < 0.5:
+            p = p * S ** 3 * T ** 3
+            images[rng.randrange(2)] = rng.choice(others)
+        s_image, t_image = images
+        expect = ZERO
+        for (es, et), c in p.terms.items():
+            expect = expect + c * s_image ** es * t_image ** et
+        assert p.substitute(s_image, t_image) == expect, (p, s_image, t_image)
 
 
 def test_canonicalize_quotients_units():
@@ -255,11 +273,11 @@ def _fuzz_entry(rng, kind, n):
     return random_poly(rng, span=2, terms=3)
 
 
-def test_det_matches_plain_bareiss_fuzz():
-    """det against the independent dict Bareiss oracle on 1,000 matrices
-    of 1-6 rows: coefficients up to 2^45, negative exponents in s and t,
-    powers like (1 - st)^3, and a row that is a polynomial combination of
-    the others, so that det is 0 by cancellation."""
+def _fuzz_matrices():
+    """(index, kind, matrix) of 1,000 matrices of 1-6 rows: coefficients up
+    to 2^45, negative exponents in s and t, powers like (1 - st)^3, and a
+    row that is a polynomial combination of the others, so that det is 0
+    by cancellation."""
     rng = random.Random(29)
     kinds = ("small", "big", "powers", "dependent")
     for i in range(1000):
@@ -274,27 +292,76 @@ def test_det_matches_plain_bareiss_fuzz():
                 combo = [a + f * b for a, b in zip(combo, other)]
             rows[0] = combo
             rng.shuffle(rows)
-        m = PolyMatrix(rows)
+        yield i, kind, PolyMatrix(rows)
+
+
+def test_det_matches_plain_bareiss_fuzz():
+    """det against the independent dict Bareiss oracle on the fuzz
+    matrices."""
+    for i, kind, m in _fuzz_matrices():
         det = m.det()
         assert det == det_bareiss(m), (i, kind)
-        if kind == "dependent" and n > 1:
+        if kind == "dependent" and m.rows > 1:
             assert det == ZERO
 
 
-def _residual_sizes(monkeypatch):
-    """Record the row count of every residual the Kronecker kernel gets."""
-    sizes = []
+def _schur_inputs(run):
+    """Copies of the sparse rows of every _unit_schur call that run() makes
+    through the determinant."""
+    seen = []
+    real = laurent._unit_schur
+
+    def spy(rows):
+        seen.append([{j: dict(e) for j, e in row.items()} for row in rows])
+        return real(rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent, "_unit_schur", spy)
+        run()
+    return seen
+
+
+def test_unit_schur_matches_scan_oracle():
+    """The cached pivot ratings take the pivots the full rescan takes: the
+    same (sign, ds, dt, live rows, live cols) and the same rows left, on
+    M - P of random knots and links, on the minors the ideals of the
+    table-1 Fox matrices take, and on the fuzz matrices."""
+    rng = random.Random(41)
+    diagrams = [random_knot(rng, n) for n in range(5, 41)]
+    diagrams += [random_link(rng, rng.randint(2, 12), rng.randint(2, 3))
+                 for _ in range(30)]
+    inputs = []
+    for d in diagrams:
+        if d.signs:
+            inputs += _schur_inputs(lambda: alexander.delta0(d))
+    for code in TABLE1.values():
+        d = gauss.to_diagram(gauss.parse_gauss_code(code))
+        for p in (groups.wirtinger(d), groups.reduced_group(d)):
+            alpha = groups.Abelianization.standard(p)
+            inputs += _schur_inputs(
+                lambda: groups.elementary_ideals(p, alpha, 1))
+    inputs += _schur_inputs(
+        lambda: [m.det() for _, _, m in _fuzz_matrices()])
+    assert len(inputs) > 1100
+    for rows in inputs:
+        scanned = [{j: dict(e) for j, e in row.items()} for row in rows]
+        assert laurent._unit_schur(rows) == unit_schur_scan(scanned)
+        assert rows == scanned
+
+
+def _residuals(monkeypatch):
+    """Record every residual the Kronecker kernel gets."""
+    seen = []
     kernel = laurent._kronecker_det
 
     def spy(m):
-        sizes.append(len(m))
+        seen.append([list(row) for row in m])
         return kernel(m)
     monkeypatch.setattr(laurent, "_kronecker_det", spy)
-    return sizes
+    return seen
 
 
 def test_det_residual_bound_edges(monkeypatch):
-    sizes = _residual_sizes(monkeypatch)
+    seen = _residuals(monkeypatch)
     # no unit pivot, so the whole diagonal is the residual, and |det| is
     # the product of the row L1 norms, the coefficient bound H, exactly
     big = [(1 << 40) + 1, 3, (1 << 21) - 1]
@@ -313,11 +380,31 @@ def test_det_residual_bound_edges(monkeypatch):
                           [2 * S.inverse(), -2 * ONE + 5 * T]])
     assert shifted.det() == det_cofactor(shifted) == \
         -4 * S * T.inverse() + 10 * S - 6 * S.inverse()
-    assert sizes == [3, 3, 2, 2]
+    # rows with no common monomial factor, columns that share s^2 t, and
+    # then s t^2 and s once the rows are cleared of s^-1: the column
+    # prescale takes the shared factor out
+    s2t = S * S * T
+    shared = PolyMatrix([[2 * s2t, 3 + S], [(5 + S) * s2t, 2 - T]])
+    assert shared.det() == det_cofactor(shared) == \
+        s2t * ((2 * ONE) * (2 - T) - (3 + S) * (5 + S))
+    negative = PolyMatrix([[2 * S.inverse() * T * T, 3 + S],
+                           [(5 + S) * S.inverse() * T * T, 2 - T]])
+    assert negative.det() == det_cofactor(negative)
+    # an empty column: det 0, and the prescale passes the column over
+    hollow = PolyMatrix([[2 * ONE, ZERO], [3 + S, ZERO]])
+    assert hollow.det() == det_cofactor(hollow) == ZERO
+    assert [len(m) for m in seen] == [3, 3, 2, 2, 2, 2, 2]
+    for m in seen:
+        for col in zip(*m):
+            keys = [k for e in col for k in e]
+            if keys:
+                assert min(es for es, _ in keys) == 0
+                assert min(et for _, et in keys) == 0
+    assert not any(row[1] for row in seen[-1])
 
 
 def test_det_residual_shortcuts(monkeypatch):
-    sizes = _residual_sizes(monkeypatch)
+    seen = _residuals(monkeypatch)
     z = ZERO
     # every pivot a unit: nothing is left, the residual determinant is 1
     perm = PolyMatrix([[z, -S * T, z], [T.inverse(), z, z], [z, z, S * S]])
@@ -328,7 +415,7 @@ def test_det_residual_shortcuts(monkeypatch):
     for m in (perm, one, lone):
         assert m.det() == det_cofactor(m)
     assert one.det() == 2 * ONE + S - S * T
-    assert sizes == []
+    assert seen == []
 
 
 def test_det_row_swap_flips_sign():

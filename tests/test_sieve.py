@@ -68,6 +68,47 @@ def test_parallel_and_serial_agree():
     assert a.to_json() == b.to_json()
 
 
+def test_pool_sized_by_usable_cpus(monkeypatch):
+    """One worker per CPU the process may run on; with one such CPU the rows
+    are computed in-process, without a pool."""
+    records, _ = sieve.load_census(CENSUS)
+    serial = sieve.run_sieve(records, parallel=False).rows
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool for one usable CPU")
+
+    monkeypatch.setattr(sieve.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(sieve, "ProcessPoolExecutor", NoPool)
+    assert sieve.run_sieve(records).rows == serial
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, workers):
+            sizes.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(sieve.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    monkeypatch.setattr(sieve, "ProcessPoolExecutor", FakePool)
+    assert sieve.run_sieve(records).rows == serial
+    # without sched_getaffinity the pool falls back on os.cpu_count
+    monkeypatch.delattr(sieve.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(sieve.os, "cpu_count", lambda: 4)
+    assert sieve.run_sieve(records).rows == serial
+    assert sizes == [3, 4]
+
+
 def test_error_rows_do_not_poison_the_batch():
     records = [sieve.CensusRecord("good", "O1+O2+U1+U2+"),
                sieve.CensusRecord("bad", "O1+"),
