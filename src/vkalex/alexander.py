@@ -33,8 +33,8 @@ _ONE_MINUS_ST = ONE - _ST
 
 
 _BLOCKS = {
-    1: PolyMatrix([[T.inverse(), ONE - _ST.inverse()], [ZERO, S.inverse()]]),
-    -1: PolyMatrix([[S, ZERO], [ONE - _ST, T]]),
+    1: {(0, 0): T.inverse(), (0, 1): ONE - _ST.inverse(), (1, 1): S.inverse()},
+    -1: {(0, 0): S, (1, 0): ONE - _ST, (1, 1): T},
 }
 
 
@@ -57,17 +57,14 @@ class GeneralizedAlexander:
 
 def build_m_matrix(d):
     """Block-diagonal 2n x 2n matrix with the block of sign_k (see the module
-    docstring) at rows and columns (2k, 2k+1)."""
+    docstring), whose nonzero entries _BLOCKS holds, at rows and columns
+    (2k, 2k+1)."""
     n = len(d.signs)
     if n == 0:
         raise gauss.NoCrossings("M needs at least one crossing")
-    entries = [ZERO] * (2 * n) * (2 * n)
-    for k, sign in enumerate(d.signs):
-        blk = _BLOCKS[sign]
-        for r in range(2):
-            for c in range(2):
-                entries[(2 * k + r) * 2 * n + (2 * k + c)] = blk[r, c]
-    return PolyMatrix(2 * n, 2 * n, entries)
+    return PolyMatrix(2 * n, 2 * n, {
+        (2 * k + r, 2 * k + c): e for k, sign in enumerate(d.signs)
+        for (r, c), e in _BLOCKS[sign].items()})
 
 
 def delta0(d):
@@ -80,9 +77,10 @@ def delta0(d):
         return GeneralizedAlexander(ZERO)
     diff = build_m_matrix(d)
     # P is nonzero only at (i, successor(i)), so only there is a 1 taken off
-    for i, j in enumerate(gauss.short_arcs(d, ARC_CONVENTION).successor):
-        k = i * 2 * n + j
-        diff.entries[k] = diff.entries[k] - ONE
+    for ij in enumerate(gauss.short_arcs(d, ARC_CONVENTION).successor):
+        e = diff.entries.pop(ij, ZERO) - ONE
+        if e:
+            diff.entries[ij] = e
     return GeneralizedAlexander(diff.det())
 
 

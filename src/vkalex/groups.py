@@ -213,22 +213,19 @@ def alexander_matrix(p, alpha):
     """Row per relator, column per generator; entry = image of the Fox
     derivative under the abelianization.  Streams the running prefix image
     instead of materializing each derivative."""
-    index = {g: i for i, g in enumerate(p.generators)}
-    ncols = len(p.generators)
-    rows = []
-    for w in p.relators:
-        row = [ZERO] * ncols
+    index = {g: j for j, g in enumerate(p.generators)}
+    entries = {}
+    for i, w in enumerate(p.relators):
         prefix = ONE
         for (g, e) in w:
-            img = alpha(g)
+            ij = (i, index[g])
             if e == 1:
-                row[index[g]] = row[index[g]] + prefix
-                prefix = prefix * img
+                entries[ij] = entries.get(ij, ZERO) + prefix
+                prefix = prefix * alpha(g)
             else:
-                prefix = prefix * img.inverse()
-                row[index[g]] = row[index[g]] - prefix
-        rows.append(row)
-    return PolyMatrix(rows) if rows else PolyMatrix(0, ncols, [])
+                prefix = prefix * alpha(g).inverse()
+                entries[ij] = entries.get(ij, ZERO) - prefix
+    return PolyMatrix(len(p.relators), len(p.generators), entries)
 
 
 def _relator_image(w, alpha):

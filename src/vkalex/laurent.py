@@ -9,7 +9,7 @@ top are the hot path; LaurentPoly is a thin immutable wrapper around them.
 
 import operator
 from itertools import combinations
-from math import gcd as igcd, prod
+from math import gcd as igcd, isqrt, prod
 
 
 class NotDivisible(ArithmeticError):
@@ -592,6 +592,17 @@ def _exact_quo(a, b):
     return q
 
 
+def _coeff_bound(l1):
+    """Bound H on the coefficients of the determinant of a square matrix whose
+    entries have L1 norms l1: the least of the row and column products of L1
+    norms and of Hadamard's row and column bounds, which hold as a coefficient
+    is at most the determinant's L2 norm, so its maximum, on |s| = |t| = 1."""
+    cols = list(zip(*l1))
+    return min(prod(map(sum, l1)), prod(map(sum, cols)),
+               isqrt(prod(sum(x * x for x in r) for r in l1)) + 1,
+               isqrt(prod(sum(x * x for x in c) for c in cols)) + 1)
+
+
 def _kronecker_det(m):
     """Determinant of the square matrix m of raw dicts with exponents >= 0.
 
@@ -599,14 +610,12 @@ def _kronecker_det(m):
     ring homomorphism, so fraction-free Bareiss over Z gives the image of
     the determinant.  Ds exceeds its s-degree (the smaller of the row and
     column sums of the largest s-exponents) and B makes 2^(B-1) exceed its
-    coefficients (|c| <= H, the smaller of the products of row and of
-    column L1 norms), so the image is read back as balanced base-2^B
-    digits, digit p being the coefficient of s^(p mod Ds) t^(p div Ds)."""
+    coefficients (|c| <= H, _coeff_bound), so the image is read back as
+    balanced base-2^B digits, digit p the coefficient of s^(p%Ds) t^(p//Ds)."""
     smax = [[max(es for es, _ in e) if e else 0 for e in row] for row in m]
     l1 = [[sum(map(abs, e.values())) for e in row] for row in m]
     big_s = min(sum(map(max, smax)), sum(map(max, zip(*smax)))) + 1
-    h = min(prod(map(sum, l1)), prod(map(sum, zip(*l1))))
-    b = (2 * h).bit_length() + 1
+    b = (2 * _coeff_bound(l1)).bit_length() + 1
     a = [[sum(c << b * (es + big_s * et) for (es, et), c in e.items())
           for e in row] for row in m]
     n = len(a)
@@ -666,40 +675,36 @@ def _det(rows):
 # matrices
 
 class PolyMatrix:
-    """Dense matrix over LaurentPoly, row-major."""
+    """Sparse matrix over LaurentPoly: `entries` maps (i, j) to the nonzero
+    entries only.  Ints are taken as constants, a float or a string raises
+    TypeError, a key outside the matrix ValueError, and zeros are dropped."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows, cols=None, entries=None):
-        if cols is None and entries is None:
-            # construct from nested lists
-            grid = [list(r) for r in rows]
-            nr = len(grid)
-            nc = len(grid[0]) if grid else 0
-            if any(len(r) != nc for r in grid):
-                raise ValueError("ragged rows")
-            flat = []
-            for r in grid:
-                for e in r:
-                    flat.append(e if isinstance(e, LaurentPoly)
-                                else LaurentPoly.const(e))
-            self.rows, self.cols, self.entries = nr, nc, flat
-        else:
-            if len(entries) != rows * cols:
-                raise ValueError("entries length must be rows*cols")
-            self.rows, self.cols, self.entries = rows, cols, list(entries)
+    def __init__(self, rows, cols, entries):
+        self.rows, self.cols, self.entries = rows, cols, {}
+        ri, ci = range(rows), range(cols)
+        for (i, j), e in entries.items():
+            if i not in ri or j not in ci:
+                raise ValueError("entry (%r, %r) outside a %dx%d matrix"
+                                 % (i, j, rows, cols))
+            if not isinstance(e, LaurentPoly):
+                e = LaurentPoly.const(e)
+            if e.terms:
+                self.entries[i, j] = e
 
     def __getitem__(self, rc):
-        r, c = rc
-        return self.entries[r * self.cols + c]
-
-    def row(self, r):
-        return self.entries[r * self.cols:(r + 1) * self.cols]
+        return self.entries.get(rc, ZERO)
 
     def submatrix(self, row_idx, col_idx):
-        ent = [self.entries[r * self.cols + c]
-               for r in row_idx for c in col_idx]
-        return PolyMatrix(len(row_idx), len(col_idx), ent)
+        """The rows row_idx and columns col_idx, each of distinct indices."""
+        ri = {r: i for i, r in enumerate(row_idx)}
+        ci = {c: j for j, c in enumerate(col_idx)}
+        if len(ri) != len(row_idx) or len(ci) != len(col_idx):
+            raise ValueError("repeated row or column index")
+        return PolyMatrix(len(ri), len(ci), {
+            (ri[r], ci[c]): e for (r, c), e in self.entries.items()
+            if r in ri and c in ci})
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
@@ -708,17 +713,16 @@ class PolyMatrix:
                (other.rows, other.cols, other.entries)
 
     def __repr__(self):
-        body = "; ".join(
-            ", ".join(str(e) for e in self.row(r)) for r in range(self.rows))
-        return "PolyMatrix[%s]" % body
+        return "PolyMatrix(%d, %d, %r)" % (self.rows, self.cols, self.entries)
 
     def det(self):
         """Determinant, by unit pivots and then a Kronecker-substituted
         integer Bareiss.  0x0 matrices have determinant 1."""
         if self.rows != self.cols:
             raise NotSquare("det of a %dx%d matrix" % (self.rows, self.cols))
-        rows = [{j: e.terms for j, e in enumerate(self.row(i)) if e.terms}
-                for i in range(self.rows)]
+        rows = [{} for _ in range(self.rows)]
+        for (i, j), e in self.entries.items():
+            rows[i][j] = e.terms
         return LaurentPoly._raw(_det(rows))
 
     def minors(self, k):

@@ -1,14 +1,17 @@
 """Shared fixtures: the golden table of small virtual knots, random
-diagram generators for fuzzing, ribbon doubles, the reference code the
-tests compare against (exact divisibility, the symbolic Fox derivative, the
-cofactor-expansion and plain Bareiss determinant oracles, the rescanning
-unit-pivot search, and the elementary ideals over all minors), the diagram transforms the invariance tests
-apply (basepoint rotation, chord relabelling, deleting a component or the
-omega circle), and the Reidemeister rewrites they walk diagrams with."""
+diagram generators for fuzzing, ribbon doubles, a PolyMatrix built from
+nested lists, the reference code the tests compare against (exact
+divisibility, the symbolic Fox derivative, the cofactor-expansion and plain
+Bareiss determinant oracles, the rescanning unit-pivot search, and the
+elementary ideals over all minors), the diagram transforms the invariance
+and symmetry tests apply (basepoint rotation, chord relabelling, deleting a
+component or the omega circle, reversal, sign negation and the O/U swap),
+and the Reidemeister rewrites they walk diagrams with."""
 
 from vkalex import gauss, groups
 from vkalex.laurent import (
-    NotDivisible, NotSquare, ONE, S, SizeTooLarge, T, ZERO, _mul, _sub, gcd,
+    NotDivisible, NotSquare, ONE, PolyMatrix, S, SizeTooLarge, T, ZERO, _mul,
+    _sub, gcd,
 )
 
 ST = S * T
@@ -122,6 +125,17 @@ def random_poly(rng, span=3, terms=4, coeff=9):
     return LaurentPoly(d)
 
 
+def matrix(grid):
+    """The PolyMatrix of a nested list of rows, all of one length; ints are
+    taken as constants."""
+    grid = [list(r) for r in grid]
+    cols = len(grid[0]) if grid else 0
+    if any(len(r) != cols for r in grid):
+        raise ValueError("ragged rows")
+    return PolyMatrix(len(grid), cols, {(i, j): e for i, r in enumerate(grid)
+                                        for j, e in enumerate(r)})
+
+
 def divides(a, b):
     """True when the LaurentPoly a divides b exactly."""
     if a.is_zero():
@@ -193,7 +207,7 @@ def det_bareiss(m):
     n = m.rows
     if n == 0:
         return ONE
-    a = [m.row(i) for i in range(n)]
+    a = [[m[i, j] for j in range(n)] for i in range(n)]
     sign = 1
     prev = ONE
     for k in range(n - 1):
@@ -316,6 +330,26 @@ def relabeled(d, perm):
     for old, new in enumerate(perm):
         signs[new] = d.signs[old]
     return gauss.GaussDiagram(comps, signs, d.component_roles)
+
+
+def reversed_diagram(d):
+    """Every component walked the other way; signs kept."""
+    return gauss.GaussDiagram([c[::-1] for c in d.components], d.signs,
+                              d.component_roles)
+
+
+def negated(d):
+    """Every chord sign negated; O and U kept."""
+    return gauss.GaussDiagram(d.components, [-e for e in d.signs],
+                              d.component_roles)
+
+
+def swapped(d):
+    """O and U swapped at every chord; signs kept."""
+    flip = {gauss.OVER: gauss.UNDER, gauss.UNDER: gauss.OVER}
+    return gauss.GaussDiagram(
+        [[(c, flip[role]) for c, role in comp] for comp in d.components],
+        d.signs, d.component_roles)
 
 
 def delete_component(d, idx):

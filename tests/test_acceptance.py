@@ -9,13 +9,13 @@ import random
 import time
 
 from vkalex import alexander, gauss, groups, sieve
-from vkalex.laurent import MONOMIAL_SIGN, ONE, S, T, PolyMatrix, canonicalize
+from vkalex.laurent import MONOMIAL_SIGN, ONE, S, T, canonicalize
 from vkalex.zh import zh
 from _util import (
     CLASSICAL_TREFOIL, TABLE1, TABLE1_EXPECTED, ZERO_NAMES, NotApplicable,
-    apply_r1, apply_r2, apply_r3, delete_omega, det_cofactor, random_knot,
-    random_link, random_poly, relabeled, rotated, table1_diagram, undo_r1,
-    undo_r2,
+    apply_r1, apply_r2, apply_r3, delete_omega, det_cofactor, matrix,
+    random_knot, random_link, random_poly, relabeled, rotated, table1_diagram,
+    undo_r1, undo_r2,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -220,8 +220,8 @@ def test_criterion_07_determinant_oracle(capsys):
     mismatches = 0
     for _ in range(500):
         n = rng.randint(1, 6)
-        m = PolyMatrix(n, n, [random_poly(rng, span=2, terms=2, coeff=5)
-                              for _ in range(n * n)])
+        m = matrix([[random_poly(rng, span=2, terms=2, coeff=5)
+                     for _ in range(n)] for _ in range(n)])
         if m.det() != det_cofactor(m):
             mismatches += 1
     dt = time.monotonic() - t0

@@ -145,12 +145,12 @@ def test_alexander_matrix_matches_symbolic_derivative():
         w = W(letters)
         p = groups.GroupPresentation([0, 1, 2, 3],
                                      {0: 0, 1: 0, 2: 0, 3: 0}, [w])
-        row = groups.alexander_matrix(p, alpha).row(0)
+        mat = groups.alexander_matrix(p, alpha)
         for gi in range(4):
             acc = ZERO
             for (sign, prefix) in fox_derivative(w, gi):
                 acc = acc + sign * alpha_word(prefix)
-            assert row[gi] == acc
+            assert mat[0, gi] == acc
 
 
 def test_fox_fundamental_identity():

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +12,8 @@ from vkalex.laurent import (
 )
 from vkalex import alexander, gauss, groups, laurent
 from _util import (
-    TABLE1, VIRTUAL_TREFOIL, det_bareiss, det_cofactor, divides, random_knot,
-    random_link, random_poly, unit_schur_scan,
+    TABLE1, VIRTUAL_TREFOIL, det_bareiss, det_cofactor, divides, matrix,
+    random_knot, random_link, random_poly, unit_schur_scan,
 )
 
 exps = st.integers(min_value=-3, max_value=3)
@@ -33,8 +34,8 @@ def test_construction_rejects_non_integers():
         with pytest.raises(TypeError):
             LaurentPoly(terms)
     with pytest.raises(TypeError):
-        PolyMatrix([[2.9]])
-    assert PolyMatrix([[2]]).det() == 2 * ONE
+        matrix([[2.9]])
+    assert matrix([[2]]).det() == 2 * ONE
 
 
 def test_rendering_goldens():
@@ -210,44 +211,44 @@ def test_gcd_properties():
 
 
 def test_det_goldens():
-    m = PolyMatrix([[S, T], [ONE, S]])
+    m = matrix([[S, T], [ONE, S]])
     assert m.det() == S * S - T
-    assert PolyMatrix([[S]]).det() == S
-    assert PolyMatrix(0, 0, []).det() == ONE
+    assert matrix([[S]]).det() == S
+    assert PolyMatrix(0, 0, {}).det() == ONE
     # identical rows
-    assert PolyMatrix([[S, T], [S, T]]).det() == ZERO
+    assert matrix([[S, T], [S, T]]).det() == ZERO
     with pytest.raises(NotSquare):
-        PolyMatrix(1, 2, [S, T]).det()
+        PolyMatrix(1, 2, {(0, 0): S, (0, 1): T}).det()
 
 
 def test_det_matches_cofactor_expansion():
     rng = random.Random(11)
     for _ in range(40):
         n = rng.randint(1, 6)
-        m = PolyMatrix([[random_poly(rng, span=2, terms=2)
-                         for _ in range(n)] for _ in range(n)])
+        m = matrix([[random_poly(rng, span=2, terms=2)
+                     for _ in range(n)] for _ in range(n)])
         assert m.det() == det_cofactor(m)
     # sparse inputs where most pivots are units +-s^a t^b
     z = ZERO
     # signed monomial permutation matrix of the 4-cycle 0->2->3->1 (odd):
     # every pivot is a unit and nothing is left for Bareiss
-    perm = PolyMatrix([[z, z, -S * T, z],
-                       [T.inverse(), z, z, z],
-                       [z, z, z, S * S],
-                       [z, -ONE, z, z]])
+    perm = matrix([[z, z, -S * T, z],
+                   [T.inverse(), z, z, z],
+                   [z, z, z, S * S],
+                   [z, -ONE, z, z]])
     assert perm.det() == -(-S * T) * T.inverse() * (S * S) * -ONE
     # the only unit sits at (0, 1), an odd position
-    odd = PolyMatrix([[ONE + S, -T, 2 * ONE],
-                      [2 * S, ONE + T, ONE - S],
-                      [ONE - T, 3 * ONE, S + T]])
+    odd = matrix([[ONE + S, -T, 2 * ONE],
+                  [2 * S, ONE + T, ONE - S],
+                  [ONE - T, 3 * ONE, S + T]])
     # two crossing blocks, positive then negative, minus a permutation, as
     # in M - P
-    mp = PolyMatrix([[T.inverse(), ONE - (S * T).inverse(), -ONE, z],
-                     [z, S.inverse(), z, -ONE],
-                     [z, -ONE, S, z],
-                     [-ONE, z, ONE - S * T, T]])
+    mp = matrix([[T.inverse(), ONE - (S * T).inverse(), -ONE, z],
+                 [z, S.inverse(), z, -ONE],
+                 [z, -ONE, S, z],
+                 [-ONE, z, ONE - S * T, T]])
     # row 1 is t times row 0, so the first Schur step empties it
-    empty = PolyMatrix([[ONE, S, z], [T, S * T, z], [ONE + S, T, 2 * ONE]])
+    empty = matrix([[ONE, S, z], [T, S * T, z], [ONE + S, T, 2 * ONE]])
     assert empty.det() == ZERO
     for m in (perm, odd, mp, empty):
         assert m.det() == det_cofactor(m)
@@ -292,17 +293,30 @@ def _fuzz_matrices():
                 combo = [a + f * b for a, b in zip(combo, other)]
             rows[0] = combo
             rng.shuffle(rows)
-        yield i, kind, PolyMatrix(rows)
+        yield i, kind, matrix(rows)
 
 
-def test_det_matches_plain_bareiss_fuzz():
+def test_det_matches_plain_bareiss_fuzz(monkeypatch):
     """det against the independent dict Bareiss oracle on the fuzz
-    matrices."""
+    matrices.  Every coefficient of each residual determinant is at most
+    the bound H, and Hadamard's bound is the least of the four on some."""
+    kernel = laurent._kronecker_det
+    tighter = []
+
+    def spy(m):
+        d = kernel(m)
+        l1 = [[sum(map(abs, e.values())) for e in row] for row in m]
+        h = laurent._coeff_bound(l1)
+        assert max(map(abs, d.values()), default=0) <= h
+        tighter.append(h < min(prod(map(sum, l1)), prod(map(sum, zip(*l1)))))
+        return d
+    monkeypatch.setattr(laurent, "_kronecker_det", spy)
     for i, kind, m in _fuzz_matrices():
         det = m.det()
         assert det == det_bareiss(m), (i, kind)
         if kind == "dependent" and m.rows > 1:
             assert det == ZERO
+    assert len(tighter) > 500 and any(tighter)
 
 
 def _schur_inputs(run):
@@ -366,32 +380,32 @@ def test_det_residual_bound_edges(monkeypatch):
     # the product of the row L1 norms, the coefficient bound H, exactly
     big = [(1 << 40) + 1, 3, (1 << 21) - 1]
     for signs in ((1, 1, 1), (1, -1, 1)):
-        diag = PolyMatrix([[(c * e if i == j else 0) for j in range(3)]
-                           for i, (c, e) in enumerate(zip(big, signs))])
+        diag = matrix([[(c * e if i == j else 0) for j in range(3)]
+                       for i, (c, e) in enumerate(zip(big, signs))])
         expect = signs[1] * big[0] * big[1] * big[2]
         assert diag.det() == det_cofactor(diag) == expect * ONE
     # row sums of the largest s-exponents give Ds = 3 and det has s-degree
     # 2: s^2 and t sit in adjacent digits, t's coefficient negative
-    edge = PolyMatrix([[2 * S, 3 * T], [2 * ONE, -2 * S]])
+    edge = matrix([[2 * S, 3 * T], [2 * ONE, -2 * S]])
     assert edge.det() == det_cofactor(edge) == -4 * S * S - 6 * T
     # the same edge once prescaling by t and s clears the negative
     # exponents: the prescaled det -4s^2 + 10s^2 t - 6t has s-degree 2
-    shifted = PolyMatrix([[2 * S * T.inverse(), 3 * ONE],
-                          [2 * S.inverse(), -2 * ONE + 5 * T]])
+    shifted = matrix([[2 * S * T.inverse(), 3 * ONE],
+                      [2 * S.inverse(), -2 * ONE + 5 * T]])
     assert shifted.det() == det_cofactor(shifted) == \
         -4 * S * T.inverse() + 10 * S - 6 * S.inverse()
     # rows with no common monomial factor, columns that share s^2 t, and
     # then s t^2 and s once the rows are cleared of s^-1: the column
     # prescale takes the shared factor out
     s2t = S * S * T
-    shared = PolyMatrix([[2 * s2t, 3 + S], [(5 + S) * s2t, 2 - T]])
+    shared = matrix([[2 * s2t, 3 + S], [(5 + S) * s2t, 2 - T]])
     assert shared.det() == det_cofactor(shared) == \
         s2t * ((2 * ONE) * (2 - T) - (3 + S) * (5 + S))
-    negative = PolyMatrix([[2 * S.inverse() * T * T, 3 + S],
-                           [(5 + S) * S.inverse() * T * T, 2 - T]])
+    negative = matrix([[2 * S.inverse() * T * T, 3 + S],
+                       [(5 + S) * S.inverse() * T * T, 2 - T]])
     assert negative.det() == det_cofactor(negative)
     # an empty column: det 0, and the prescale passes the column over
-    hollow = PolyMatrix([[2 * ONE, ZERO], [3 + S, ZERO]])
+    hollow = matrix([[2 * ONE, ZERO], [3 + S, ZERO]])
     assert hollow.det() == det_cofactor(hollow) == ZERO
     assert [len(m) for m in seen] == [3, 3, 2, 2, 2, 2, 2]
     for m in seen:
@@ -401,17 +415,29 @@ def test_det_residual_bound_edges(monkeypatch):
                 assert min(es for es, _ in keys) == 0
                 assert min(et for _, et in keys) == 0
     assert not any(row[1] for row in seen[-1])
+    # twice the 2 x 2 and the 4 x 4 Sylvester-Hadamard matrices, with no
+    # unit to pivot on: |det| reaches Hadamard's bound, 8 and 256, where
+    # the L1 products are 16 and 4096, so H is 9 and 257
+    had = matrix([[2, 2], [2, -2]])
+    had4 = matrix([[2, 2, 2, 2], [2, -2, 2, -2], [2, 2, -2, -2],
+                   [2, -2, -2, 2]])
+    assert had.det() == det_cofactor(had) == -8 * ONE
+    assert had4.det() == det_cofactor(had4) == 256 * ONE
+    bounds = [laurent._coeff_bound(
+        [[sum(map(abs, e.values())) for e in row] for row in m])
+        for m in seen[-2:]]
+    assert bounds == [9, 257]
 
 
 def test_det_residual_shortcuts(monkeypatch):
     seen = _residuals(monkeypatch)
     z = ZERO
     # every pivot a unit: nothing is left, the residual determinant is 1
-    perm = PolyMatrix([[z, -S * T, z], [T.inverse(), z, z], [z, z, S * S]])
+    perm = matrix([[z, -S * T, z], [T.inverse(), z, z], [z, z, S * S]])
     # one unit pivot leaves the 1 x 1 residual 2 + s - st
-    one = PolyMatrix([[ONE, S], [T, 2 * ONE + S]])
+    one = matrix([[ONE, S], [T, 2 * ONE + S]])
     # no unit at all, a 1 x 1 residual with negative exponents
-    lone = PolyMatrix([[2 * S.inverse() + 3 * T]])
+    lone = matrix([[2 * S.inverse() + 3 * T]])
     for m in (perm, one, lone):
         assert m.det() == det_cofactor(m)
     assert one.det() == 2 * ONE + S - S * T
@@ -422,24 +448,24 @@ def test_det_row_swap_flips_sign():
     rng = random.Random(13)
     for _ in range(20):
         n = rng.randint(2, 4)
-        m = PolyMatrix([[random_poly(rng, span=2, terms=2)
-                         for _ in range(n)] for _ in range(n)])
-        rows = [m.row(r) for r in range(n)]
+        m = matrix([[random_poly(rng, span=2, terms=2)
+                     for _ in range(n)] for _ in range(n)])
+        rows = [[m[r, c] for c in range(n)] for r in range(n)]
         i, j = rng.sample(range(n), 2)
         swapped = list(rows)
         swapped[i], swapped[j] = rows[j], rows[i]
-        assert PolyMatrix(swapped).det() == -m.det()
-        assert PolyMatrix(list(zip(*rows))).det() == m.det()
+        assert matrix(swapped).det() == -m.det()
+        assert matrix(zip(*rows)).det() == m.det()
 
 
 def test_det_cofactor_size_cap():
-    big = PolyMatrix([[ONE] * 9 for _ in range(9)])
+    big = matrix([[ONE] * 9 for _ in range(9)])
     with pytest.raises(SizeTooLarge):
         det_cofactor(big)
 
 
 def test_minors_conventions():
-    m = PolyMatrix([[S, T, ONE], [ONE, S, T]])
+    m = matrix([[S, T, ONE], [ONE, S, T]])
     assert m.minors(0) == [ONE]
     with pytest.raises(SizeTooLarge):
         m.minors(3)
@@ -456,22 +482,22 @@ def test_minors_shared_prefix_agrees_with_bruteforce():
     for _ in range(40):
         r = rng.randint(1, 4)
         c = rng.randint(r, 5)
-        cases.append(PolyMatrix([[random_poly(rng, span=2, terms=2)
-                                  for _ in range(c)] for _ in range(r)]))
+        cases.append(matrix([[random_poly(rng, span=2, terms=2)
+                              for _ in range(c)] for _ in range(r)]))
     cases += [
         # all-zero column: every minor that takes it vanishes
-        PolyMatrix([[S, ZERO, T, ONE], [ONE, ZERO, S, T], [T, ZERO, ONE, S]]),
+        matrix([[S, ZERO, T, ONE], [ONE, ZERO, S, T], [T, ZERO, ONE, S]]),
         # zero row: every maximal minor vanishes
-        PolyMatrix([[S, T, ONE], [ZERO, ZERO, ZERO]]),
+        matrix([[S, T, ONE], [ZERO, ZERO, ZERO]]),
         # zero (0,0) entry: the first pivot needs a row swap
-        PolyMatrix([[ZERO, S, T, ONE], [T.inverse(), ONE, ZERO, S],
-                    [ONE - S, ZERO, S * T, T]]),
+        matrix([[ZERO, S, T, ONE], [T.inverse(), ONE, ZERO, S],
+                [ONE - S, ZERO, S * T, T]]),
         # zero middle row: every row set that holds it is all zero
-        PolyMatrix([[S, T, ONE, S * T], [ZERO, ZERO, ZERO, ZERO],
-                    [ONE, S, T, ONE - S]]),
+        matrix([[S, T, ONE, S * T], [ZERO, ZERO, ZERO, ZERO],
+                [ONE, S, T, ONE - S]]),
         # row set (1, 2) has a zero first pivot, so it swaps there
-        PolyMatrix([[ONE, S, T, ONE], [ZERO, T, ONE - S, S],
-                    [S + T, ZERO, ONE, T.inverse()]]),
+        matrix([[ONE, S, T, ONE], [ZERO, T, ONE - S, S],
+                [S + T, ZERO, ONE, T.inverse()]]),
     ]
     # the unit-rich 6 x 7 Fox matrix of the extension's group of the
     # virtual trefoil, the kind of matrix every minor the program takes
@@ -491,8 +517,47 @@ def test_minors_shared_prefix_agrees_with_bruteforce():
 
 
 def test_matrix_views():
-    m = PolyMatrix([[S, T], [ONE, ZERO]])
+    m = matrix([[S, T], [ONE, ZERO]])
     assert m[0, 1] == T
-    assert m.row(1) == [ONE, ZERO]
-    assert m.submatrix([0], [1]) == PolyMatrix([[T]])
-    assert m == PolyMatrix(2, 2, [S, T, ONE, ZERO])
+    assert (m[1, 0], m[1, 1]) == (ONE, ZERO)
+    assert m.submatrix([0], [1]) == matrix([[T]])
+    assert m.submatrix([1, 0], [1, 0]) == matrix([[ZERO, ONE], [T, S]])
+    assert m == PolyMatrix(2, 2, {(0, 0): S, (0, 1): T, (1, 0): ONE})
+    with pytest.raises(ValueError):
+        m.submatrix([0, 0], [1])
+
+
+def test_matrix_constructor_contract():
+    """One constructor, PolyMatrix(rows, cols, {(i, j): entry}): ints are
+    constants, floats and strings raise TypeError, a key outside the matrix
+    ValueError, and only nonzero entries are kept."""
+    for bad in (2.9, "1"):
+        with pytest.raises(TypeError):
+            PolyMatrix(1, 1, {(0, 0): bad})
+    for key in ((1, 0), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError):
+            PolyMatrix(1, 2, {key: ONE})
+    m = PolyMatrix(2, 3, {(0, 0): 2, (0, 1): 0, (1, 2): S - S, (1, 0): T})
+    assert m.entries == {(0, 0): 2 * ONE, (1, 0): T}
+    assert m[0, 1] == ZERO
+    with pytest.raises(NotSquare):
+        m.det()
+    assert PolyMatrix(0, 0, {}).det() == ONE
+    assert PolyMatrix(0, 3, {}).entries == {}
+    with pytest.raises(ValueError):
+        matrix([[S, T], [ONE]])
+    rng = random.Random(19)
+    for _ in range(30):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        grid = [[random_poly(rng, span=1, terms=1) for _ in range(c)]
+                for _ in range(r)]
+        m = matrix(grid)
+        assert len(m.entries) == sum(1 for row in grid for e in row if e)
+        assert all(m[i, j] == e for i, row in enumerate(grid)
+                   for j, e in enumerate(row))
+        # minors in (row set, column set) order
+        for k in range(min(r, c) + 1):
+            assert m.minors(k) == [
+                m.submatrix(ri, ci).det()
+                for ri in combinations(range(r), k)
+                for ci in combinations(range(c), k)]
