@@ -7,9 +7,8 @@ longitudes, the omega-extension, and batch slice obstructions.
 """
 
 from .laurent import (
-    CanonicalForm, LaurentPoly, PolyMatrix, canonicalize, gcd, EXACT,
-    MONOMIAL_SIGN, ONE, POWERS_OF_ST, S, T, ZERO, NotDivisible, NotSquare,
-    SizeTooLarge,
+    LaurentPoly, PolyMatrix, canonicalize, gcd, EXACT, MONOMIAL_SIGN, ONE,
+    POWERS_OF_ST, S, T, ZERO, NotDivisible, NotSquare, SizeTooLarge,
 )
 from .gauss import (
     GaussCode, GaussDiagram, GaussSyntaxError, GaussValidationError,

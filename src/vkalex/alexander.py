@@ -21,13 +21,6 @@ class NotAKnot(ValueError):
     """Operation defined only for one-component diagrams."""
 
 
-# Which incoming short arc at crossing k takes index 2k: the one arriving at
-# the over passage ("over-first") or at the under passage ("under-first"),
-# with the roles swapping at negative crossings either way.  Exactly one
-# choice reproduces the worked 4.12 polynomial; the calibration test in
-# tests/test_alexander.py documents the survivor.  Flip only to recalibrate.
-ARC_CONVENTION = "over-first"
-
 _ST = S * T
 _ONE_MINUS_ST = ONE - _ST
 
@@ -69,15 +62,15 @@ def build_m_matrix(d):
 
 def delta0(d):
     """Generalized Alexander polynomial of the diagram.  A chordless diagram
-    gets the zero polynomial directly: det of the empty matrix is 1 by
-    convention, but the unknot is classical and the invariant vanishes on
-    classical links."""
+    gets the zero polynomial directly: det of the empty matrix is 1, but
+    the unknot is classical and the invariant vanishes on classical
+    links."""
     n = len(d.signs)
     if n == 0:
         return GeneralizedAlexander(ZERO)
     diff = build_m_matrix(d)
     # P is nonzero only at (i, successor(i)), so only there is a 1 taken off
-    for ij in enumerate(gauss.short_arcs(d, ARC_CONVENTION).successor):
+    for ij in enumerate(gauss.short_arcs(d).successor):
         e = diff.entries.pop(ij, ZERO) - ONE
         if e:
             diff.entries[ij] = e

@@ -102,14 +102,13 @@ def cmd_zh(args):
 
 def _presentation(args):
     d = _diagram(args.code)
-    p = groups.reduced_group(d) if args.reduced else groups.wirtinger(d)
-    if getattr(args, "simplify", False):
-        p = groups.tietze_eliminate(p)
-    return p
+    return groups.reduced_group(d) if args.reduced else groups.wirtinger(d)
 
 
 def cmd_group(args):
     p = _presentation(args)
+    if args.simplify:
+        p = groups.tietze_eliminate(p)
     if args.format == "json":
         gens = [{"name": "a%d" % (g + 1),
                  "component": p.tags[g]} for g in p.generators]

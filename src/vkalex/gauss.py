@@ -203,28 +203,24 @@ class ShortArcStructure:
         self.end_slot = end_slot
 
 
-# Which of the pair (2k, 2k+1) the arc incoming at the over passage takes.
-# "over-first": over-incoming gets 2k at a positive crossing, and the roles
-# swap at a negative crossing (the two strands trade sides when the crossing
-# sign flips).  "under-first" is the mirror convention.  The choice is
-# calibrated against the worked 4.12 polynomial; see alexander.ARC_CONVENTION.
-def _arc_offset(convention, role, sign):
-    first = (sign > 0) if convention == "over-first" else (sign < 0)
-    if role == OVER:
-        return 0 if first else 1
-    return 1 if first else 0
+# Which of the pair (2k, 2k+1) the arc incoming at the over passage takes:
+# 2k at a positive crossing, 2k+1 at a negative one, where the two strands
+# trade sides ("over-first").  The mirror rule fails the worked 5.344
+# polynomial; tests/test_alexander.py builds it from this one and checks so.
+def _arc_offset(role, sign):
+    return (role == OVER) != (sign > 0)
 
 
-def short_arcs(d, convention="over-first"):
-    """ShortArcStructure of the diagram under the given incoming-arc
-    convention.  Raises NoCrossings on a chordless diagram."""
+def short_arcs(d):
+    """ShortArcStructure of the diagram.  Raises NoCrossings on a chordless
+    diagram."""
     n = len(d.signs)
     if n == 0:
         raise NoCrossings("no short arcs without crossings")
     end_slot = {}
     for ci, comp in enumerate(d.components):
         for pos, (c, role) in enumerate(comp):
-            arc = 2 * c + _arc_offset(convention, role, d.signs[c])
+            arc = 2 * c + _arc_offset(role, d.signs[c])
             end_slot[arc] = (ci, pos)
     arc_at_slot = {v: k for k, v in end_slot.items()}
     succ = [None] * (2 * n)

@@ -247,7 +247,8 @@ def _gcd(p, q):
 class LaurentPoly:
     """Immutable bivariate integer Laurent polynomial.
 
-    `terms` maps (e_s, e_t) to nonzero int coefficients.  Instances are
+    LaurentPoly(terms) is the one public constructor: `terms` maps
+    (e_s, e_t) to int coefficients, zeros dropped.  Instances are
     hashable and must not be mutated after construction.  Exponents and
     coefficients must be integers (operator.index): a float or a string
     raises TypeError rather than being truncated.
@@ -255,30 +256,16 @@ class LaurentPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
+    def __init__(self, terms):
         t = {}
-        if terms:
-            for (es, et), c in terms.items():
-                c = operator.index(c)
-                if c:
-                    t[(operator.index(es), operator.index(et))] = c
+        for (es, et), c in terms.items():
+            c = operator.index(c)
+            if c:
+                t[(operator.index(es), operator.index(et))] = c
         object.__setattr__(self, "terms", t)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
-
-    # constructors -----------------------------------------------------
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def const(cls, c):
-        return cls({(0, 0): c})
-
-    @classmethod
-    def mono(cls, c, es, et):
-        return cls({(es, et): c})
 
     @classmethod
     def _raw(cls, terms):
@@ -329,7 +316,7 @@ class LaurentPoly:
         ((es, et), c), = self.terms.items()
         if c not in (1, -1):
             return None
-        return LaurentPoly.mono(c, -es, -et)
+        return LaurentPoly._raw({(-es, -et): c})
 
     # predicates and views ----------------------------------------------
     def __bool__(self):
@@ -362,19 +349,19 @@ class LaurentPoly:
         return LaurentPoly._raw(q)
 
     def substitute(self, s_image, t_image):
-        """Map s -> s_image, t -> t_image (both LaurentPoly).  Negative
-        exponents require the corresponding image to be a unit."""
+        """Map s -> s_image, t -> t_image, both units +-s^a t^b: a linear map
+        on exponents with a sign.  A non-unit image raises ValueError."""
+        for image in (s_image, t_image):
+            if not isinstance(image, LaurentPoly) or image.inverse() is None:
+                raise ValueError("substitution needs a unit image "
+                                 "+-s^a t^b, got %s" % image)
+        ((sa, sb), sc), = s_image.terms.items()
+        ((ta, tb), tc), = t_image.terms.items()
         out = {}
         get = out.get
-        cache_s = {}
-        cache_t = {}
         for (es, et), c in self.terms.items():
-            ps = _pow_image(s_image, es, cache_s)
-            pt = _pow_image(t_image, et, cache_t)
-            for (e1s, e1t), c1 in ps.items():
-                for (e2s, e2t), c2 in pt.items():
-                    k = (e1s + e2s, e1t + e2t)
-                    out[k] = get(k, 0) + c * c1 * c2
+            k = (sa * es + ta * et, sb * es + tb * et)
+            out[k] = get(k, 0) + c * sc ** (es % 2) * tc ** (et % 2)
         return LaurentPoly._raw({k: c for k, c in out.items() if c})
 
 
@@ -393,57 +380,10 @@ def _coerce_nonzero(x):
     return t
 
 
-def _pow_image(image, e, cache):
-    """The raw dict of image ** e, kept in cache.  A unit image +-s^a t^b
-    gives the monomial +-s^(a e) t^(b e) at once, for any integer e."""
-    if e in cache:
-        return cache[e]
-    if image.inverse() is not None:
-        ((a, b), c), = image.terms.items()
-        r = {(a * e, b * e): c if e % 2 else 1}
-    elif e >= 0:
-        r = (image ** e).terms
-    else:
-        raise NotDivisible("substitution needs a unit image for "
-                           "negative exponents, got %s" % image)
-    cache[e] = r
-    return r
-
-
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.const(1)
-S = LaurentPoly.mono(1, 1, 0)
-T = LaurentPoly.mono(1, 0, 1)
-
-
-class CanonicalForm:
-    """A polynomial together with the unit class it was normalized under."""
-
-    __slots__ = ("poly", "unit_class")
-
-    def __init__(self, poly, unit_class):
-        if unit_class not in UNIT_CLASSES:
-            raise ValueError("unknown unit class %r" % (unit_class,))
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "unit_class", unit_class)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CanonicalForm is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, CanonicalForm):
-            return NotImplemented
-        return (self.unit_class == other.unit_class
-                and self.poly == other.poly)
-
-    def __hash__(self):
-        return hash((self.poly, self.unit_class))
-
-    def __str__(self):
-        return str(self.poly)
-
-    def __repr__(self):
-        return "CanonicalForm(%s, %r)" % (self.poly, self.unit_class)
+ZERO = LaurentPoly({})
+ONE = LaurentPoly({(0, 0): 1})
+S = LaurentPoly({(1, 0): 1})
+T = LaurentPoly({(0, 1): 1})
 
 
 # module-level operations ---------------------------------------------------
@@ -455,12 +395,13 @@ def gcd(p, q):
 
 
 def canonicalize(p, mode=MONOMIAL_SIGN):
+    """The representative of p under the unit class mode (UNIT_CLASSES)."""
     if mode == MONOMIAL_SIGN:
-        return CanonicalForm(LaurentPoly._raw(_canon_monomial_sign(p.terms)), mode)
+        return LaurentPoly._raw(_canon_monomial_sign(p.terms))
     if mode == POWERS_OF_ST:
-        return CanonicalForm(LaurentPoly._raw(_canon_st_powers(p.terms)), mode)
+        return LaurentPoly._raw(_canon_st_powers(p.terms))
     if mode == EXACT:
-        return CanonicalForm(p, mode)
+        return p
     raise ValueError("unknown unit class %r" % (mode,))
 
 
@@ -689,7 +630,7 @@ class PolyMatrix:
                 raise ValueError("entry (%r, %r) outside a %dx%d matrix"
                                  % (i, j, rows, cols))
             if not isinstance(e, LaurentPoly):
-                e = LaurentPoly.const(e)
+                e = LaurentPoly({(0, 0): e})
             if e.terms:
                 self.entries[i, j] = e
 

@@ -208,7 +208,7 @@ def run_sieve(records, parallel=True):
 def load_flags(path):
     """Flags file: `name key=value [key=value ...]` per line, same comment
     and encoding rules as the census.  A key naming a computed row field is
-    an error."""
+    an error, and so is a graded_genus_zero other than true or false."""
     flags = {}
     for line_no, text in _lines(path):
         if text is None:
@@ -222,6 +222,10 @@ def load_flags(path):
             if k in _COMPUTED_FIELDS:
                 raise CensusParseError(
                     "flag %r would overwrite a computed field" % k, line_no)
+            if k == "graded_genus_zero" and v not in ("true", "false"):
+                raise CensusParseError(
+                    "graded_genus_zero must be true or false, not %r" % v,
+                    line_no)
             kv[k] = {"true": True, "false": False}.get(v, v)
         flags.setdefault(parts[0], {}).update(kv)
     return flags
@@ -229,7 +233,7 @@ def load_flags(path):
 
 def merge_external_flags(report, flags_path):
     """Attach external flags to the report rows and mark survivors: a record
-    survives when graded_genus_zero is set and its polynomial vanished.
+    survives when graded_genus_zero is true and its polynomial vanished.
     Flag names that match no row become warnings."""
     flags = load_flags(flags_path)
     known = set()
@@ -240,7 +244,7 @@ def merge_external_flags(report, flags_path):
             continue
         kv = flags.get(row["name"], {})
         row.update(kv)
-        row["survives"] = bool(kv.get("graded_genus_zero")) \
+        row["survives"] = kv.get("graded_genus_zero", False) \
             and row["delta0_zero"]
         if row["survives"]:
             survivors += 1

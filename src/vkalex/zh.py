@@ -6,7 +6,10 @@ land on the original circles, flanking c: one immediately after c's head,
 one immediately before c's foot.  Their over endpoints all sit on the new
 omega circle, in the traversal order of the flanking endpoints.  The chord
 near the head inherits the sign of c; the one near the foot gets the
-opposite sign, so the added chords contribute zero net writhe.
+opposite sign, so the added chords contribute zero net writhe.  A chord's
+head is its over endpoint and its foot the under one: the other choice
+breaks the identity delta0 = (1 - t) gcd(E_1)(t, st), and tests/test_zh.py
+builds that choice from this one to check so.
 
 Deleting the omega component and its chords gives back the original
 diagram; the tests check that, and the library has no deletion of its own.
@@ -17,13 +20,6 @@ from . import gauss
 
 class AlreadyHasOmega(ValueError):
     """The input diagram already carries an omega component."""
-
-
-# Which endpoint of a chord counts as its head: the over endpoint ("O") or
-# the under endpoint ("U").  Calibrated against the reduced-group cross-check
-# on the worked 4-crossing example; see tests/test_zh.py.  Flip only to
-# recalibrate.
-HEAD_ROLE = "O"
 
 
 class ZhDiagram:
@@ -45,42 +41,24 @@ class ZhDiagram:
                                             self.omega_index)
 
 
-def zh(d, head_role=None):
+def zh(d):
     """Build the omega-extension.  Input components must all be regular."""
     if any(role == gauss.OMEGA for role in d.component_roles):
         raise AlreadyHasOmega("diagram already has an omega component")
-    if head_role is None:
-        head_role = HEAD_ROLE
-    if head_role not in (gauss.OVER, gauss.UNDER):
-        raise ValueError("head_role must be 'O' or 'U'")
     n = len(d.signs)
     signs = list(d.signs)
-    near_head = {}
-    near_foot = {}
-    nid = n
-    for c in range(n):
-        near_head[c] = nid
-        signs.append(d.signs[c])
-        nid += 1
-        near_foot[c] = nid
-        signs.append(-d.signs[c])
-        nid += 1
+    for e in d.signs:
+        signs += [e, -e]
     comps = []
     for comp in d.components:
         out = []
         for (c, role) in comp:
-            if role == head_role:
-                out.append((c, role))
-                out.append((near_head[c], gauss.UNDER))
-            else:
-                out.append((near_foot[c], gauss.UNDER))
-                out.append((c, role))
+            if role == gauss.OVER:      # the head: n + 2c follows it
+                out += [(c, role), (n + 2 * c, gauss.UNDER)]
+            else:                       # the foot: n + 2c + 1 precedes it
+                out += [(n + 2 * c + 1, gauss.UNDER), (c, role)]
         comps.append(out)
-    omega = []
-    for comp in comps:
-        for (c, role) in comp:
-            if c >= n and role == gauss.UNDER:
-                omega.append((c, gauss.OVER))
-    comps.append(omega)
+    comps.append([(c, gauss.OVER) for comp in comps for (c, _) in comp
+                  if c >= n])
     roles = list(d.component_roles) + [gauss.OMEGA]
     return ZhDiagram(gauss.GaussDiagram(comps, signs, roles), len(comps) - 1)

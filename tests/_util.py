@@ -3,12 +3,14 @@ diagram generators for fuzzing, ribbon doubles, a PolyMatrix built from
 nested lists, the reference code the tests compare against (exact
 divisibility, the symbolic Fox derivative, the cofactor-expansion and plain
 Bareiss determinant oracles, the rescanning unit-pivot search, and the
-elementary ideals over all minors), the diagram transforms the invariance
+elementary ideals over all minors), the rejected short-arc and Zh head rules
+the calibration tests check against, the diagram transforms the invariance
 and symmetry tests apply (basepoint rotation, chord relabelling, deleting a
 component or the omega circle, reversal, sign negation and the O/U swap),
 and the Reidemeister rewrites they walk diagrams with."""
 
 from vkalex import gauss, groups
+from vkalex.zh import ZhDiagram, zh
 from vkalex.laurent import (
     NotDivisible, NotSquare, ONE, PolyMatrix, S, SizeTooLarge, T, ZERO, _mul,
     _sub, gcd,
@@ -303,6 +305,31 @@ def ideals_by_all_minors(p, alpha, k_max):
                 acc = gcd(acc, m)
             out.append((acc, len(mins)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the rejected rules, built from the library's one rule each
+
+def under_first_successor(d):
+    """The short-arc successor under the mirror arc rule, in which the arc
+    incoming at the under passage takes 2k at a positive crossing: the
+    library's successor conjugated by the swap 2k <-> 2k+1 of each
+    crossing's pair of arcs."""
+    succ = gauss.short_arcs(d).successor
+    return [succ[i ^ 1] ^ 1 for i in range(len(succ))]
+
+
+def zh_head_under(d):
+    """The omega-extension with a chord's under endpoint taken as its head:
+    the library's extension of the O/U-swapped diagram, with the O/U of the
+    original chords (ids below n) swapped back."""
+    n = len(d.signs)
+    z = zh(swapped(d)).diagram
+    flip = {gauss.OVER: gauss.UNDER, gauss.UNDER: gauss.OVER}
+    comps = [[(c, flip[role] if c < n else role) for c, role in comp]
+             for comp in z.components]
+    return ZhDiagram(gauss.GaussDiagram(comps, z.signs, z.component_roles),
+                     len(comps) - 1)
 
 
 # ---------------------------------------------------------------------------

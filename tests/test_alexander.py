@@ -10,6 +10,7 @@ from _util import (
     TABLE1, TABLE1_EXPECTED, CLASSICAL_TREFOIL, VIRTUAL_TREFOIL, KINK,
     det_bareiss, negated, relabeled, reversed_diagram, ribbon_double,
     rotated, swapped, table1_diagram, random_knot, random_link,
+    under_first_successor,
 )
 
 ST = S * T
@@ -26,41 +27,40 @@ def test_table_polynomials():
             assert got.canonical == canonicalize(expected, MONOMIAL_SIGN), name
 
 
-def _p_matrix(d, convention=alexander.ARC_CONVENTION):
+def _p_matrix(successor):
     """P, the permutation matrix of the short-arc successor: entry (i, j)
     is 1 iff arc i immediately precedes arc j."""
-    n = 2 * d.crossings
-    successor = gauss.short_arcs(d, convention).successor
+    n = len(successor)
     return PolyMatrix(n, n, {ij: ONE for ij in enumerate(successor)})
 
 
-def _m_minus_p(d, convention=alexander.ARC_CONVENTION):
+def _m_minus_p(d, successor):
     n = 2 * d.crossings
     m = alexander.build_m_matrix(d)
-    p = _p_matrix(d, convention)
+    p = _p_matrix(successor)
     return PolyMatrix(n, n, {ij: m[ij] - p[ij]
                              for ij in m.entries.keys() | p.entries.keys()})
 
 
-def _delta_under_convention(d, convention):
-    return canonicalize(_m_minus_p(d, convention).det(), MONOMIAL_SIGN)
-
-
 def test_worked_example_fixes_arc_convention():
-    """The 4-crossing worked example is the calibration anchor.  The two
-    incoming-arc conventions happen to agree on it (they differ only in how
-    negative chords mix with sign asymmetry), so the mixed-sign row 5.344 is
-    checked too: it separates them, and only over-first survives.  If this
-    fails after a refactor, check gauss._arc_offset before anything else."""
-    assert alexander.ARC_CONVENTION == "over-first"
+    """The 4-crossing worked example is the calibration anchor.  The
+    library's over-first arc rule and the under-first mirror give different
+    successors on it, but happen to agree on its polynomial (they differ
+    only in how negative chords mix with sign asymmetry), so the mixed-sign
+    row 5.344 is checked too: it separates them, and only over-first
+    survives.  If this fails after a refactor, check gauss._arc_offset
+    before anything else."""
     d = table1_diagram("4.12")
     expected = canonicalize(TABLE1_EXPECTED["4.12"], MONOMIAL_SIGN)
     assert alexander.delta0(d).canonical == expected
+    assert under_first_successor(d) != gauss.short_arcs(d).successor
 
     sep = table1_diagram("5.344")
     sep_expected = canonicalize(TABLE1_EXPECTED["5.344"], MONOMIAL_SIGN)
-    assert _delta_under_convention(sep, "over-first") == sep_expected
-    assert _delta_under_convention(sep, "under-first") != sep_expected
+    over = _m_minus_p(sep, gauss.short_arcs(sep).successor).det()
+    under = _m_minus_p(sep, under_first_successor(sep)).det()
+    assert canonicalize(over, MONOMIAL_SIGN) == sep_expected
+    assert canonicalize(under, MONOMIAL_SIGN) != sep_expected
 
 
 def test_unit_pivot_det_matches_plain_bareiss():
@@ -73,7 +73,7 @@ def test_unit_pivot_det_matches_plain_bareiss():
     diagrams += [random_link(rng, rng.randint(1, 8), rng.randint(2, 3))
                  for _ in range(100)]
     for d in diagrams:
-        diff = _m_minus_p(d)
+        diff = _m_minus_p(d, gauss.short_arcs(d).successor)
         det = diff.det()
         assert det == det_bareiss(diff)
         assert alexander.delta0(d).raw == det
@@ -81,13 +81,14 @@ def test_unit_pivot_det_matches_plain_bareiss():
 
 def test_expected_product_evaluates_correctly():
     # (1-t)(1-s)(t-s)(1-st)^2 at s=2, t=3: (1-3)(1-2)(3-2)(1-6)^2 = 50
-    assert TABLE1_EXPECTED["4.12"].substitute(2 * ONE, 3 * ONE) == 50
+    p = TABLE1_EXPECTED["4.12"]
+    assert sum(c * 2 ** es * 3 ** et for (es, et), c in p.terms.items()) == 50
 
 
 def test_matrix_shapes():
     d = table1_diagram("4.12")
     m = alexander.build_m_matrix(d)
-    p = _p_matrix(d)
+    p = _p_matrix(gauss.short_arcs(d).successor)
     assert (m.rows, m.cols) == (8, 8)
     assert (p.rows, p.cols) == (8, 8)
     # P is a permutation matrix
@@ -205,23 +206,33 @@ def test_delta0_symmetry_laws():
     """Up to +-s^a t^b: reversing every component and negating every sign
     each send delta0(s, t) to delta0(s^-1, t^-1), swapping O and U with
     every sign negated sends it to delta0(t, s), and swapping O and U alone
-    to delta0(t^-1, s^-1).  No oracle: the laws check M - P, its sign and
-    arc conventions and the sparse determinant on knots of 2-20 crossings
-    and links of 2-10 chords on 2-3 circles, far beyond table 1."""
+    to delta0(t^-1, s^-1).  On knots the writhe polynomial W obeys the same
+    four moves exactly, with no normalization: W(t^-1), -W(t^-1), -W(t^-1)
+    and W(t).  No oracle: the laws check M - P, its sign and arc rules, the
+    sparse determinant and the writhe division and substitution on knots of
+    2-20 crossings and links of 2-10 chords on 2-3 circles, far beyond
+    table 1."""
     rng = random.Random(11)
     diagrams = [random_knot(rng, rng.randint(2, 20)) for _ in range(100)]
     diagrams += [random_link(rng, rng.randint(2, 10), rng.randint(2, 3))
                  for _ in range(50)]
     si, ti = S.inverse(), T.inverse()
-    nonzero = 0
+    nonzero = writhes = 0
     for d in diagrams:
-        g = alexander.delta0(d).raw
-        nonzero += not g.is_zero()
-        laws = ((reversed_diagram(d), g.substitute(si, ti)),
-                (negated(d), g.substitute(si, ti)),
-                (negated(swapped(d)), g.substitute(T, S)),
-                (swapped(d), g.substitute(ti, si)))
-        for image, want in laws:
-            assert (alexander.delta0(image).canonical
-                    == canonicalize(want, MONOMIAL_SIGN)), (d, want)
-    assert nonzero >= 100
+        g = alexander.delta0(d)
+        nonzero += not g.is_zero
+        knot = len(d.components) == 1
+        if knot:
+            w = alexander.writhe_from_delta0(g, d)
+            writhes += not w.is_zero()
+        laws = ((reversed_diagram(d), g.raw.substitute(si, ti), 1, ti),
+                (negated(d), g.raw.substitute(si, ti), -1, ti),
+                (negated(swapped(d)), g.raw.substitute(T, S), -1, ti),
+                (swapped(d), g.raw.substitute(ti, si), 1, T))
+        for image, want, w_sign, w_t in laws:
+            got = alexander.delta0(image)
+            assert got.canonical == canonicalize(want, MONOMIAL_SIGN), (d, want)
+            if knot:
+                assert (alexander.writhe_from_delta0(got, image)
+                        == w_sign * w.substitute(S, w_t)), (d, w)
+    assert nonzero >= 100 and writhes >= 80

@@ -158,13 +158,6 @@ def test_short_arcs_end_slots():
         assert sa.end_slot[nxt] == (ci, (pos + 1) % 6)
 
 
-def test_short_arcs_convention_matters():
-    d = gauss.to_diagram(gauss.parse_gauss_code(TABLE1["4.12"]))
-    a = gauss.short_arcs(d, "over-first")
-    b = gauss.short_arcs(d, "under-first")
-    assert a.successor != b.successor
-
-
 def test_short_arcs_no_crossings():
     with pytest.raises(gauss.NoCrossings):
         gauss.short_arcs(gauss.to_diagram(gauss.parse_gauss_code("")))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vkalex.laurent import (
-    CanonicalForm, LaurentPoly, PolyMatrix, canonicalize, gcd, EXACT,
+    LaurentPoly, PolyMatrix, canonicalize, gcd, EXACT,
     MONOMIAL_SIGN, NotDivisible, NotSquare, POWERS_OF_ST, SizeTooLarge,
     ONE, S, T, ZERO,
 )
@@ -25,7 +25,9 @@ def test_construction_drops_zero_coefficients():
     p = LaurentPoly({(0, 0): 0, (1, 2): 3})
     assert p.terms == {(1, 2): 3}
     assert LaurentPoly({}) == ZERO
-    assert LaurentPoly() == ZERO
+    # LaurentPoly(terms) is the one constructor
+    with pytest.raises(TypeError):
+        LaurentPoly()
 
 
 def test_construction_rejects_non_integers():
@@ -116,21 +118,20 @@ def test_substitute():
     q = p.substitute(T.inverse(), T)
     assert q == ZERO
     assert (S + T).substitute(T, T) == 2 * T
-    with pytest.raises(NotDivisible):
-        (S.inverse()).substitute(ONE + T, T)
-    # unit images with coefficient -1 and negative exponents, and non-unit
-    # images of a polynomial with no negative exponent, against the sum of
-    # the images of its terms taken one by one
+    # only units +-s^a t^b are images, whatever the exponents
+    for image in (ONE + T, 2 * T, -3 * ONE, ZERO, 1):
+        for p in (S.inverse(), S + T):
+            with pytest.raises(ValueError):
+                p.substitute(image, T)
+            with pytest.raises(ValueError):
+                p.substitute(S, image)
+    # unit images with coefficient -1 and negative exponents against the
+    # sum of the images of the terms taken one by one
     rng = random.Random(19)
     units = (-S * T.inverse(), -T, S.inverse() * T * T, -ONE, T.inverse())
-    others = (ONE - S, 2 * T + S.inverse(), -3 * ONE)
     for _ in range(40):
         p = random_poly(rng, span=3, terms=5)
-        images = [rng.choice(units), rng.choice(units)]
-        if rng.random() < 0.5:
-            p = p * S ** 3 * T ** 3
-            images[rng.randrange(2)] = rng.choice(others)
-        s_image, t_image = images
+        s_image, t_image = rng.choice(units), rng.choice(units)
         expect = ZERO
         for (es, et), c in p.terms.items():
             expect = expect + c * s_image ** es * t_image ** et
@@ -146,27 +147,27 @@ def test_canonicalize_quotients_units():
     assert canonicalize(p * S * T, POWERS_OF_ST) == stp
     assert canonicalize(-p, POWERS_OF_ST) != stp
     assert canonicalize(p, EXACT) != canonicalize(p * S * T, EXACT)
-    assert canonicalize(p, EXACT).poly == p
+    assert canonicalize(p, EXACT) == p
 
 
 @settings(max_examples=200, deadline=None)
 @given(polys)
 def test_canonicalize_idempotent(p):
     c = canonicalize(p, MONOMIAL_SIGN)
-    assert canonicalize(c.poly, MONOMIAL_SIGN) == c
+    assert canonicalize(c, MONOMIAL_SIGN) == c
     # canonical representative has min exponents (0, 0)
     if not p.is_zero():
-        assert min(es for es, _ in c.poly.terms) == 0
-        assert min(et for _, et in c.poly.terms) == 0
+        assert min(es for es, _ in c.terms) == 0
+        assert min(et for _, et in c.terms) == 0
 
 
 def test_canonical_form_classes_do_not_mix():
     a = canonicalize(ONE - T, MONOMIAL_SIGN)
-    b = canonicalize(ONE - T, POWERS_OF_ST)
-    assert a != b
     assert a == canonicalize(T - ONE, MONOMIAL_SIGN)
+    # st-powers keeps the sign that monomial-sign takes off
+    assert canonicalize(T - ONE, POWERS_OF_ST) != a
     with pytest.raises(ValueError):
-        CanonicalForm(ONE, "bogus")
+        canonicalize(ONE, "bogus")
 
 
 def test_gcd_goldens():
@@ -181,13 +182,13 @@ def test_gcd_goldens():
     assert gcd(ONE - S, ONE - T) == ONE
     # t-free inputs and integer content
     assert gcd(6 * (ONE - S * S), 4 * (ONE - S)) == \
-        canonicalize(2 * (ONE - S), MONOMIAL_SIGN).poly
+        canonicalize(2 * (ONE - S), MONOMIAL_SIGN)
     assert gcd(3 * S, 3 * T) == 3 * ONE
     assert gcd(2 - 2 * T, 4 * S - 4 * S * T) == \
-        canonicalize(2 * (ONE - T), MONOMIAL_SIGN).poly
+        canonicalize(2 * (ONE - T), MONOMIAL_SIGN)
     assert gcd(-4 * ONE, 6 * ONE) == 2 * ONE
     assert gcd(6 * (ONE - T) * (ONE + S), 9 * (ONE + S) * S) == \
-        canonicalize(3 * (ONE + S), MONOMIAL_SIGN).poly
+        canonicalize(3 * (ONE + S), MONOMIAL_SIGN)
 
 
 def test_gcd_properties():
@@ -263,14 +264,14 @@ def _fuzz_entry(rng, kind, n):
     if r < 0.15:
         return ZERO
     if r < 0.3:
-        return LaurentPoly.mono(rng.choice((1, -1)), rng.randint(-2, 2),
-                                rng.randint(-2, 2))
+        c = rng.choice((1, -1))
+        return LaurentPoly({(rng.randint(-2, 2), rng.randint(-2, 2)): c})
     if kind == "big":
         return random_poly(rng, span=1, terms=2, coeff=1 << 45)
     if kind == "powers" and rng.random() < 0.5:
         return (rng.choice((1, -1, 2, -3))
                 * rng.choice(_POWER_BASES) ** rng.randint(1, 3)
-                * LaurentPoly.mono(1, rng.randint(-1, 1), rng.randint(-1, 1)))
+                * LaurentPoly({(rng.randint(-1, 1), rng.randint(-1, 1)): 1}))
     return random_poly(rng, span=2, terms=3)
 
 

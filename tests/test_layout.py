@@ -58,3 +58,73 @@ def test_every_library_definition_is_used():
                 defined.setdefault(name, path.name)
     unused = sorted("%s: %s" % (defined[n], n) for n in defined if n not in used)
     assert not unused, "defined in src/vkalex, used only outside it: %s" % unused
+
+
+def _defaulted_parameters(tree):
+    """(called name, parameter, position) of each parameter with a default:
+    the name a call uses is the class's for an __init__, and position is
+    the number of positional arguments that reach the parameter, self and
+    cls not counted, or None for a keyword-only one."""
+    methods = {id(f): c.name for c in ast.walk(tree)
+               if isinstance(c, ast.ClassDef) for f in c.body}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args
+        name = node.name
+        if id(node) in methods:
+            if not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                       for d in node.decorator_list):
+                params = params[1:]
+            if name == "__init__":
+                name = methods[id(node)]
+        for pos in range(len(params) - len(a.defaults), len(params)):
+            out.append((name, params[pos].arg, pos))
+        out += [(name, p.arg, None)
+                for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def _calls(tree):
+    """(called name, positional count, keyword names) of each call whose
+    callee is a name or an attribute; a name bound by `from ... import x
+    as y` counts as x.  A *args makes the count unbounded, a **kwargs
+    stands for every keyword."""
+    aliases = {a.asname: a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               for a in node.names if a.asname}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        if name is None:
+            continue
+        count = (float("inf") if any(isinstance(x, ast.Starred)
+                                     for x in node.args) else len(node.args))
+        keywords = {k.arg for k in node.keywords}
+        out.append((aliases.get(name, name), count, keywords))
+    return out
+
+
+def test_every_library_default_is_overridden():
+    """A parameter with a default that no call in the library or the
+    benchmark sets is a knob only the tests turn: the library has one rule
+    for it, and the tests build any other one from that rule."""
+    params = []
+    calls = []
+    for path in _modules():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += _calls(tree)
+        if path.parent == SRC:
+            params += [(path.name,) + p for p in _defaulted_parameters(tree)]
+    unset = sorted(
+        "%s: %s(%s=...)" % (module, name, param)
+        for module, name, param, pos in params
+        if not any(callee == name and (param in keywords or None in keywords
+                                       or (pos is not None and count > pos))
+                   for callee, count, keywords in calls))
+    assert not unset, "defaults no library or bench call overrides: %s" % unset

@@ -148,7 +148,7 @@ def test_merge_external_flags():
     assert survivors == list(ZERO_NAMES)
     # delta0 nonzero blocks survival even with the genus flag set
     for r in report.rows:
-        assert r["survives"] == (bool(r.get("graded_genus_zero"))
+        assert r["survives"] == (r.get("graded_genus_zero") is True
                                  and r["delta0_zero"])
 
 
@@ -167,6 +167,13 @@ def test_flags_parse_errors(tmp_path):
     f.write_text("4.12 graded_genus_zero\n")
     with pytest.raises(sieve.CensusParseError):
         sieve.load_flags(str(f))
+    # the genus flag is true or false: any other value would read as set
+    for value in ("False", "0", "yes"):
+        f.write_text("4.12 graded_genus_zero=true\n"
+                     "5.114 graded_genus_zero=%s\n" % value)
+        with pytest.raises(sieve.CensusParseError) as err:
+            sieve.load_flags(str(f))
+        assert err.value.line_no == 2
 
 
 def test_load_census_non_utf8_line(tmp_path):

@@ -8,7 +8,7 @@ from vkalex.laurent import canonicalize, MONOMIAL_SIGN, ONE, S, T
 from vkalex.zh import AlreadyHasOmega, ZhDiagram, zh
 from _util import (
     TABLE1, CLASSICAL_TREFOIL, KINK, delete_omega, random_knot, random_link,
-    ribbon_double,
+    ribbon_double, zh_head_under,
 )
 
 
@@ -72,7 +72,6 @@ def test_zh_refuses_second_omega():
 def test_zh_submodule_is_importable_as_module():
     import vkalex.zh as m
     assert isinstance(m, types.ModuleType)
-    assert m.HEAD_ROLE == "O"
     assert m.zh is zh
 
 
@@ -82,11 +81,11 @@ def test_zh_diagram_validates_role():
         ZhDiagram(d, 0)  # component 0 is not tagged omega
 
 
-def _zh_path_matches(d, head):
+def _zh_path_matches(d, z):
     """delta0 = (1 - t) g(t, st) up to +-s^a t^b, g the gcd of the first
-    elementary ideal of the extension's group with omega generators sent
-    to s."""
-    p = groups.wirtinger(zh(d, head_role=head).diagram)
+    elementary ideal of the group of the extension z of d with omega
+    generators sent to s."""
+    p = groups.wirtinger(z.diagram)
     g = groups.elementary_ideals(p, groups.Abelianization.standard(p), 1)[1]
     lifted = (ONE - T) * g.gcd_generator.substitute(T, S * T)
     return canonicalize(lifted, MONOMIAL_SIGN) == alexander.delta0(d).canonical
@@ -122,15 +121,14 @@ def test_head_role_calibration():
     """Which endpoint of a chord counts as its head decides where the new
     chords land.  The head = O choice is pinned by the cross-path identity
     delta0 = (1 - t) gcd(E_1)(t, st), which it meets on every table-1 knot
-    and on random knots; the head = U alternative breaks it."""
-    from vkalex.zh import HEAD_ROLE
-    assert HEAD_ROLE == "O"
+    and on random knots; the head = U alternative, built from the library's
+    one rule by zh_head_under, breaks it."""
     rng = random.Random(11)
     diagrams = [gauss.to_diagram(gauss.parse_gauss_code(c))
                 for c in TABLE1.values()]
     diagrams += [random_knot(rng, rng.randint(1, 6)) for _ in range(80)]
-    assert all(_zh_path_matches(d, "O") for d in diagrams)
-    assert not all(_zh_path_matches(d, "U") for d in diagrams)
+    assert all(_zh_path_matches(d, zh(d)) for d in diagrams)
+    assert not all(_zh_path_matches(d, zh_head_under(d)) for d in diagrams)
 
 
 def test_zh_delta0_vanishes_on_extension_of_classical():
