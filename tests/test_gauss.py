@@ -5,7 +5,7 @@ import pytest
 from vkalex import gauss
 from _util import (
     TABLE1, CLASSICAL_TREFOIL, delete_component, random_knot, random_link,
-    relabeled, rotated,
+    relabeled, rotated, under_first_successor,
 )
 
 
@@ -156,6 +156,11 @@ def test_short_arcs_end_slots():
     for a, (ci, pos) in sa.end_slot.items():
         nxt = sa.successor[a]
         assert sa.end_slot[nxt] == (ci, (pos + 1) % 6)
+
+
+def test_short_arcs_convention_matters():
+    d = gauss.to_diagram(gauss.parse_gauss_code(TABLE1["4.12"]))
+    assert gauss.short_arcs(d).successor != under_first_successor(d)
 
 
 def test_short_arcs_no_crossings():
