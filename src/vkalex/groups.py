@@ -12,7 +12,9 @@ A component with no undercrossing contributes a single free generator.
 The abelianization sends every generator on a regular component to t and
 every generator on an omega component to s; Fox differentiation of the
 relators followed by this map yields the Alexander matrix, whose ideals of
-minors are the elementary ideals.
+minors are the elementary ideals.  They are taken from one reduction of the
+matrix by unit pivots u = +-s^a t^b: row and column operations keep every
+ideal of minors, and the block sum u + A' has I_m(u + A') = I_(m-1)(A').
 """
 
 import operator
@@ -228,69 +230,41 @@ def alexander_matrix(p, alpha):
     return PolyMatrix(len(p.relators), len(p.generators), entries)
 
 
-def _relator_image(w, alpha):
-    """alpha(w): the product of the images of the word's letters."""
-    img = ONE
-    for (g, e) in w:
-        img = img * (alpha(g) if e == 1 else alpha(g).inverse())
-    return img
-
-
-def _column_sets(p, alpha, size):
-    """Column sets whose size x size minors of the Alexander matrix of p
-    under alpha, over every row set, have the same gcd as all of them.
-    For size g - 1, when alpha kills every relator, Fox's fundamental
-    formula sum_j A_ij (alpha(g_j) - 1) = alpha(r_i) - 1 = 0 puts that
-    vector in the kernel of each row set's g - 1 rows, and the vector of
-    signed maximal minors lies there too: two maximal minors of one row
-    set whose dropped columns have the same image agree up to sign.  One
-    dropped column per image class is then enough; a generator sent to 1
-    gets no relation and is its own class."""
-    g = len(p.generators)
-    if size != g - 1 or any(_relator_image(w, alpha) != ONE
-                            for w in p.relators):
-        return list(combinations(range(g), size))
-    images = [alpha(gen) for gen in p.generators]
-    seen = set()
-    dropped = []
-    for j, img in enumerate(images):
-        if img == ONE or img not in seen:
-            seen.add(img)
-            dropped.append(j)
-    return [tuple(c for c in range(g) if c != j) for j in reversed(dropped)]
-
-
 def elementary_ideals(p, alpha, k_max):
-    """Ideals E_0 .. E_k_max of the presentation's Alexander matrix.  E_k is
-    generated by the (g-k) x (g-k) minors, g the number of generators; when
-    g-k exceeds the row count the ideal is zero, and when g-k <= 0 it is the
-    full ring.  The gcd of E_k starts from that of E_(k-1), takes the
-    minors one at a time, by (row set, column set), and stops once it is 1;
-    for E_1 only the column sets of `_column_sets` are taken.  The generator
-    count is that of all the minors, whether taken or not."""
+    """Ideals E_0 .. E_k_max of the presentation's Alexander matrix A.  E_k
+    is generated by the (g-k) x (g-k) minors, g the number of generators,
+    and is the full ring when g-k <= 0.  A is reduced once by unit pivots
+    (PolyMatrix.unit_reduced): a step on the unit u turns A into u + A'
+    by row and column operations, which keep each ideal of minors, and
+    I_m(u + A') = I_(m-1)(A').  After p pivots E_k = I_(g-k-p)(A'), the
+    full ring when g-k-p <= 0 and zero when g-k-p exceeds a side of A'.
+    Otherwise its gcd starts from that of E_(k-1), takes the minors of A'
+    one at a time, by (row set, column set), and stops once it is 1.  The
+    generator count is that of all the (g-k)-minors of A."""
     mat = alexander_matrix(p, alpha)
     g = len(p.generators)
+    pivots, res = mat.unit_reduced()
     out = []
     for k in range(k_max + 1):
-        size = g - k
-        if size <= 0:
-            out.append(ElementaryIdeal(k, 1, ONE))
-        elif size > mat.rows:
-            out.append(ElementaryIdeal(k, 0, ZERO))
+        size = max(g - k, 0)
+        m = size - pivots
+        if m <= 0:
+            acc = ONE
+        elif m > min(res.rows, res.cols):
+            acc = ZERO
         else:
-            col_sets = _column_sets(p, alpha, size)
-            index_sets = ((ri, ci)
-                          for ri in combinations(range(mat.rows), size)
-                          for ci in col_sets)
             # E_(k-1) lies in E_k, so the gcd of E_k divides that of
             # E_(k-1) and may start from it
             acc = out[-1].gcd_generator if out else ZERO
+            index_sets = ((ri, ci)
+                          for ri in combinations(range(res.rows), m)
+                          for ci in combinations(range(res.cols), m))
             for ri, ci in index_sets:
                 if acc == ONE:
                     break
-                acc = gcd(acc, mat.submatrix(ri, ci).det())
-            out.append(ElementaryIdeal(
-                k, comb(mat.rows, size) * comb(g, size), acc))
+                acc = gcd(acc, res.submatrix(ri, ci).det())
+        out.append(ElementaryIdeal(
+            k, comb(mat.rows, size) * comb(g, size), acc))
     return out
 
 

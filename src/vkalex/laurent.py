@@ -422,27 +422,26 @@ def _rating(i, row, where):
     return best
 
 
-def _unit_schur(rows):
-    """Eliminate unit pivots from the square matrix given by the sparse rows,
-    in place.  Each step takes the unit entry (i, j) of least fill cost
+def _unit_schur(rows, ncols):
+    """Eliminate unit pivots from the r x ncols matrix given by the sparse
+    rows, in place.  Each step takes the unit entry (i, j) of least fill cost
     (nnz(row i) - 1) * (nnz(col j) - 1), the first such in row and then
     column order, and sets row k <- row k - (a_kj / u) row i for every other
     row k with an entry in column j; a unit divides exactly, so this is a
     monomial shift and a sign.  Stops when no unit is left.  Returns
-    (sign, ds, dt, live rows, live cols): the determinant is
-    sign * s^ds t^dt times that of the live rows and columns in their
-    original order.  Returns None when a row empties, the determinant being
-    0 then.
+    (sign, ds, dt, live rows, live cols), the live rows holding entries in
+    live columns only.  A square matrix has determinant sign * s^ds t^dt
+    times that of the live rows and columns in their original order.  A row
+    that empties stays empty and live, as it has no entry in a later pivot
+    column.
 
     Each live row's best (cost, i, j) is kept between steps.  A step changes
     only the rows it updates and the counts of the pivot row's columns, so
     only the rows in those columns are rated again."""
     live = list(range(len(rows)))
-    cols = list(range(len(rows)))
+    cols = list(range(ncols))
     where = [set() for _ in cols]          # column -> rows with an entry there
     for i, row in enumerate(rows):
-        if not row:
-            return None
         for j in row:
             where[j].add(i)
     ratings = {}
@@ -478,8 +477,6 @@ def _unit_schur(rows):
                 elif col in row:
                     del row[col]
                     where[col].discard(k)
-            if not row:
-                return None
         stale = set(where[j])
         for col in top:
             stale |= where[col]
@@ -500,7 +497,7 @@ def _prescale(m):
     """Divide each row of the square matrix m, in place, by the monomial
     that brings its least s- and t-exponents to 0, and then each nonempty
     column likewise.  Returns the (ds, dt) to shift a determinant back by.
-    Every row has a nonzero entry, as _unit_schur leaves no row empty; a
+    Every row has a nonzero entry, as _det returns 0 on an empty live row; a
     column may have none."""
     shift_s = shift_t = 0
     for i, row in enumerate(m):
@@ -595,12 +592,11 @@ def _det(rows):
     {col: raw dict}, which it consumes: Schur steps on unit pivots, then
     one Kronecker-substituted integer Bareiss on the rows and columns left,
     which are pre-scaled by monomials to least exponents 0, the scaling
-    then multiplied back into the result.  No rows left give 1 and
-    one row its entry."""
-    left = _unit_schur(rows)
-    if left is None:
+    then multiplied back into the result.  An empty live row gives 0, no
+    rows left give 1 and one row its entry."""
+    sign, ds, dt, ri, ci = _unit_schur(rows, len(rows))
+    if not all(rows[i] for i in ri):
         return {}
-    sign, ds, dt, ri, ci = left
     if len(ri) < 2:
         d = rows[ri[0]][ci[0]] if ri else _ONE
     else:
@@ -656,15 +652,34 @@ class PolyMatrix:
     def __repr__(self):
         return "PolyMatrix(%d, %d, %r)" % (self.rows, self.cols, self.entries)
 
+    def _sparse_rows(self):
+        rows = [{} for _ in range(self.rows)]
+        for (i, j), e in self.entries.items():
+            rows[i][j] = e.terms
+        return rows
+
     def det(self):
         """Determinant, by unit pivots and then a Kronecker-substituted
         integer Bareiss.  0x0 matrices have determinant 1."""
         if self.rows != self.cols:
             raise NotSquare("det of a %dx%d matrix" % (self.rows, self.cols))
-        rows = [{} for _ in range(self.rows)]
-        for (i, j), e in self.entries.items():
-            rows[i][j] = e.terms
-        return LaurentPoly._raw(_det(rows))
+        return LaurentPoly._raw(_det(self._sparse_rows()))
+
+    def unit_reduced(self):
+        """(p, A'): the number p of unit pivots det's Schur steps take on
+        this matrix, and the residual A' they leave, its zero rows and
+        columns dropped.  Row and column steps on a unit pivot u keep each
+        ideal I_m of m x m minors, and I_m(u + A') = I_(m-1)(A') for the
+        block sum, so I_m of this matrix is I_(m-p)(A')."""
+        rows = self._sparse_rows()
+        ri = _unit_schur(rows, self.cols)[3]
+        pivots = self.rows - len(ri)
+        ri = [i for i in ri if rows[i]]
+        used = sorted({j for i in ri for j in rows[i]})
+        cj = {j: n for n, j in enumerate(used)}
+        return pivots, PolyMatrix(len(ri), len(cj), {
+            (n, cj[j]): LaurentPoly._raw(e)
+            for n, i in enumerate(ri) for j, e in rows[i].items()})
 
     def minors(self, k):
         """All k x k minors, ordered by (row-set, col-set) lexicographically,

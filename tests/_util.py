@@ -226,18 +226,17 @@ def det_bareiss(m):
     return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
 
 
-def unit_schur_scan(rows):
-    """The pivot-order oracle for laurent._unit_schur: the same unit-pivot
-    Schur steps and return value, with each step's pivot found by rating
-    every unit entry of every live row afresh, the least fill cost
-    (nnz(row) - 1) * (nnz(col) - 1) first, then the first in row and then
-    column order."""
+def unit_schur_scan(rows, ncols):
+    """The pivot-order oracle for laurent._unit_schur on the r x ncols matrix
+    of the sparse rows: the same unit-pivot Schur steps and return value,
+    with each step's pivot found by rating every unit entry of every live
+    row afresh, the least fill cost (nnz(row) - 1) * (nnz(col) - 1) first,
+    then the first in row and then column order.  A row that empties stays
+    live."""
     live = list(range(len(rows)))
-    cols = list(range(len(rows)))
+    cols = list(range(ncols))
     where = [set() for _ in cols]          # column -> rows with an entry there
     for i, row in enumerate(rows):
-        if not row:
-            return None
         for j in row:
             where[j].add(i)
     sign = 1
@@ -279,8 +278,6 @@ def unit_schur_scan(rows):
                 elif col in row:
                     del row[col]
                     where[col].discard(k)
-            if not row:
-                return None
 
 
 def ideals_by_all_minors(p, alpha, k_max):

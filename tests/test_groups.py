@@ -1,10 +1,11 @@
 import random
+import time
 
 import pytest
 
 from vkalex import gauss, groups
 from vkalex.laurent import (
-    canonicalize, gcd, MONOMIAL_SIGN, ONE, PolyMatrix, S, T, ZERO,
+    canonicalize, MONOMIAL_SIGN, ONE, PolyMatrix, S, T, ZERO,
 )
 from _util import (
     TABLE1, CLASSICAL_TREFOIL, KINK, divides, fox_derivative, table1_diagram,
@@ -269,47 +270,67 @@ def _det_calls(monkeypatch):
 
 
 def _dets_for_last_ideal(calls, p, k):
-    """Determinants elementary_ideals takes for E_k beyond those for
-    E_0 .. E_(k-1), counted in the spy list calls."""
+    """Sizes of the determinants elementary_ideals takes for E_k beyond
+    those for E_0 .. E_(k-1), read from the spy list calls."""
     alpha = groups.Abelianization.standard(p)
     calls.clear()
     groups.elementary_ideals(p, alpha, k - 1)
     before = len(calls)
     calls.clear()
     groups.elementary_ideals(p, alpha, k)
-    return len(calls) - before
+    return calls[before:]
 
 
-def test_first_ideal_takes_one_minor_per_image_class(monkeypatch):
+def test_first_ideal_takes_minors_of_the_residual(monkeypatch):
+    # E_1 is taken from the residual the unit pivots leave, never from a
+    # minor of the full Fox matrix
     calls = _det_calls(monkeypatch)
     for name in TABLE1:
         d = table1_diagram(name)
-        z = groups.reduced_group(d)
-        assert len(z.relators) == len(z.generators) - 1
-        # one row set, two image classes (t and s)
-        assert _dets_for_last_ideal(calls, z, 1) <= 2
-        w = groups.wirtinger(d)
-        g = len(w.generators)
-        assert len(w.relators) == g
-        # g row sets, one image class; not g * g
-        assert _dets_for_last_ideal(calls, w, 1) <= g
+        for p in (groups.reduced_group(d), groups.wirtinger(d)):
+            alpha = groups.Abelianization.standard(p)
+            mat = groups.alexander_matrix(p, alpha)
+            _, res = mat.unit_reduced()
+            side = min(res.rows, res.cols)
+            assert side < min(mat.rows, mat.cols) - 1
+            assert all(n <= side for n in _dets_for_last_ideal(calls, p, 1))
 
 
 def test_second_ideal_stops_at_gcd_one(monkeypatch):
     d = gauss.to_diagram(gauss.parse_gauss_code(SIX_E2_ONE))
     p = groups.wirtinger(d)
     alpha = groups.Abelianization.standard(p)
-    mat = groups.alexander_matrix(p, alpha)
-    # the gcd of E_2 starts from that of E_1 and walks the minors in
-    # PolyMatrix.minors order
-    acc = ideals_by_all_minors(p, alpha, 1)[1][0]
-    assert acc != ONE
-    minors = mat.minors(4)
-    first = next(i for i, m in enumerate(minors)
-                 if (acc := gcd(acc, m)) == ONE)
-    assert first + 1 < len(minors) == 225
+    want = ideals_by_all_minors(p, alpha, 2)
+    assert want[1][0] != ONE and want[2] == (ONE, 225)
     calls = _det_calls(monkeypatch)
-    assert _dets_for_last_ideal(calls, p, 2) == first + 1
+    # the walk over all 225 minors in PolyMatrix.minors order reaches
+    # gcd 1 at the 16th
+    assert len(_dets_for_last_ideal(calls, p, 2)) <= 16
+    got = groups.elementary_ideals(p, alpha, 2)
+    assert [(e.gcd_generator, e.generator_count) for e in got] == want
+
+
+def test_chordless_link_ideals_from_the_full_presentation():
+    """E_0 .. E_3 of the extension of a link with two chordless circles,
+    from its full Wirtinger presentation (30 relators, 33 generators, and
+    E_3 the first nonzero ideal) and from the Tietze-reduced one, agree."""
+    rng = random.Random(7)
+    links = []
+    while len(links) < 3:
+        d = random_link(rng, 10, 3)
+        if sum(1 for comp in d.components if not comp) == 2:
+            links.append(d)
+    start = time.perf_counter()
+    for d in links:
+        gcds = []
+        z = groups.reduced_group(d)
+        for p in (z, groups.tietze_eliminate(z)):
+            ideals = groups.elementary_ideals(
+                p, groups.Abelianization.standard(p), 3)
+            gcds.append([e.gcd_generator for e in ideals])
+        assert gcds[0] == gcds[1]
+        assert gcds[0][2].is_zero() and not gcds[0][3].is_zero()
+    assert time.perf_counter() - start < 0.5
 
 
 def test_trefoil_first_ideal_is_classical_alexander():

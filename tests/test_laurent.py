@@ -321,14 +321,15 @@ def test_det_matches_plain_bareiss_fuzz(monkeypatch):
 
 
 def _schur_inputs(run):
-    """Copies of the sparse rows of every _unit_schur call that run() makes
-    through the determinant."""
+    """(copied sparse rows, column count) of every _unit_schur call that
+    run() makes, through the determinant or the unit reduction."""
     seen = []
     real = laurent._unit_schur
 
-    def spy(rows):
-        seen.append([{j: dict(e) for j, e in row.items()} for row in rows])
-        return real(rows)
+    def spy(rows, ncols):
+        seen.append(([{j: dict(e) for j, e in row.items()} for row in rows],
+                     ncols))
+        return real(rows, ncols)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(laurent, "_unit_schur", spy)
         run()
@@ -338,8 +339,10 @@ def _schur_inputs(run):
 def test_unit_schur_matches_scan_oracle():
     """The cached pivot ratings take the pivots the full rescan takes: the
     same (sign, ds, dt, live rows, live cols) and the same rows left, on
-    M - P of random knots and links, on the minors the ideals of the
-    table-1 Fox matrices take, and on the fuzz matrices."""
+    M - P of random knots and links, on the rectangular Fox matrices of the
+    table-1 Wirtinger and extension groups and of links with chordless
+    circles, whose free generators give zero columns, on the minors their
+    ideals take, and on the fuzz matrices."""
     rng = random.Random(41)
     diagrams = [random_knot(rng, n) for n in range(5, 41)]
     diagrams += [random_link(rng, rng.randint(2, 12), rng.randint(2, 3))
@@ -348,19 +351,89 @@ def test_unit_schur_matches_scan_oracle():
     for d in diagrams:
         if d.signs:
             inputs += _schur_inputs(lambda: alexander.delta0(d))
-    for code in TABLE1.values():
-        d = gauss.to_diagram(gauss.parse_gauss_code(code))
+    groups_in = [gauss.to_diagram(gauss.parse_gauss_code(code))
+                 for code in TABLE1.values()]
+    groups_in += [d for d in diagrams[36:]
+                  if any(not comp for comp in d.components)]
+    for d in groups_in:
+        c = sum(1 for comp in d.components if not comp)
         for p in (groups.wirtinger(d), groups.reduced_group(d)):
             alpha = groups.Abelianization.standard(p)
             inputs += _schur_inputs(
-                lambda: groups.elementary_ideals(p, alpha, 1))
+                lambda: groups.elementary_ideals(p, alpha, 1 + c))
     inputs += _schur_inputs(
         lambda: [m.det() for _, _, m in _fuzz_matrices()])
-    assert len(inputs) > 1100
-    for rows in inputs:
+    assert len(inputs) > 1100 and len(groups_in) > 15
+    rectangular = empty_rows = empty_cols = 0
+    for rows, ncols in inputs:
         scanned = [{j: dict(e) for j, e in row.items()} for row in rows]
-        assert laurent._unit_schur(rows) == unit_schur_scan(scanned)
+        got = laurent._unit_schur(rows, ncols)
+        assert got == unit_schur_scan(scanned, ncols)
         assert rows == scanned
+        live, cols = got[3], got[4]
+        rectangular += ncols != len(rows)
+        empty_rows += any(not rows[i] for i in live)
+        empty_cols += any(all(j not in rows[i] for i in live) for j in cols)
+    assert min(rectangular, empty_rows, empty_cols) >= 10
+
+
+def _gcd_of(polys):
+    acc = ZERO
+    for f in polys:
+        if acc == ONE:
+            break
+        acc = gcd(acc, f)
+    return acc
+
+
+def test_unit_reduced_keeps_every_ideal_of_minors():
+    """The Fitting-ideal rule behind the elementary ideals: with p unit
+    pivots and residual A', the gcd of all m x m minors is 1 when m <= p, 0
+    when m - p exceeds a side of A', and else the gcd of the (m - p)-minors
+    of A'.  On seeded random r x c matrices, 1-6 rows and columns, with
+    unit, non-unit and zero entries, all-zero rows and columns, and a
+    quarter with no unit entry at all."""
+    rng = random.Random(43)
+    units = [LaurentPoly({(a, b): c}) for a in (-1, 0, 1)
+             for b in (-1, 0, 1) for c in (1, -1)]
+    rules = [0, 0, 0]
+
+    def entry(no_unit):
+        x = rng.random()
+        if x < 0.35:
+            return ZERO
+        if x < 0.7 and not no_unit:
+            return rng.choice(units)
+        e = random_poly(rng, span=1, terms=2, coeff=2)
+        return e * 2 if e.inverse() is not None else e
+
+    for i in range(150):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        grid = [[entry(i % 4 == 0) for _ in range(c)] for _ in range(r)]
+        if rng.random() < 0.3:
+            grid[rng.randrange(r)] = [ZERO] * c
+        if rng.random() < 0.3:
+            j = rng.randrange(c)
+            for row in grid:
+                row[j] = ZERO
+        m = matrix(grid)
+        p, res = m.unit_reduced()
+        if i % 4 == 0:
+            assert p == 0
+        assert all(e.inverse() is None for e in res.entries.values())
+        assert {i for i, _ in res.entries} == set(range(res.rows))
+        assert {j for _, j in res.entries} == set(range(res.cols))
+        for k in range(min(r, c) + 1):
+            want = _gcd_of(m.minors(k))
+            if k <= p:
+                got, rule = ONE, 0
+            elif k - p > min(res.rows, res.cols):
+                got, rule = ZERO, 1
+            else:
+                got, rule = _gcd_of(res.minors(k - p)), 2
+            assert got == want, (i, k)
+            rules[rule] += 1
+    assert min(rules) >= 30
 
 
 def _residuals(monkeypatch):

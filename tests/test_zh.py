@@ -97,8 +97,7 @@ def test_zh_path_on_links():
     +-s^a t^b, g the gcd of E_(1+c) of the extension's group, omega
     generators sent to s.  A chordless circle is a free factor of the
     group, which M - P does not see, and E_c is 0.  The ideals are taken
-    from the Tietze-reduced presentation, and from the full Wirtinger one
-    as well when c = 0."""
+    from the Tietze-reduced presentation and from the full Wirtinger one."""
     rng = random.Random(7)
     seen = [0, 0]
     for _ in range(150):
@@ -107,7 +106,7 @@ def test_zh_path_on_links():
         seen[c > 0] += 1
         want = alexander.delta0(d).canonical
         p = groups.wirtinger(zh(d).diagram)
-        for q in [groups.tietze_eliminate(p)] + ([p] if c == 0 else []):
+        for q in (groups.tietze_eliminate(p), p):
             ideals = groups.elementary_ideals(
                 q, groups.Abelianization.standard(q), 1 + c)
             assert c == 0 or ideals[c].is_zero()
