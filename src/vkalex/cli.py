@@ -3,7 +3,8 @@
 Subcommands: delta, writhe, zh, group, ideals, longitude, sieve.  Global
 flags work both before and after the subcommand name.  Exit codes: 0 on
 success, 2 on input errors (syntax, validation, missing files, operations
-asked of the wrong kind of diagram), 3 when an internal invariant breaks.
+asked of the wrong kind of diagram), 3 on any other exception, which is a
+bug.
 """
 
 import argparse
@@ -13,10 +14,7 @@ import sys
 
 from . import alexander, gauss, groups, sieve
 from .zh import zh as _zh
-from .laurent import (
-    canonicalize, MONOMIAL_SIGN, NotDivisible, NotSquare, SizeTooLarge,
-    UNIT_CLASSES,
-)
+from .laurent import canonicalize, MONOMIAL_SIGN, UNIT_CLASSES
 
 
 class UsageError(ValueError):
@@ -26,7 +24,6 @@ class UsageError(ValueError):
 _INPUT_ERRORS = (gauss.GaussSyntaxError, gauss.GaussValidationError,
                  gauss.BadIndex, alexander.NotAKnot, sieve.CensusParseError,
                  UsageError, OSError)
-_INTERNAL_ERRORS = (NotDivisible, NotSquare, SizeTooLarge)
 
 
 def _add_common(parser, suppress):
@@ -236,11 +233,15 @@ def main(argv=None):
     try:
         if args.format == "csv" and args.subcommand != "sieve":
             raise UsageError("csv format is only available for sieve")
+        if args.subcommand == "sieve" and args.unit_class != MONOMIAL_SIGN:
+            raise UsageError("--unit-class %s is not available for sieve, "
+                             "which prints monomial-sign polynomials"
+                             % args.unit_class)
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except _INTERNAL_ERRORS as exc:
+    except Exception as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return 3
 

@@ -52,17 +52,6 @@ def _neg(a):
     return {k: -c for k, c in a.items()}
 
 
-def _sub(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        nc = out.get(k, 0) - c
-        if nc:
-            out[k] = nc
-        else:
-            out.pop(k, None)
-    return out
-
-
 def _mul(a, b):
     if len(a) > len(b):
         a, b = b, a
@@ -211,7 +200,7 @@ def _prem(a, b):
     db, lb = _t_lead(b)
     da, la = _t_lead(a)
     while da >= db:
-        a = _sub(_mul(lb, a), _shift(_mul(la, b), 0, da - db))
+        a = _add(_mul(lb, a), _shift(_mul(_neg(la), b), 0, da - db))
         if not a:
             break
         d, la = _t_lead(a)
@@ -281,10 +270,10 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return LaurentPoly._raw(_sub(self.terms, _coerce(other)))
+        return LaurentPoly._raw(_add(self.terms, _neg(_coerce(other))))
 
     def __rsub__(self, other):
-        return LaurentPoly._raw(_sub(_coerce(other), self.terms))
+        return LaurentPoly._raw(_add(_coerce(other), _neg(self.terms)))
 
     def __neg__(self):
         return LaurentPoly._raw(_neg(self.terms))
@@ -343,7 +332,7 @@ class LaurentPoly:
 
     # division and substitution ------------------------------------------
     def exact_div(self, other):
-        q = _div_exact(self.terms, _coerce_nonzero(other))
+        q = _div_exact(self.terms, _coerce(other))
         if q is None:
             raise NotDivisible("%s is not divisible by %s" % (self, other))
         return LaurentPoly._raw(q)
@@ -371,13 +360,6 @@ def _coerce(x):
     if isinstance(x, int):
         return {(0, 0): x} if x else {}
     raise TypeError("cannot mix LaurentPoly with %r" % type(x).__name__)
-
-
-def _coerce_nonzero(x):
-    t = _coerce(x)
-    if not t:
-        raise ZeroDivisionError("division by the zero polynomial")
-    return t
 
 
 ZERO = LaurentPoly({})
@@ -466,10 +448,11 @@ def _unit_schur(rows, ncols):
         cols.remove(j)
         for k in where[j]:
             row = rows[k]
-            # a_kj / u, with 1/u = c s^-a t^-b
-            f = {(es - a, et - b): c * v for (es, et), v in row.pop(j).items()}
+            # -a_kj / u, with 1/u = c s^-a t^-b
+            f = {(es - a, et - b): -c * v
+                 for (es, et), v in row.pop(j).items()}
             for col, v in top.items():
-                e = _sub(row.get(col, {}), _mul(f, v))
+                e = _add(row.get(col, {}), _mul(f, v))
                 if e:
                     if col not in row:
                         where[col].add(k)
@@ -493,35 +476,6 @@ def _unit_schur(rows, ncols):
 # the residual left by the unit pivots: one fraction-free (Bareiss 1968)
 # integer determinant by Kronecker (1882) substitution
 
-def _prescale(m):
-    """Divide each row of the square matrix m, in place, by the monomial
-    that brings its least s- and t-exponents to 0, and then each nonempty
-    column likewise.  Returns the (ds, dt) to shift a determinant back by.
-    Every row has a nonzero entry, as _det returns 0 on an empty live row; a
-    column may have none."""
-    shift_s = shift_t = 0
-    for i, row in enumerate(m):
-        ds = min([es for e in row for es, _ in e])
-        dt = min([et for e in row for _, et in e])
-        if ds or dt:
-            m[i] = [_shift(e, -ds, -dt) if e else e for e in row]
-            shift_s += ds
-            shift_t += dt
-    for j in range(len(m)):
-        col = [row[j] for row in m if row[j]]
-        if not col:
-            continue
-        ds = min([es for e in col for es, _ in e])
-        dt = min([et for e in col for _, et in e])
-        if ds or dt:
-            for row in m:
-                if row[j]:
-                    row[j] = _shift(row[j], -ds, -dt)
-            shift_s += ds
-            shift_t += dt
-    return shift_s, shift_t
-
-
 def _exact_quo(a, b):
     """The integer a // b, raising NotDivisible unless b divides a."""
     q, r = divmod(a, b)
@@ -532,30 +486,46 @@ def _exact_quo(a, b):
 
 def _coeff_bound(l1):
     """Bound H on the coefficients of the determinant of a square matrix whose
-    entries have L1 norms l1: the least of the row and column products of L1
-    norms and of Hadamard's row and column bounds, which hold as a coefficient
-    is at most the determinant's L2 norm, so its maximum, on |s| = |t| = 1."""
-    cols = list(zip(*l1))
-    return min(prod(map(sum, l1)), prod(map(sum, cols)),
-               isqrt(prod(sum(x * x for x in r) for r in l1)) + 1,
-               isqrt(prod(sum(x * x for x in c) for c in cols)) + 1)
+    entries have L1 norms l1: the smaller of Hadamard's row and column
+    bounds.  A coefficient is at most the determinant's L2 norm, so its
+    maximum, on |s| = |t| = 1, and an integer at most sqrt(X) is at most
+    isqrt(X)."""
+    return min(isqrt(prod(sum(x * x for x in r) for r in l1)),
+               isqrt(prod(sum(x * x for x in c) for c in zip(*l1))))
 
 
-def _kronecker_det(m):
-    """Determinant of the square matrix m of raw dicts with exponents >= 0.
+def _kronecker_det(rows, ri, ci):
+    """Determinant of the square matrix of the sparse rows ri and columns ci,
+    each row nonempty, with entries in the columns ci only.
 
-    Kronecker substitution s = 2^B, t = 2^(B*Ds) maps Z[s, t] to Z as a
-    ring homomorphism, so fraction-free Bareiss over Z gives the image of
-    the determinant.  Ds exceeds its s-degree (the smaller of the row and
-    column sums of the largest s-exponents) and B makes 2^(B-1) exceed its
-    coefficients (|c| <= H, _coeff_bound), so the image is read back as
-    balanced base-2^B digits, digit p the coefficient of s^(p%Ds) t^(p//Ds)."""
-    smax = [[max(es for es, _ in e) if e else 0 for e in row] for row in m]
-    l1 = [[sum(map(abs, e.values())) for e in row] for row in m]
-    big_s = min(sum(map(max, smax)), sum(map(max, zip(*smax)))) + 1
+    Each row is divided by s^rs_i t^rt_i, its least exponents, then each
+    nonempty column by s^cs_j t^ct_j, its least exponents after that, and
+    the entries, now in Z[s, t], are mapped to Z by the ring homomorphism
+    s = 2^B, t = 2^(B*Ds) (Kronecker), so fraction-free Bareiss over Z gives
+    the image of the determinant.  Ds exceeds its s-degree (the smaller of
+    the row and column sums of the largest scaled s-exponents) and 2^(B-1)
+    exceeds its coefficients (|c| <= H, _coeff_bound), so the image reads
+    back as balanced base-2^B digits, digit p the coefficient of
+    s^(p%Ds) t^(p//Ds), times the scaling."""
+    rows = [rows[i] for i in ri]
+    low = [{j: _min_exp(e) for j, e in row.items()} for row in rows]
+    rs = [min(es for es, _ in lo.values()) for lo in low]
+    rt = [min(et for _, et in lo.values()) for lo in low]
+    cs, ct = {}, {}
+    for lo, x, y in zip(low, rs, rt):
+        for j, (es, et) in lo.items():
+            cs[j] = min(cs.get(j, es - x), es - x)
+            ct[j] = min(ct.get(j, et - y), et - y)
+    smax = [{j: max(es for es, _ in e) - x - cs[j] for j, e in row.items()}
+            for row, x in zip(rows, rs)]
+    big_s = min(sum(max(hi.values()) for hi in smax),
+                sum(max(hi.get(j, 0) for hi in smax) for j in cs)) + 1
+    l1 = [[sum(map(abs, row[j].values())) if j in row else 0 for j in ci]
+          for row in rows]
     b = (2 * _coeff_bound(l1)).bit_length() + 1
-    a = [[sum(c << b * (es + big_s * et) for (es, et), c in e.items())
-          for e in row] for row in m]
+    a = [[sum(c << b * (es - x - cs[j] + big_s * (et - y - ct[j]))
+              for (es, et), c in row[j].items()) if j in row else 0
+          for j in ci] for row, x, y in zip(rows, rs, rt)]
     n = len(a)
     sign = prev = 1
     for k in range(n - 1):
@@ -583,28 +553,24 @@ def _kronecker_det(m):
     bits = format(d + int(zero * n, 2), "b").zfill(n * b)
     half = 1 << (b - 1)
     digits = (bits[i - b:i] for i in range(n * b, 0, -b))
-    return {(p % big_s, p // big_s): int(c, 2) - half
+    ds = sum(rs) + sum(cs.values())
+    dt = sum(rt) + sum(ct.values())
+    return {(p % big_s + ds, p // big_s + dt): int(c, 2) - half
             for p, c in enumerate(digits) if c != zero}
 
 
 def _det(rows):
     """Determinant of the square matrix given by the sparse rows
     {col: raw dict}, which it consumes: Schur steps on unit pivots, then
-    one Kronecker-substituted integer Bareiss on the rows and columns left,
-    which are pre-scaled by monomials to least exponents 0, the scaling
-    then multiplied back into the result.  An empty live row gives 0, no
-    rows left give 1 and one row its entry."""
+    one Kronecker-substituted integer Bareiss on the rows and columns left.
+    An empty live row gives 0, no rows left give 1 and one row its entry."""
     sign, ds, dt, ri, ci = _unit_schur(rows, len(rows))
     if not all(rows[i] for i in ri):
         return {}
     if len(ri) < 2:
         d = rows[ri[0]][ci[0]] if ri else _ONE
     else:
-        m = [[rows[i].get(j, {}) for j in ci] for i in ri]
-        shift = _prescale(m)
-        d = _kronecker_det(m)
-        ds += shift[0]
-        dt += shift[1]
+        d = _kronecker_det(rows, ri, ci)
     return {(es + ds, et + dt): sign * c for (es, et), c in d.items()}
 
 

@@ -12,8 +12,8 @@ and the Reidemeister rewrites they walk diagrams with."""
 from vkalex import gauss, groups
 from vkalex.zh import ZhDiagram, zh
 from vkalex.laurent import (
-    NotDivisible, NotSquare, ONE, PolyMatrix, S, SizeTooLarge, T, ZERO, _mul,
-    _sub, gcd,
+    NotDivisible, NotSquare, ONE, PolyMatrix, S, SizeTooLarge, T, ZERO, _add,
+    _mul, gcd,
 )
 
 ST = S * T
@@ -268,9 +268,10 @@ def unit_schur_scan(rows, ncols):
         cols.remove(j)
         for k in where[j]:
             row = rows[k]
-            f = {(es - a, et - b): c * v for (es, et), v in row.pop(j).items()}
+            f = {(es - a, et - b): -c * v
+                 for (es, et), v in row.pop(j).items()}
             for col, v in top.items():
-                e = _sub(row.get(col, {}), _mul(f, v))
+                e = _add(row.get(col, {}), _mul(f, v))
                 if e:
                     if col not in row:
                         where[col].add(k)

@@ -288,6 +288,16 @@ def test_internal_invariant_breaks_exit_3(capsys, monkeypatch):
     assert "internal error" in err
 
 
+def test_any_bug_exits_3(capsys, monkeypatch):
+    def boom(d):
+        raise KeyError("synthetic lookup failure")
+    monkeypatch.setattr("vkalex.cli.alexander.delta0", boom)
+    rc, out, err = run(capsys, "delta", TABLE1["4.12"])
+    assert rc == 3
+    assert "internal error" in err and "synthetic lookup failure" in err
+    assert out == ""
+
+
 def test_bareiss_division_failure_exits_3(capsys, monkeypatch):
     # 5.2430 leaves a 2x2 residual after the unit pivots, so its integer
     # Bareiss divides at least once
@@ -357,6 +367,7 @@ def test_ideals_negative_kmax_exits_2(capsys):
 @pytest.mark.parametrize("case", [
     "non-utf8 census", "non-utf8 flags", "census is a directory",
     "negative comp", "negative kmax", "csv outside sieve", "bad token",
+    "unit class on sieve",
 ])
 def test_input_errors_exit_2_without_traceback(case, tmp_path):
     # through the real entry point: a traceback the interpreter prints
@@ -371,6 +382,8 @@ def test_input_errors_exit_2_without_traceback(case, tmp_path):
         "negative kmax": ["ideals", "--kmax", "-1", "O1+U1+"],
         "csv outside sieve": ["--format", "csv", "delta", "O1+U1+"],
         "bad token": ["delta", "O1+X2+U1+"],
+        "unit class on sieve": ["--unit-class", "exact", "--serial", "sieve",
+                                "--census", CENSUS],
     }[case]
     src = os.path.dirname(os.path.dirname(os.path.abspath(vkalex.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

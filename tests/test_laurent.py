@@ -300,12 +300,13 @@ def _fuzz_matrices():
 def test_det_matches_plain_bareiss_fuzz(monkeypatch):
     """det against the independent dict Bareiss oracle on the fuzz
     matrices.  Every coefficient of each residual determinant is at most
-    the bound H, and Hadamard's bound is the least of the four on some."""
+    the bound H, and on some H is below both L1-norm products."""
     kernel = laurent._kronecker_det
     tighter = []
 
-    def spy(m):
-        d = kernel(m)
+    def spy(rows, ri, ci):
+        m = _dense(rows, ri, ci)
+        d = kernel(rows, ri, ci)
         l1 = [[sum(map(abs, e.values())) for e in row] for row in m]
         h = laurent._coeff_bound(l1)
         assert max(map(abs, d.values()), default=0) <= h
@@ -436,14 +437,19 @@ def test_unit_reduced_keeps_every_ideal_of_minors():
     assert min(rules) >= 30
 
 
+def _dense(rows, ri, ci):
+    """The residual of the sparse rows ri and columns ci as a dense grid."""
+    return [[rows[i].get(j, {}) for j in ci] for i in ri]
+
+
 def _residuals(monkeypatch):
-    """Record every residual the Kronecker kernel gets."""
+    """Record every residual the Kronecker kernel gets, as a dense grid."""
     seen = []
     kernel = laurent._kronecker_det
 
-    def spy(m):
-        seen.append([list(row) for row in m])
-        return kernel(m)
+    def spy(rows, ri, ci):
+        seen.append(_dense(rows, ri, ci))
+        return kernel(rows, ri, ci)
     monkeypatch.setattr(laurent, "_kronecker_det", spy)
     return seen
 
@@ -469,8 +475,17 @@ def test_det_residual_bound_edges(monkeypatch):
     assert shifted.det() == det_cofactor(shifted) == \
         -4 * S * T.inverse() + 10 * S - 6 * S.inverse()
     # rows with no common monomial factor, columns that share s^2 t, and
-    # then s t^2 and s once the rows are cleared of s^-1: the column
-    # prescale takes the shared factor out
+    # then s t^2 and s once the rows are cleared of s^-1: scaled, both are
+    # [[2, 3 + s], [5 + s, 2 - t]], so the one Bareiss step of each passes
+    # the same image to _exact_quo, that of -11 - 8s - s^2 - 2t at Ds = 3,
+    # with no monomial factor left in it
+    quotients = []
+    quo = laurent._exact_quo
+
+    def spy_quo(a, b):
+        quotients.append((a, b))
+        return quo(a, b)
+    monkeypatch.setattr(laurent, "_exact_quo", spy_quo)
     s2t = S * S * T
     shared = matrix([[2 * s2t, 3 + S], [(5 + S) * s2t, 2 - T]])
     assert shared.det() == det_cofactor(shared) == \
@@ -478,20 +493,19 @@ def test_det_residual_bound_edges(monkeypatch):
     negative = matrix([[2 * S.inverse() * T * T, 3 + S],
                        [(5 + S) * S.inverse() * T * T, 2 - T]])
     assert negative.det() == det_cofactor(negative)
-    # an empty column: det 0, and the prescale passes the column over
+    monkeypatch.setattr(laurent, "_exact_quo", quo)
+    (a, one), other = quotients
+    assert other == (a, one) and one == 1
+    assert any(a == -11 - (8 << b) - (1 << 2 * b) - (2 << 3 * b)
+               for b in range(2, 64))
+    # an empty column: det 0, and the column scaling passes it over
     hollow = matrix([[2 * ONE, ZERO], [3 + S, ZERO]])
     assert hollow.det() == det_cofactor(hollow) == ZERO
     assert [len(m) for m in seen] == [3, 3, 2, 2, 2, 2, 2]
-    for m in seen:
-        for col in zip(*m):
-            keys = [k for e in col for k in e]
-            if keys:
-                assert min(es for es, _ in keys) == 0
-                assert min(et for _, et in keys) == 0
     assert not any(row[1] for row in seen[-1])
     # twice the 2 x 2 and the 4 x 4 Sylvester-Hadamard matrices, with no
-    # unit to pivot on: |det| reaches Hadamard's bound, 8 and 256, where
-    # the L1 products are 16 and 4096, so H is 9 and 257
+    # unit to pivot on: |det| reaches Hadamard's bound, so H is exactly 8
+    # and 256, where the L1 products are 16 and 4096
     had = matrix([[2, 2], [2, -2]])
     had4 = matrix([[2, 2, 2, 2], [2, -2, 2, -2], [2, 2, -2, -2],
                    [2, -2, -2, 2]])
@@ -500,7 +514,7 @@ def test_det_residual_bound_edges(monkeypatch):
     bounds = [laurent._coeff_bound(
         [[sum(map(abs, e.values())) for e in row] for row in m])
         for m in seen[-2:]]
-    assert bounds == [9, 257]
+    assert bounds == [8, 256]
 
 
 def test_det_residual_shortcuts(monkeypatch):
