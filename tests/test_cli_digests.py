@@ -1,0 +1,83 @@
+"""The CLI's exact output on a fixed corpus.  tests/data/cli_digests.json
+holds the Gauss codes of table 1 and of 80 distinct seeded knots and links
+of 0-8 chords, and one sha256 of (exit code, stdout, stderr) per command
+line run on them.  The test replays every command line in-process; a change
+that is meant to keep the program's behaviour must keep every digest.
+
+    PYTHONPATH=src python tests/test_cli_digests.py
+
+rewrites the file from the current code, for a change that is meant to
+alter the output."""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import time
+
+from vkalex import cli, gauss
+from _util import TABLE1, random_knot, random_link
+
+PATH = os.path.join(os.path.dirname(__file__), "data", "cli_digests.json")
+
+# each is run with a code appended
+COMMANDS = (
+    ("delta", "--unit-class", "exact"),
+    ("writhe",),
+    ("ideals", "--kmax", "2"),
+    ("ideals", "--reduced", "--kmax", "2"),
+    ("ideals", "--reduced", "--kmax", "1", "--format", "json"),
+    ("group", "--reduced", "--simplify"),
+)
+
+
+def _corpus():
+    """Table 1, then 80 distinct seeded codes, two knots to one link."""
+    rng = random.Random(2026)
+    codes = list(TABLE1.values())
+    while len(codes) < len(TABLE1) + 80:
+        n = rng.randint(0, 8)
+        d = (random_knot(rng, n) if len(codes) % 3
+             else random_link(rng, n, rng.randint(2, 3)))
+        code = str(gauss.to_code(d))
+        if code not in codes:
+            codes.append(code)
+    return codes
+
+
+def _digest(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(list(argv))
+    blob = json.dumps([rc, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _runs(codes):
+    """Every command on every code, writhe on the knots only."""
+    return [list(cmd) + [code] for code in codes for cmd in COMMANDS
+            if cmd[0] != "writhe" or "," not in code]
+
+
+def test_cli_bytes_match_the_recorded_digests():
+    with open(PATH, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    runs = _runs(doc["codes"])
+    assert len(runs) == len(doc["sha256"])
+    start = time.perf_counter()
+    changed = [argv for argv, want in zip(runs, doc["sha256"])
+               if _digest(argv) != want]
+    elapsed = time.perf_counter() - start
+    assert not changed, "%d of %d outputs changed, first %s" % (
+        len(changed), len(runs), changed[:3])
+    assert elapsed < 1.5
+
+
+if __name__ == "__main__":
+    codes = _corpus()
+    doc = {"codes": codes, "sha256": [_digest(argv) for argv in _runs(codes)]}
+    with open(PATH, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
