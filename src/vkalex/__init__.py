@@ -20,9 +20,8 @@ from .alexander import (
 )
 from .zh import AlreadyHasOmega, ZhDiagram
 from .groups import (
-    Abelianization, ElementaryIdeal, GroupPresentation, Word,
-    alexander_matrix, elementary_ideals, longitude, reduced_group,
-    tietze_eliminate, wirtinger,
+    ElementaryIdeal, GroupPresentation, Word, alexander_matrix,
+    elementary_ideals, longitude, reduced_group, tietze_eliminate, wirtinger,
 )
 from .sieve import (
     CensusParseError, CensusRecord, SieveReport, load_census, load_flags,

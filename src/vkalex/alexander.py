@@ -70,7 +70,7 @@ def delta0(d):
         return GeneralizedAlexander(ZERO)
     diff = build_m_matrix(d)
     # P is nonzero only at (i, successor(i)), so only there is a 1 taken off
-    for ij in enumerate(gauss.short_arcs(d).successor):
+    for ij in enumerate(gauss.short_arcs(d)):
         e = diff.entries.pop(ij, ZERO) - ONE
         if e:
             diff.entries[ij] = e

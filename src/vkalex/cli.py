@@ -124,8 +124,7 @@ def cmd_ideals(args):
     if args.kmax < 0:
         raise UsageError("--kmax must be at least 0")
     p = _presentation(args)
-    alpha = groups.Abelianization.standard(p)
-    ideals = groups.elementary_ideals(p, alpha, args.kmax)
+    ideals = groups.elementary_ideals(groups.alexander_matrix(p), args.kmax)
     rows = []
     for ideal in ideals:
         rows.append({

@@ -190,19 +190,6 @@ def to_code(d):
 # ---------------------------------------------------------------------------
 # short arcs
 
-class ShortArcStructure:
-    """The 2n short arcs of an n-crossing diagram.
-
-    Arc ids are 0-based; crossing k owns the incoming pair (2k, 2k+1).
-    successor[a] is the arc that starts where arc a ends; end_slot[a] is the
-    (component, position) slot that arc a runs into.
-    """
-
-    def __init__(self, successor, end_slot):
-        self.successor = successor
-        self.end_slot = end_slot
-
-
 # Which of the pair (2k, 2k+1) the arc incoming at the over passage takes:
 # 2k at a positive crossing, 2k+1 at a negative one, where the two strands
 # trade sides ("over-first").  The mirror rule fails the worked 5.344
@@ -212,19 +199,17 @@ def _arc_offset(role, sign):
 
 
 def short_arcs(d):
-    """ShortArcStructure of the diagram.  Raises NoCrossings on a chordless
+    """The successor map of the 2n short arcs of an n-crossing diagram, as a
+    list: succ[a] is the arc that starts where arc a ends.  Arc ids are
+    0-based; crossing k owns the incoming pair (2k, 2k+1), and the arc
+    incoming at a slot ends there.  Raises NoCrossings on a chordless
     diagram."""
     n = len(d.signs)
     if n == 0:
         raise NoCrossings("no short arcs without crossings")
-    end_slot = {}
-    for ci, comp in enumerate(d.components):
-        for pos, (c, role) in enumerate(comp):
-            arc = 2 * c + _arc_offset(role, d.signs[c])
-            end_slot[arc] = (ci, pos)
-    arc_at_slot = {v: k for k, v in end_slot.items()}
     succ = [None] * (2 * n)
-    for (ci, pos), a in arc_at_slot.items():
-        length = len(d.components[ci])
-        succ[a] = arc_at_slot[(ci, (pos + 1) % length)]
-    return ShortArcStructure(succ, end_slot)
+    for comp in d.components:
+        arcs = [2 * c + _arc_offset(role, d.signs[c]) for c, role in comp]
+        for pos, a in enumerate(arcs):
+            succ[a] = arcs[(pos + 1) % len(arcs)]
+    return succ

@@ -9,12 +9,13 @@ arc a into the outgoing arc d by the arc b carrying the over strand,
 
 A component with no undercrossing contributes a single free generator.
 
-The abelianization sends every generator on a regular component to t and
-every generator on an omega component to s; Fox differentiation of the
-relators followed by this map yields the Alexander matrix, whose ideals of
-minors are the elementary ideals.  They are taken from one reduction of the
-matrix by unit pivots u = +-s^a t^b: row and column operations keep every
-ideal of minors, and the block sum u + A' has I_m(u + A') = I_(m-1)(A').
+The one abelianization the program uses sends every generator on an omega
+component to s and every other generator to t, so the generators are told
+apart by their component tags alone.  Fox differentiation of the relators
+followed by this map yields the Alexander matrix, whose ideals of minors are
+the elementary ideals.  They are taken from one reduction of the matrix by
+unit pivots u = +-s^a t^b: row and column operations keep every ideal of
+minors, and the block sum u + A' has I_m(u + A') = I_(m-1)(A').
 """
 
 import operator
@@ -23,7 +24,7 @@ from math import comb
 
 from . import gauss
 from .zh import zh as _zh
-from .laurent import LaurentPoly, PolyMatrix, gcd, ONE, S, T, ZERO
+from .laurent import LaurentPoly, PolyMatrix, gcd, ONE, ZERO
 
 
 class Word:
@@ -117,29 +118,6 @@ class GroupPresentation:
         return len(self.generators) - len(self.relators)
 
 
-class Abelianization:
-    """Map from generator ids to units +-s^a t^b: in the standard map
-    regular components share t, omega components share s."""
-
-    def __init__(self, images):
-        self.images = dict(images)
-        for g, img in self.images.items():
-            if not isinstance(img, LaurentPoly) or img.inverse() is None:
-                raise ValueError("generator %r maps to %r, not a unit "
-                                 "+-s^a t^b" % (g, img))
-
-    @classmethod
-    def standard(cls, presentation):
-        images = {}
-        for g in presentation.generators:
-            tag = presentation.tags[g]
-            images[g] = S if tag == gauss.OMEGA else T
-        return cls(images)
-
-    def __call__(self, g):
-        return self.images[g]
-
-
 class ElementaryIdeal:
     """k-th elementary ideal: the number of minors generating it and their
     gcd."""
@@ -211,38 +189,44 @@ def reduced_group(d):
 # ---------------------------------------------------------------------------
 # Fox calculus
 
-def alexander_matrix(p, alpha):
+def alexander_matrix(p):
     """Row per relator, column per generator; entry = image of the Fox
-    derivative under the abelianization.  Streams the running prefix image
-    instead of materializing each derivative."""
+    derivative under the abelianization (omega generators to s, the rest
+    to t).  The image of every prefix of a relator is a monomial s^a t^b,
+    so the running prefix is streamed as the exponents (a, b), and each
+    derivative adds +-1 at them."""
     index = {g: j for j, g in enumerate(p.generators)}
+    step = {g: (1, 0) if p.tags[g] == gauss.OMEGA else (0, 1)
+            for g in p.generators}
     entries = {}
     for i, w in enumerate(p.relators):
-        prefix = ONE
+        a = b = 0
         for (g, e) in w:
-            ij = (i, index[g])
+            terms = entries.setdefault((i, index[g]), {})
+            da, db = step[g]
             if e == 1:
-                entries[ij] = entries.get(ij, ZERO) + prefix
-                prefix = prefix * alpha(g)
+                terms[a, b] = terms.get((a, b), 0) + 1
+                a, b = a + da, b + db
             else:
-                prefix = prefix * alpha(g).inverse()
-                entries[ij] = entries.get(ij, ZERO) - prefix
-    return PolyMatrix(len(p.relators), len(p.generators), entries)
+                a, b = a - da, b - db
+                terms[a, b] = terms.get((a, b), 0) - 1
+    return PolyMatrix(len(p.relators), len(p.generators),
+                      {ij: LaurentPoly(t) for ij, t in entries.items()})
 
 
-def elementary_ideals(p, alpha, k_max):
-    """Ideals E_0 .. E_k_max of the presentation's Alexander matrix A.  E_k
-    is generated by the (g-k) x (g-k) minors, g the number of generators,
-    and is the full ring when g-k <= 0.  A is reduced once by unit pivots
-    (PolyMatrix.unit_reduced): a step on the unit u turns A into u + A'
-    by row and column operations, which keep each ideal of minors, and
+def elementary_ideals(mat, k_max):
+    """Elementary ideals E_0 .. E_k_max of the Alexander matrix A = mat,
+    whose g columns are the generators of its presentation.  E_k is
+    generated by the (g-k) x (g-k) minors of A and is the full ring when
+    g-k <= 0.  A is reduced once by unit pivots (PolyMatrix.unit_reduced):
+    a step on the unit u turns A into u + A' by row and column
+    operations, which keep each ideal of minors, and
     I_m(u + A') = I_(m-1)(A').  After p pivots E_k = I_(g-k-p)(A'), the
     full ring when g-k-p <= 0 and zero when g-k-p exceeds a side of A'.
     Otherwise its gcd starts from that of E_(k-1), takes the minors of A'
     one at a time, by (row set, column set), and stops once it is 1.  The
     generator count is that of all the (g-k)-minors of A."""
-    mat = alexander_matrix(p, alpha)
-    g = len(p.generators)
+    g = mat.cols
     pivots, res = mat.unit_reduced()
     out = []
     for k in range(k_max + 1):

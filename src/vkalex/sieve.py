@@ -24,7 +24,6 @@ _COMPUTED_FIELDS = ("name", "crossings", "delta0", "delta0_zero", "writhe",
 class CensusParseError(Exception):
     def __init__(self, message, line_no):
         super().__init__("line %d: %s" % (line_no, message))
-        self.line_no = line_no
 
 
 class CensusRecord:

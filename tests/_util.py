@@ -1,8 +1,9 @@
 """Shared fixtures: the golden table of small virtual knots, random
 diagram generators for fuzzing, ribbon doubles, a PolyMatrix built from
 nested lists, the reference code the tests compare against (exact
-divisibility, the symbolic Fox derivative, the cofactor-expansion and plain
-Bareiss determinant oracles, the rescanning unit-pivot search, and the
+divisibility, the symbolic Fox derivative and the Fox matrix of any unit
+images built on it, the cofactor-expansion and plain Bareiss determinant
+oracles, the rescanning unit-pivot search, and the
 elementary ideals over all minors), the rejected short-arc and Zh head rules
 the calibration tests check against, the diagram transforms the invariance
 and symmetry tests apply (basepoint rotation, chord relabelling, deleting a
@@ -167,6 +168,31 @@ def fox_derivative(w, gen):
     return out
 
 
+def tag_images(p):
+    """The program's abelianization of the presentation p: omega generators
+    to s, every other generator to t."""
+    return {g: S if p.tags[g] == gauss.OMEGA else T for g in p.generators}
+
+
+def fox_matrix(p, images):
+    """Alexander matrix of the presentation p under the abelianization
+    sending generator g to the unit images[g]: entry (i, j) is the image of
+    the Fox derivative of relator i by generator j, summed term by term
+    from fox_derivative.  The oracle for groups.alexander_matrix, which
+    takes tag_images(p) only, and the tests' way to other abelianizations."""
+    def image(w):
+        out = ONE
+        for (g, e) in w:
+            out = out * (images[g] if e == 1 else images[g].inverse())
+        return out
+
+    return PolyMatrix(len(p.relators), len(p.generators), {
+        (i, j): sum((sign * image(prefix)
+                     for sign, prefix in fox_derivative(w, g)), ZERO)
+        for i, w in enumerate(p.relators)
+        for j, g in enumerate(p.generators)})
+
+
 def det_cofactor(m):
     """Cofactor-expansion determinant of the PolyMatrix m, the independent
     oracle for PolyMatrix.det.  Exponential; refuses anything larger than
@@ -281,14 +307,13 @@ def unit_schur_scan(rows, ncols):
                     where[col].discard(k)
 
 
-def ideals_by_all_minors(p, alpha, k_max):
-    """(gcd, generator count) of E_0 .. E_k_max of the presentation, with
-    the gcd taken over every (g-k)-minor of its Fox matrix from
+def ideals_by_all_minors(mat, k_max):
+    """(gcd, generator count) of E_0 .. E_k_max of the Fox matrix mat, g =
+    mat.cols generators, with the gcd taken over every (g-k)-minor from
     PolyMatrix.minors: the oracle for groups.elementary_ideals, which takes
     only the minors it needs.  Minors of negative size give the full ring,
     minors larger than the row count the zero ideal."""
-    mat = groups.alexander_matrix(p, alpha)
-    g = len(p.generators)
+    g = mat.cols
     out = []
     for k in range(k_max + 1):
         size = g - k
@@ -313,7 +338,7 @@ def under_first_successor(d):
     incoming at the under passage takes 2k at a positive crossing: the
     library's successor conjugated by the swap 2k <-> 2k+1 of each
     crossing's pair of arcs."""
-    succ = gauss.short_arcs(d).successor
+    succ = gauss.short_arcs(d)
     return [succ[i ^ 1] ^ 1 for i in range(len(succ))]
 
 

@@ -92,7 +92,7 @@ def test_criterion_05_cross_path_equivalence(capsys):
         d = table1_diagram(name)
         g = alexander.delta0(d)
         p = groups.wirtinger(zh(d).diagram)
-        ideals = groups.elementary_ideals(p, groups.Abelianization.standard(p), 1)
+        ideals = groups.elementary_ideals(groups.alexander_matrix(p), 1)
         e1 = ideals[1]
         if e1.is_zero() != g.is_zero:
             vanish_bad.append(name)
@@ -253,7 +253,7 @@ def test_criterion_08_zh_structural(capsys):
             bad += 1
     trefoil = gauss.to_diagram(gauss.parse_gauss_code(CLASSICAL_TREFOIL))
     p = groups.wirtinger(zh(trefoil).diagram)
-    ideals = groups.elementary_ideals(p, groups.Abelianization.standard(p), 1)
+    ideals = groups.elementary_ideals(groups.alexander_matrix(p), 1)
     split_zero = ideals[1].is_zero()
     _verdict(capsys, 8, bad == 0 and split_zero,
              "delete-omega round trip and chord/sign counts on 12 table + "

@@ -127,8 +127,8 @@ def test_short_arcs_successor_is_permutation():
     for trial in range(40):
         n = rng.randint(1, 6)
         d = random_knot(rng, n) if trial % 2 else random_link(rng, n, rng.randint(1, 3))
-        sa = gauss.short_arcs(d)
-        assert sorted(sa.successor) == list(range(2 * n))
+        succ = gauss.short_arcs(d)
+        assert sorted(succ) == list(range(2 * n))
         # one cycle per component that carries chord endpoints, length = slots
         seen = set()
         cycles = []
@@ -140,7 +140,7 @@ def test_short_arcs_successor_is_permutation():
             while b not in seen:
                 seen.add(b)
                 size += 1
-                b = sa.successor[b]
+                b = succ[b]
             cycles.append(size)
         sizes = sorted(len(c) for c in d.components if c)
         assert sorted(cycles) == sizes
@@ -148,19 +148,23 @@ def test_short_arcs_successor_is_permutation():
 
 def test_short_arcs_end_slots():
     d = gauss.to_diagram(gauss.parse_gauss_code(CLASSICAL_TREFOIL))
-    sa = gauss.short_arcs(d)
+    succ = gauss.short_arcs(d)
+    # the arc incoming at a slot of chord c is 2c + offset, so it ends there
+    end_slot = {2 * c + gauss._arc_offset(role, d.signs[c]): (ci, pos)
+                for ci, comp in enumerate(d.components)
+                for pos, (c, role) in enumerate(comp)}
     # every slot is the end of exactly one arc
-    slots = sorted(sa.end_slot.values())
+    slots = sorted(end_slot.values())
     assert slots == [(0, p) for p in range(6)]
     # successor of the arc ending at slot p ends at slot p+1
-    for a, (ci, pos) in sa.end_slot.items():
-        nxt = sa.successor[a]
-        assert sa.end_slot[nxt] == (ci, (pos + 1) % 6)
+    for a, (ci, pos) in end_slot.items():
+        nxt = succ[a]
+        assert end_slot[nxt] == (ci, (pos + 1) % 6)
 
 
 def test_short_arcs_convention_matters():
     d = gauss.to_diagram(gauss.parse_gauss_code(TABLE1["4.12"]))
-    assert gauss.short_arcs(d).successor != under_first_successor(d)
+    assert gauss.short_arcs(d) != under_first_successor(d)
 
 
 def test_short_arcs_no_crossings():

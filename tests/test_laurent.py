@@ -359,9 +359,9 @@ def test_unit_schur_matches_scan_oracle():
     for d in groups_in:
         c = sum(1 for comp in d.components if not comp)
         for p in (groups.wirtinger(d), groups.reduced_group(d)):
-            alpha = groups.Abelianization.standard(p)
+            mat = groups.alexander_matrix(p)
             inputs += _schur_inputs(
-                lambda: groups.elementary_ideals(p, alpha, 1 + c))
+                lambda: groups.elementary_ideals(mat, 1 + c))
     inputs += _schur_inputs(
         lambda: [m.det() for _, _, m in _fuzz_matrices()])
     assert len(inputs) > 1100 and len(groups_in) > 15
@@ -592,7 +592,7 @@ def test_minors_shared_prefix_agrees_with_bruteforce():
     # comes from
     p = groups.reduced_group(
         gauss.to_diagram(gauss.parse_gauss_code(VIRTUAL_TREFOIL)))
-    fox = groups.alexander_matrix(p, groups.Abelianization.standard(p))
+    fox = groups.alexander_matrix(p)
     assert (fox.rows, fox.cols) == (6, 7)
     cases.append(fox)
     for m in cases:

@@ -1,7 +1,8 @@
 """The library holds only code the program runs: every function, class and
 method defined in src/vkalex is referred to by name somewhere in the
-library or the benchmark.  Code that only the tests reach lives in
-tests/_util.py."""
+library or the benchmark, every parameter default is overridden there, and
+every attribute a class stores on self is read there.  Code that only the
+tests reach lives in tests/_util.py."""
 
 import ast
 from pathlib import Path
@@ -128,3 +129,44 @@ def test_every_library_default_is_overridden():
                                        or (pos is not None and count > pos))
                    for callee, count, keywords in calls))
     assert not unset, "defaults no library or bench call overrides: %s" % unset
+
+
+def _stored_attributes(tree):
+    """Attribute names assigned on self, tuple targets included."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
+def _read_attributes(tree):
+    """Every attribute name loaded, and every identifier-like string
+    constant outside a __slots__ declaration, which names an attribute
+    without reading it."""
+    slots = {id(c) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                     for t in node.targets)
+             for c in ast.walk(node.value)}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and id(node) not in slots):
+            out.add(node.value)
+    return out
+
+
+def test_every_stored_attribute_is_read():
+    """A value a library class keeps on self that neither the library nor
+    the benchmark reads back is kept for the tests alone."""
+    stored = {}
+    read = set()
+    for path in _modules():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= _read_attributes(tree)
+        if path.parent == SRC:
+            for name in _stored_attributes(tree):
+                stored.setdefault(name, path.name)
+    unread = sorted("%s: %s" % (stored[n], n) for n in stored if n not in read)
+    assert not unread, "stored on self in src/vkalex, never read: %s" % unread

@@ -181,9 +181,8 @@ def _group_ideals(d):
     group, up to units."""
     out = []
     for p, k_max in ((groups.wirtinger(d), 2), (groups.reduced_group(d), 1)):
-        alpha = groups.Abelianization.standard(p)
-        out += [canonicalize(e.gcd_generator, MONOMIAL_SIGN)
-                for e in groups.elementary_ideals(p, alpha, k_max)]
+        ideals = groups.elementary_ideals(groups.alexander_matrix(p), k_max)
+        out += [canonicalize(e.gcd_generator, MONOMIAL_SIGN) for e in ideals]
     return out
 
 

@@ -31,7 +31,7 @@ def test_load_census_bad_lines(tmp_path):
     p.write_text("k1 O1+U1+\njunkline\nk2 O1-U1-\n")
     with pytest.raises(sieve.CensusParseError) as err:
         sieve.load_census(str(p))
-    assert err.value.line_no == 2
+    assert str(err.value).startswith("line 2: ")
     records, skipped = sieve.load_census(str(p), skip_bad=True)
     assert [r.name for r in records] == ["k1", "k2"]
     assert skipped == 1
@@ -173,7 +173,7 @@ def test_flags_parse_errors(tmp_path):
                      "5.114 graded_genus_zero=%s\n" % value)
         with pytest.raises(sieve.CensusParseError) as err:
             sieve.load_flags(str(f))
-        assert err.value.line_no == 2
+        assert str(err.value).startswith("line 2: ")
 
 
 def test_load_census_non_utf8_line(tmp_path):
@@ -181,7 +181,7 @@ def test_load_census_non_utf8_line(tmp_path):
     p.write_bytes(b"k1 O1+U1+\n# caf\xc3\xa9\nk2 O1-U1- \xff\nk3 O1-U1-\n")
     with pytest.raises(sieve.CensusParseError) as err:
         sieve.load_census(str(p))
-    assert err.value.line_no == 3
+    assert str(err.value).startswith("line 3: ")
     records, skipped = sieve.load_census(str(p), skip_bad=True)
     assert [r.name for r in records] == ["k1", "k3"]
     assert skipped == 1
@@ -193,7 +193,7 @@ def test_load_census_line_endings(tmp_path):
     p.write_bytes(b"k1 O1+U1+\r\nk2 O1-U1-\rjunk\nk3 O1+U1+")
     with pytest.raises(sieve.CensusParseError) as err:
         sieve.load_census(str(p))
-    assert err.value.line_no == 3
+    assert str(err.value).startswith("line 3: ")
     records, skipped = sieve.load_census(str(p), skip_bad=True)
     assert [(r.name, r.code) for r in records] == [
         ("k1", "O1+U1+"), ("k2", "O1-U1-"), ("k3", "O1+U1+")]
@@ -205,4 +205,4 @@ def test_load_flags_non_utf8_line(tmp_path):
     p.write_bytes(b"k1 graded_genus_zero=true\nk2 x=\xff\n")
     with pytest.raises(sieve.CensusParseError) as err:
         sieve.load_flags(str(p))
-    assert err.value.line_no == 2
+    assert str(err.value).startswith("line 2: ")

@@ -46,7 +46,7 @@ def test_traced_delta_and_ideals(capsys):
     # M - P is nonzero where M or P is: no entry of M is 1
     d = table1_diagram("4.12")
     nonzero = (set(alexander.build_m_matrix(d).entries)
-               | set(enumerate(gauss.short_arcs(d).successor)))
+               | set(enumerate(gauss.short_arcs(d))))
     mp = [s for s in spans if s[0] == "laurent.det"
           and spans[s[3]][0] == "alexander.delta0"]
     assert [(s[4]["dim"], s[4]["nnz"]) for s in mp] == [(8, len(nonzero))]

@@ -86,7 +86,7 @@ def _zh_path_matches(d, z):
     elementary ideal of the group of the extension z of d with omega
     generators sent to s."""
     p = groups.wirtinger(z.diagram)
-    g = groups.elementary_ideals(p, groups.Abelianization.standard(p), 1)[1]
+    g = groups.elementary_ideals(groups.alexander_matrix(p), 1)[1]
     lifted = (ONE - T) * g.gcd_generator.substitute(T, S * T)
     return canonicalize(lifted, MONOMIAL_SIGN) == alexander.delta0(d).canonical
 
@@ -107,8 +107,8 @@ def test_zh_path_on_links():
         want = alexander.delta0(d).canonical
         p = groups.wirtinger(zh(d).diagram)
         for q in (groups.tietze_eliminate(p), p):
-            ideals = groups.elementary_ideals(
-                q, groups.Abelianization.standard(q), 1 + c)
+            ideals = groups.elementary_ideals(groups.alexander_matrix(q),
+                                              1 + c)
             assert c == 0 or ideals[c].is_zero()
             g = ideals[1 + c].gcd_generator
             lifted = (ONE - T) * g.substitute(T, S * T)
@@ -147,6 +147,6 @@ def test_zh_path_vanishes_on_ribbon_doubles():
         if alexander.delta0(d).is_zero:
             continue
         p = groups.wirtinger(zh(ribbon_double(d)).diagram)
-        e1 = groups.elementary_ideals(p, groups.Abelianization.standard(p), 1)[1]
+        e1 = groups.elementary_ideals(groups.alexander_matrix(p), 1)[1]
         assert e1.gcd_generator == 0
         doubled += 1
