@@ -1,8 +1,9 @@
 """The CLI's exact output on a fixed corpus.  tests/data/cli_digests.json
 holds the Gauss codes of table 1 and of 80 distinct seeded knots and links
 of 0-8 chords, and one sha256 of (exit code, stdout, stderr) per command
-line run on them.  The test replays every command line in-process; a change
-that is meant to keep the program's behaviour must keep every digest.
+line run on them, then one per sieve format over a census of the same
+codes.  The test replays every command line in-process; a change that is
+meant to keep the program's behaviour must keep every digest.
 
     PYTHONPATH=src python tests/test_cli_digests.py
 
@@ -15,6 +16,7 @@ import io
 import json
 import os
 import random
+import tempfile
 import time
 
 from vkalex import cli, gauss
@@ -55,16 +57,40 @@ def _digest(argv):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _runs(codes):
-    """Every command on every code, writhe on the knots only."""
-    return [list(cmd) + [code] for code in codes for cmd in COMMANDS
-            if cmd[0] != "writhe" or "," not in code]
+def _sieve_files(codes, folder):
+    """A census of the nonempty codes, named k0, k1, ... by their place in
+    codes, with one line that fails to validate, and a flags file that
+    marks every other row graded_genus_zero=true and names one row the
+    census does not hold.  Returns the two paths."""
+    census = os.path.join(folder, "corpus.census")
+    flags = os.path.join(folder, "corpus.flags")
+    names = ["k%d" % i for i, code in enumerate(codes) if code]
+    with open(census, "w", encoding="utf-8") as fh:
+        fh.write("# the digest corpus\n")
+        for name, code in zip(names, filter(None, codes)):
+            fh.write("%s  %s\n" % (name, code))
+        fh.write("bad  O1+O1+\n")
+    with open(flags, "w", encoding="utf-8") as fh:
+        for i, name in enumerate(names):
+            fh.write("%s  graded_genus_zero=%s\n"
+                     % (name, "true" if i % 2 else "false"))
+        fh.write("absent  graded_genus_zero=true\n")
+    return census, flags
 
 
-def test_cli_bytes_match_the_recorded_digests():
+def _runs(codes, folder):
+    """Every command on every code, then the sieve over the files of
+    _sieve_files in each format."""
+    census, flags = _sieve_files(codes, folder)
+    return [list(cmd) + [code] for code in codes for cmd in COMMANDS] + [
+        ["sieve", "--serial", "--skip-bad", "--census", census,
+         "--flags", flags, "--format", fmt] for fmt in ("text", "json", "csv")]
+
+
+def test_cli_bytes_match_the_recorded_digests(tmp_path):
     with open(PATH, encoding="utf-8") as fh:
         doc = json.load(fh)
-    runs = _runs(doc["codes"])
+    runs = _runs(doc["codes"], str(tmp_path))
     assert len(runs) == len(doc["sha256"])
     start = time.perf_counter()
     changed = [argv for argv, want in zip(runs, doc["sha256"])
@@ -77,7 +103,9 @@ def test_cli_bytes_match_the_recorded_digests():
 
 if __name__ == "__main__":
     codes = _corpus()
-    doc = {"codes": codes, "sha256": [_digest(argv) for argv in _runs(codes)]}
+    with tempfile.TemporaryDirectory() as folder:
+        doc = {"codes": codes,
+               "sha256": [_digest(argv) for argv in _runs(codes, folder)]}
     with open(PATH, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
