@@ -15,8 +15,7 @@ from .gauss import (
     NoCrossings, BadIndex, parse_gauss_code, short_arcs, to_code, to_diagram,
 )
 from .alexander import (
-    GeneralizedAlexander, NotAKnot, build_m_matrix, delta0,
-    divisibility_check, writhe_polynomial,
+    GeneralizedAlexander, NotAKnot, build_m_matrix, delta0, writhe_polynomial,
 )
 from .zh import AlreadyHasOmega, ZhDiagram
 from .groups import (

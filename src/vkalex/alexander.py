@@ -1,7 +1,7 @@
 """The generalized Alexander polynomial of a virtual link, computed as the
 determinant det(M - P) over the short-arc structure of its Gauss diagram,
-plus the quantities derived from it (divisibility by 1-st and the writhe
-polynomial).  A nonzero value obstructs the knot from being slice.
+and the writhe polynomial derived from it.  A nonzero determinant
+obstructs the knot from being slice.
 
 M is block diagonal with one 2x2 block per crossing:
 
@@ -14,7 +14,10 @@ comparison additionally quotients by the sign, i.e. by +-s^a t^b.
 """
 
 from . import gauss
-from .laurent import PolyMatrix, canonicalize, MONOMIAL_SIGN, ONE, S, T, ZERO
+from .laurent import (
+    LaurentPoly, NotDivisible, PolyMatrix, canonicalize, MONOMIAL_SIGN, ONE,
+    S, T, ZERO,
+)
 
 
 class NotAKnot(ValueError):
@@ -22,7 +25,6 @@ class NotAKnot(ValueError):
 
 
 _ST = S * T
-_ONE_MINUS_ST = ONE - _ST
 
 
 _BLOCKS = {
@@ -77,25 +79,26 @@ def delta0(d):
     return GeneralizedAlexander(diff.det())
 
 
-def divisibility_check(g, d):
-    """(1 - st) divides det(M - P) for every knot; return the quotient.
-    A failure is an implementation bug, not an input problem, so the
-    NotDivisible from the division is allowed to escape."""
-    if len(d.components) != 1:
-        raise NotAKnot("divisibility statement applies to knots")
-    if g.raw.is_zero():
-        return ZERO
-    return g.raw.exact_div(_ONE_MINUS_ST)
-
-
 def writhe_polynomial(d):
     """-(det(M-P)/(1-st)) at (s, t) = (t^-1, t); a one-variable concordance
-    invariant of the knot.  Powers of st die under the substitution, so the
-    result needs no unit normalization."""
+    invariant of the knot."""
     return writhe_from_delta0(delta0(d), d)
 
 
 def writhe_from_delta0(g, d):
-    """The writhe polynomial of the knot d from its GeneralizedAlexander g."""
-    quotient = divisibility_check(g, d)
-    return (-quotient).substitute(T.inverse(), T)
+    """The writhe polynomial of the knot d from its GeneralizedAlexander g.
+    With u = st, det(M-P) = sum c s^a t^b is F(u, t) = sum c u^a t^(b-a).
+    1 - st divides it exactly when F(1, t) = 0, which holds for every knot,
+    and then the writhe polynomial is dF/du at u = 1, sum a c t^(b-a).  A
+    factor (st)^k adds k F(1, t) = 0, so the result needs no unit
+    normalization.  A nonzero F(1, t) is an implementation bug, not an
+    input problem, so its NotDivisible is allowed to escape."""
+    if len(d.components) != 1:
+        raise NotAKnot("divisibility statement applies to knots")
+    at_one, slope = {}, {}
+    for (a, b), c in g.raw.terms.items():
+        at_one[b - a] = at_one.get(b - a, 0) + c
+        slope[b - a] = slope.get(b - a, 0) + a * c
+    if any(at_one.values()):
+        raise NotDivisible("1 - st does not divide det(M - P)")
+    return LaurentPoly({(0, e): c for e, c in slope.items()})

@@ -333,26 +333,6 @@ class LaurentPoly:
     def __repr__(self):
         return "LaurentPoly(%s)" % _render(self.terms)
 
-    # division and substitution ------------------------------------------
-    def exact_div(self, other):
-        return LaurentPoly._raw(_div_exact(self.terms, _coerce(other)))
-
-    def substitute(self, s_image, t_image):
-        """Map s -> s_image, t -> t_image, both units +-s^a t^b: a linear map
-        on exponents with a sign.  A non-unit image raises ValueError."""
-        for image in (s_image, t_image):
-            if not isinstance(image, LaurentPoly) or image.inverse() is None:
-                raise ValueError("substitution needs a unit image "
-                                 "+-s^a t^b, got %s" % image)
-        ((sa, sb), sc), = s_image.terms.items()
-        ((ta, tb), tc), = t_image.terms.items()
-        out = {}
-        get = out.get
-        for (es, et), c in self.terms.items():
-            k = (sa * es + ta * et, sb * es + tb * et)
-            out[k] = get(k, 0) + c * sc ** (es % 2) * tc ** (et % 2)
-        return LaurentPoly._raw({k: c for k, c in out.items() if c})
-
 
 def _coerce(x):
     if isinstance(x, LaurentPoly):

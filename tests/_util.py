@@ -1,7 +1,9 @@
-"""Shared fixtures: the golden table of small virtual knots, random
-diagram generators for fuzzing, ribbon doubles, a PolyMatrix built from
-nested lists, the reference code the tests compare against (exact
-divisibility, the symbolic Fox derivative and the Fox matrix of any unit
+"""Shared fixtures: the golden table of small virtual knots, every
+one-circle diagram with a few chords, random diagram generators for
+fuzzing, ribbon doubles, a PolyMatrix built from nested lists, the
+reference code the tests compare against (exact division and
+divisibility, unit substitution, the writhe polynomial by division, the
+symbolic Fox derivative and the Fox matrix of any unit
 images built on it, the cofactor-expansion and plain Bareiss determinant
 oracles, the rescanning unit-pivot search, and the
 elementary ideals over all minors), the rejected short-arc and Zh head rules
@@ -10,11 +12,13 @@ and symmetry tests apply (basepoint rotation, chord relabelling, deleting a
 component or the omega circle, reversal, sign negation and the O/U swap),
 and the Reidemeister rewrites they walk diagrams with."""
 
+from itertools import product
+
 from vkalex import gauss, groups
 from vkalex.zh import ZhDiagram, zh
 from vkalex.laurent import (
-    NotDivisible, NotSquare, ONE, PolyMatrix, S, SizeTooLarge, T, ZERO, _add,
-    _mul, gcd,
+    LaurentPoly, NotDivisible, NotSquare, ONE, PolyMatrix, S, SizeTooLarge, T,
+    ZERO, _add, _div_exact, _mul, gcd,
 )
 
 ST = S * T
@@ -61,6 +65,39 @@ KINK = "O1+U1+"
 
 def table1_diagram(name):
     return gauss.to_diagram(gauss.parse_gauss_code(TABLE1[name]))
+
+
+def knot_diagrams(n):
+    """Every one-circle Gauss diagram with n chords: each perfect matching
+    of 2n points up to rotation, the least of its rotations in sorted pair
+    order, with every O/U choice and every sign per chord.  4, 32, 320 and
+    4,608 diagrams for n = 1..4, Reidemeister-reducible ones included."""
+    def matchings(points):
+        if not points:
+            yield []
+            return
+        for i in range(1, len(points)):
+            rest = points[1:i] + points[i + 1:]
+            for m in matchings(rest):
+                yield [(points[0], points[i])] + m
+
+    def rotation(m, k):
+        return sorted(tuple(sorted(((a + k) % (2 * n), (b + k) % (2 * n))))
+                      for a, b in m)
+
+    flip = {gauss.OVER: gauss.UNDER, gauss.UNDER: gauss.OVER}
+    out = []
+    for m in matchings(list(range(2 * n))):
+        if any(rotation(m, k) < m for k in range(1, 2 * n)):
+            continue
+        for roles in product((gauss.OVER, gauss.UNDER), repeat=n):
+            for signs in product((1, -1), repeat=n):
+                comp = [None] * (2 * n)
+                for k, ((a, b), role) in enumerate(zip(m, roles)):
+                    comp[a] = (k, role)
+                    comp[b] = (k, flip[role])
+                out.append(gauss.GaussDiagram([comp], list(signs)))
+    return out
 
 
 def random_knot(rng, n):
@@ -139,15 +176,45 @@ def matrix(grid):
                                         for j, e in enumerate(r)})
 
 
+def exact_div(p, q):
+    """The exact quotient p/q of two LaurentPolys; NotDivisible if it does
+    not exist, ZeroDivisionError if q is zero."""
+    return LaurentPoly(_div_exact(p.terms, q.terms))
+
+
 def divides(a, b):
     """True when the LaurentPoly a divides b exactly."""
     if a.is_zero():
         return b.is_zero()
     try:
-        b.exact_div(a)
+        exact_div(b, a)
     except NotDivisible:
         return False
     return True
+
+
+def substitute(p, s_image, t_image):
+    """p with s -> s_image, t -> t_image, both units +-s^a t^b: a linear map
+    on exponents with a sign.  A non-unit image raises ValueError."""
+    for image in (s_image, t_image):
+        if not isinstance(image, LaurentPoly) or image.inverse() is None:
+            raise ValueError("substitution needs a unit image "
+                             "+-s^a t^b, got %s" % image)
+    ((sa, sb), sc), = s_image.terms.items()
+    ((ta, tb), tc), = t_image.terms.items()
+    out = {}
+    get = out.get
+    for (es, et), c in p.terms.items():
+        k = (sa * es + ta * et, sb * es + tb * et)
+        out[k] = get(k, 0) + c * sc ** (es % 2) * tc ** (et % 2)
+    return LaurentPoly(out)
+
+
+def writhe_by_division(g):
+    """-(delta0 / (1 - st)) at (s, t) = (t^-1, t) for the
+    GeneralizedAlexander g of a knot, by long division and substitution:
+    the oracle for alexander.writhe_from_delta0."""
+    return -substitute(exact_div(g.raw, ONE - ST), T.inverse(), T)
 
 
 def fox_derivative(w, gen):
@@ -247,7 +314,8 @@ def det_bareiss(m):
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).exact_div(prev)
+                a[i][j] = exact_div(a[k][k] * a[i][j] - a[i][k] * a[k][j],
+                                    prev)
         prev = a[k][k]
     return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
 

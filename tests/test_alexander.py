@@ -8,9 +8,10 @@ from vkalex.laurent import (
 )
 from _util import (
     TABLE1, TABLE1_EXPECTED, CLASSICAL_TREFOIL, VIRTUAL_TREFOIL, KINK,
-    det_bareiss, negated, relabeled, reversed_diagram, ribbon_double,
-    rotated, swapped, table1_diagram, random_knot, random_link,
-    under_first_successor,
+    det_bareiss, exact_div, knot_diagrams, negated, relabeled,
+    reversed_diagram, ribbon_double, rotated, substitute, swapped,
+    table1_diagram, random_knot, random_link, under_first_successor,
+    writhe_by_division,
 )
 
 ST = S * T
@@ -127,13 +128,13 @@ def test_divisibility_by_one_minus_st():
     for name in TABLE1:
         d = table1_diagram(name)
         g = alexander.delta0(d)
-        q = alexander.divisibility_check(g, d)
+        q = exact_div(g.raw, ONE - ST)
         assert q * (ONE - ST) == g.raw
     rng = random.Random(23)
     for _ in range(30):
         d = random_knot(rng, rng.randint(1, 5))
         g = alexander.delta0(d)
-        q = alexander.divisibility_check(g, d)
+        q = exact_div(g.raw, ONE - ST)
         assert q * (ONE - ST) == g.raw
 
 
@@ -141,7 +142,28 @@ def test_divisibility_check_needs_a_knot():
     d = gauss.to_diagram(gauss.parse_gauss_code("O1+U2+,U1+O2+"))
     g = alexander.delta0(d)
     with pytest.raises(alexander.NotAKnot):
-        alexander.divisibility_check(g, d)
+        alexander.writhe_from_delta0(g, d)
+
+
+def test_knot_diagram_counts():
+    assert [len(knot_diagrams(n)) for n in range(1, 5)] == [4, 32, 320, 4608]
+
+
+def test_writhe_matches_division():
+    """The writhe polynomial taken in one pass as dF/du at u = 1, F(u, t)
+    being delta0 with s = u/t, equals -(delta0 / (1 - st))(t^-1, t) by long
+    division and substitution on every one-circle diagram of 1-4 chords and
+    on 500 seeded knots of 1-24 crossings."""
+    rng = random.Random(29)
+    diagrams = [d for n in range(1, 5) for d in knot_diagrams(n)]
+    diagrams += [random_knot(rng, rng.randint(1, 24)) for _ in range(500)]
+    writhes = 0
+    for d in diagrams:
+        g = alexander.delta0(d)
+        w = alexander.writhe_from_delta0(g, d)
+        assert w == writhe_by_division(g), d
+        writhes += not w.is_zero()
+    assert writhes >= 2900
 
 
 def test_writhe_polynomial_golden():
@@ -209,9 +231,8 @@ def test_delta0_symmetry_laws():
     to delta0(t^-1, s^-1).  On knots the writhe polynomial W obeys the same
     four moves exactly, with no normalization: W(t^-1), -W(t^-1), -W(t^-1)
     and W(t).  No oracle: the laws check M - P, its sign and arc rules, the
-    sparse determinant and the writhe division and substitution on knots of
-    2-20 crossings and links of 2-10 chords on 2-3 circles, far beyond
-    table 1."""
+    sparse determinant and the writhe polynomial on knots of 2-20 crossings
+    and links of 2-10 chords on 2-3 circles, far beyond table 1."""
     rng = random.Random(11)
     diagrams = [random_knot(rng, rng.randint(2, 20)) for _ in range(100)]
     diagrams += [random_link(rng, rng.randint(2, 10), rng.randint(2, 3))
@@ -225,14 +246,14 @@ def test_delta0_symmetry_laws():
         if knot:
             w = alexander.writhe_from_delta0(g, d)
             writhes += not w.is_zero()
-        laws = ((reversed_diagram(d), g.raw.substitute(si, ti), 1, ti),
-                (negated(d), g.raw.substitute(si, ti), -1, ti),
-                (negated(swapped(d)), g.raw.substitute(T, S), -1, ti),
-                (swapped(d), g.raw.substitute(ti, si), 1, T))
+        laws = ((reversed_diagram(d), substitute(g.raw, si, ti), 1, ti),
+                (negated(d), substitute(g.raw, si, ti), -1, ti),
+                (negated(swapped(d)), substitute(g.raw, T, S), -1, ti),
+                (swapped(d), substitute(g.raw, ti, si), 1, T))
         for image, want, w_sign, w_t in laws:
             got = alexander.delta0(image)
             assert got.canonical == canonicalize(want, MONOMIAL_SIGN), (d, want)
             if knot:
                 assert (alexander.writhe_from_delta0(got, image)
-                        == w_sign * w.substitute(S, w_t)), (d, w)
+                        == w_sign * substitute(w, S, w_t)), (d, w)
     assert nonzero >= 100 and writhes >= 80

@@ -6,8 +6,8 @@ import sys
 import pytest
 
 import vkalex
-from vkalex import alexander, cli
-from vkalex.laurent import NotDivisible
+from vkalex import alexander, cli, gauss
+from vkalex.laurent import NotDivisible, S
 from _util import TABLE1
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -319,6 +319,25 @@ def test_sieve_internal_error_exits_3(capsys, monkeypatch):
         raise NotDivisible("synthetic divisibility failure")
     monkeypatch.setattr("vkalex.sieve.alexander.delta0", boom)
     rc, _, err = run(capsys, "--serial", "sieve", "--census", CENSUS)
+    assert rc == 3
+    assert "internal error" in err
+
+
+def test_writhe_guards_divisibility_by_one_minus_st(capsys, monkeypatch,
+                                                   tmp_path):
+    """A delta0 that 1 - st does not divide is a bug: the writhe raises
+    NotDivisible, and writhe and sieve exit 3."""
+    monkeypatch.setattr(alexander, "delta0",
+                        lambda d: alexander.GeneralizedAlexander(S))
+    d = gauss.to_diagram(gauss.parse_gauss_code(TABLE1["4.12"]))
+    with pytest.raises(NotDivisible):
+        alexander.writhe_from_delta0(alexander.delta0(d), d)
+    rc, out, err = run(capsys, "writhe", TABLE1["4.12"])
+    assert rc == 3
+    assert "internal error" in err and out == ""
+    census = tmp_path / "one.census"
+    census.write_text("4.12  %s\n" % TABLE1["4.12"])
+    rc, _, err = run(capsys, "--serial", "sieve", "--census", str(census))
     assert rc == 3
     assert "internal error" in err
 

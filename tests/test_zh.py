@@ -7,8 +7,8 @@ from vkalex import alexander, gauss, groups
 from vkalex.laurent import canonicalize, MONOMIAL_SIGN, ONE, S, T
 from vkalex.zh import AlreadyHasOmega, ZhDiagram, zh
 from _util import (
-    TABLE1, CLASSICAL_TREFOIL, KINK, delete_omega, random_knot, random_link,
-    ribbon_double, zh_head_under,
+    TABLE1, CLASSICAL_TREFOIL, KINK, delete_omega, knot_diagrams,
+    random_knot, random_link, ribbon_double, substitute, zh_head_under,
 )
 
 
@@ -87,8 +87,15 @@ def _zh_path_matches(d, z):
     generators sent to s."""
     p = groups.wirtinger(z.diagram)
     g = groups.elementary_ideals(groups.alexander_matrix(p), 1)[1]
-    lifted = (ONE - T) * g.gcd_generator.substitute(T, S * T)
+    lifted = (ONE - T) * substitute(g.gcd_generator, T, S * T)
     return canonicalize(lifted, MONOMIAL_SIGN) == alexander.delta0(d).canonical
+
+
+def test_zh_path_on_every_small_knot():
+    """The cross-path identity on every one-circle diagram of 1-3 chords."""
+    for n in range(1, 4):
+        for d in knot_diagrams(n):
+            assert _zh_path_matches(d, zh(d)), gauss.to_code(d)
 
 
 def test_zh_path_on_links():
@@ -111,7 +118,7 @@ def test_zh_path_on_links():
                                               1 + c)
             assert c == 0 or ideals[c].is_zero()
             g = ideals[1 + c].gcd_generator
-            lifted = (ONE - T) * g.substitute(T, S * T)
+            lifted = (ONE - T) * substitute(g, T, S * T)
             assert canonicalize(lifted, MONOMIAL_SIGN) == want, d
     assert min(seen) >= 30
 
