@@ -32,6 +32,8 @@ COMMANDS = (
     ("ideals", "--reduced", "--kmax", "2"),
     ("ideals", "--reduced", "--kmax", "1", "--format", "json"),
     ("group", "--reduced", "--simplify"),
+    ("group", "--simplify"),
+    ("ideals", "--reduced", "--kmax", "3"),
 )
 
 
