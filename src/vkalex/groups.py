@@ -19,6 +19,7 @@ minors, and the block sum u + A' has I_m(u + A') = I_(m-1)(A').
 """
 
 import operator
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -279,40 +280,52 @@ def tietze_eliminate(p):
     """Repeatedly eliminate a generator that occurs exactly once in some
     relator, substituting its expression into the rest.  Candidate order:
     shortest defining relator, then fewest total occurrences of the
-    generator, then smallest generator id.  Relators are kept cyclically
-    reduced and empty relators dropped; generator ids are preserved.  The
-    relators stay letter lists until the result is built."""
+    generator, then smallest generator id, the first relator on ties.
+    Relators are kept cyclically reduced and empty relators dropped, in
+    their order; generator ids are preserved.  The relators stay letter
+    lists until the result is built, each with its letter counts, and the
+    totals over all of them are kept up to date: an elimination of g
+    rewrites and counts again only the relators that hold g."""
     gens = list(p.generators)
     tags = dict(p.tags)
     rels = [_cyclically_reduced(w.letters) for w in p.relators]
-    rels = [w for w in rels if w]
+    rels = [(w, Counter(g for g, _ in w)) for w in rels if w]
+    total = Counter(g for w, _ in rels for g, _ in w)
     while True:
-        total = {}
-        for v in rels:
-            for (h, _) in v:
-                total[h] = total.get(h, 0) + 1
         best = None
-        for ri, w in enumerate(rels):
-            counts = {}
-            for (g, _) in w:
-                counts[g] = counts.get(g, 0) + 1
-            for g, c in counts.items():
-                if c != 1:
-                    continue
-                key = (len(w), total[g], g)
-                if best is None or key < best[0]:
-                    best = (key, ri, g)
+        for ri, (w, cw) in enumerate(rels):
+            n = len(w)
+            if best is not None and n > best[0]:
+                continue
+            for g, c in cw.items():
+                if c == 1:
+                    key = (n, total[g], g, ri)
+                    if best is None or key < best:
+                        best = key
         if best is None:
             break
-        _, ri, g = best
-        w = rels[ri]
+        _, _, g, ri = best
+        w = rels[ri][0]
         i = next(i for i, (h, _) in enumerate(w) if h == g)
         # w = u g^e v, so g^e = u^-1 v^-1
         repl = _free_reduced(_inverse(w[:i]) + _inverse(w[i + 1:]))
         sub = {w[i]: repl, (g, -w[i][1]): _inverse(repl)}
-        rels = [_cyclically_reduced([y for l in x for y in sub.get(l, (l,))])
-                for x in rels[:ri] + rels[ri + 1:]]
-        rels = [x for x in rels if x]
+        kept = []
+        for rj, (x, cx) in enumerate(rels):
+            if g in cx:
+                for h, c in cx.items():
+                    total[h] -= c
+                if rj == ri:
+                    continue
+                x = _cyclically_reduced(
+                    [y for l in x for y in sub.get(l, (l,))])
+                if not x:
+                    continue
+                cx = Counter(h for h, _ in x)
+                for h, c in cx.items():
+                    total[h] += c
+            kept.append((x, cx))
+        rels = kept
         gens.remove(g)
         tags.pop(g, None)
-    return GroupPresentation(gens, tags, [Word(w) for w in rels])
+    return GroupPresentation(gens, tags, [Word(w) for w, _ in rels])

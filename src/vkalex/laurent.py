@@ -76,24 +76,12 @@ def _min_exp(a):
     return ms, mt
 
 
-def _div_exact(a, b):
-    """Exact quotient a/b in the Laurent ring; NotDivisible if it does not
-    exist.
-
-    Both arguments are shifted to honest polynomials, divided by lex-leading
-    long division, and the monomial shift is applied back at the end.
-    """
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not a:
-        return {}
-    ams, amt = _min_exp(a)
-    bms, bmt = _min_exp(b)
-    aa = _shift(a, -ams, -amt)
-    bb = _shift(b, -bms, -bmt)
-    lb = max(bb)
-    lcb = bb[lb]
-    rem = aa
+def _quo(a, b):
+    """The quotient a/b of the nonzero a and b in Z[s, t] by lex-leading long
+    division, or None when b does not divide a there."""
+    lb = max(b)
+    lcb = b[lb]
+    rem = dict(a)
     get = rem.get
     quo = {}
     while rem:
@@ -101,17 +89,33 @@ def _div_exact(a, b):
         ca = rem[la]
         ds, dt = la[0] - lb[0], la[1] - lb[1]
         if ds < 0 or dt < 0 or ca % lcb != 0:
-            raise NotDivisible("%s is not divisible by %s"
-                               % (_render(a), _render(b)))
+            return None
         qc = ca // lcb
         quo[(ds, dt)] = qc
-        for (es, et), c in bb.items():
+        for (es, et), c in b.items():
             k = (es + ds, et + dt)
             nc = get(k, 0) - qc * c
             if nc:
                 rem[k] = nc
             else:
                 del rem[k]
+    return quo
+
+
+def _div_exact(a, b):
+    """Exact quotient a/b in the Laurent ring; NotDivisible if it does not
+    exist.  Both arguments are shifted to least exponents 0, divided by
+    _quo, and the monomial shift is applied back at the end."""
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not a:
+        return {}
+    ams, amt = _min_exp(a)
+    bms, bmt = _min_exp(b)
+    quo = _quo(_shift(a, -ams, -amt), _shift(b, -bms, -bmt))
+    if quo is None:
+        raise NotDivisible("%s is not divisible by %s"
+                           % (_render(a), _render(b)))
     return _shift(quo, ams - bms, amt - bmt)
 
 
@@ -164,15 +168,27 @@ def _render(a):
 
 
 # ---------------------------------------------------------------------------
-# gcd: a primitive pseudo-remainder sequence in t over Z[s], run on the same
-# (e_s, e_t) dicts as the rest of the ring.  The content of a polynomial (the
-# gcd of its t-coefficients) is a gcd of t-free polynomials, which _gcd takes
-# by swapping s and t and recursing; two integers end the recursion.
-# The sequence swells on mid-sized inputs: one gcd of two 28- and 56-term
-# minors with coefficients under 2^8 took about 10 s in the content gcds of
-# _primitive, and `ideals --reduced --kmax 2` on 15-25-crossing knots spends
-# seconds to minutes here.  A heuristic gcd over the Kronecker codec of
-# _kronecker_det is ROADMAP open item 2.
+# gcd: a heuristic (GCDHEU, Char, Geddes and Gonnet 1989) in front of a
+# primitive pseudo-remainder sequence (PRS), both on the same (e_s, e_t)
+# dicts as the rest of the ring.
+#
+# The heuristic evaluates s at an integer xi, takes the gcd of the two images
+# in Z[t] by the same heuristic at t = xi' (there the images are integers and
+# math.gcd ends the recursion), and reads the gcd of the images back as
+# balanced xi-adic digits in s.  With xi at least 2 min(|p|, |q|) + 2, a
+# primitive candidate that divides both primitive inputs is their gcd.  The
+# gcd of the images keeps its integer content: a factor in s alone, such as
+# 1 + s, evaluates to an integer.  Evaluating s and t together, at s = xi
+# and t = xi^k, would map 1 - s to a divisor of the image of 1 - t for every
+# k, so the Alexander-type inputs of the ideals path, which carry both, would
+# never pass the division.
+#
+# The PRS is the fallback when the heuristic gives up and the tests' oracle.
+# It is a sequence in t over Z[s], and the content of a polynomial (the gcd
+# of its t-coefficients) is a gcd of t-free polynomials, which _gcd takes by
+# swapping s and t and recursing; two integers end the recursion.  It swells
+# on mid-sized inputs: one gcd of two 28- and 56-term minors with
+# coefficients under 2^8 takes about 10 s in the content gcds of _primitive.
 
 def _swap(a):
     return {(et, es): c for (es, et), c in a.items()}
@@ -231,6 +247,62 @@ def _gcd(p, q):
         r = _prem(f, g)
         f, g = g, (_primitive(r)[1] if r else r)
     return _canon_monomial_sign(_mul(f, _gcd(cp, cq)))
+
+
+_TRIES = 6
+
+
+def _divides(b, a):
+    """True when the nonzero b divides a in Z[s, t]: the heuristic's trial
+    division, which needs no quotient and no message."""
+    return _quo(a, b) is not None
+
+
+def _at_s(f, xi):
+    """f at s = xi, a polynomial in t, with t renamed s: {(e_t, 0): c}."""
+    img = {}
+    for (es, et), v in f.items():
+        img[et] = img.get(et, 0) + v * xi ** es
+    return {(et, 0): v for et, v in img.items() if v}
+
+
+def _heu(p, q):
+    """gcd of the nonzero p and q in Z[s, t], both with least exponents 0, by
+    GCDHEU, or None when _TRIES evaluation points fail here or below."""
+    cp, cq = igcd(*p.values()), igcd(*q.values())
+    c = igcd(cp, cq)
+    # least exponents 0: a single term is a constant
+    if len(p) == 1 or len(q) == 1:
+        return {(0, 0): c}
+    p = {k: v // cp for k, v in p.items()}
+    q = {k: v // cq for k, v in q.items()}
+    xi = 2 * min(max(map(abs, p.values())), max(map(abs, q.values()))) + 2
+    for _ in range(_TRIES):
+        a, b = _at_s(p, xi), _at_s(q, xi)
+        # an image that lost its constant term has a factor t the inputs
+        # lack: try the next point
+        if (0, 0) in a and (0, 0) in b:
+            g = _heu(a, b)
+            if g is None:
+                return None
+            h = {}
+            half = xi // 2
+            for (et, _), v in g.items():
+                es = 0
+                while v:
+                    d = v % xi
+                    if d > half:
+                        d -= xi
+                    if d:
+                        h[(es, et)] = d
+                    v = (v - d) // xi
+                    es += 1
+            ch = igcd(*h.values())
+            h = {k: v // ch for k, v in h.items()}
+            if _divides(h, p) and _divides(h, q):
+                return {k: c * v for k, v in h.items()}
+        xi = xi * 73794 // 27011
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +423,14 @@ T = LaurentPoly({(0, 1): 1})
 # module-level operations ---------------------------------------------------
 
 def gcd(p, q):
-    """A gcd in the UFD Z[s^{+-1}, t^{+-1}], canonical up to +-s^a t^b.
-    gcd(0, 0) = 0."""
-    return LaurentPoly._raw(_gcd(p.terms, q.terms))
+    """A gcd in the UFD Z[s^{+-1}, t^{+-1}], canonical up to +-s^a t^b, by
+    the heuristic with the PRS as its fallback.  gcd(0, 0) = 0."""
+    a, b = p.terms, q.terms
+    if not a or not b:
+        return LaurentPoly._raw(_canon_monomial_sign(a or b))
+    g = _heu(_canon_monomial_sign(a), _canon_monomial_sign(b))
+    return LaurentPoly._raw(_gcd(a, b) if g is None
+                            else _canon_monomial_sign(g))
 
 
 def canonicalize(p, mode=MONOMIAL_SIGN):

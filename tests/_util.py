@@ -5,12 +5,12 @@ reference code the tests compare against (exact division and
 divisibility, unit substitution, the writhe polynomial by division, the
 symbolic Fox derivative and the Fox matrix of any unit
 images built on it, the cofactor-expansion and plain Bareiss determinant
-oracles, the rescanning unit-pivot search, and the
-elementary ideals over all minors), the rejected short-arc and Zh head rules
-the calibration tests check against, the diagram transforms the invariance
-and symmetry tests apply (basepoint rotation, chord relabelling, deleting a
-component or the omega circle, reversal, sign negation and the O/U swap),
-and the Reidemeister rewrites they walk diagrams with."""
+oracles, the rescanning unit-pivot search and Tietze elimination, and the
+elementary ideals over all minors), the rejected short-arc and Zh head
+rules the calibration tests check against, the diagram transforms the
+invariance and symmetry tests apply (basepoint rotation, chord relabelling,
+deleting a component or the omega circle, reversal, sign negation and the
+O/U swap), and the Reidemeister rewrites they walk diagrams with."""
 
 from itertools import product
 
@@ -373,6 +373,48 @@ def unit_schur_scan(rows, ncols):
                 elif col in row:
                     del row[col]
                     where[col].discard(k)
+
+
+def tietze_scan(p):
+    """The order oracle for groups.tietze_eliminate: the same eliminations
+    and result, with every relator's letters and the totals over all of
+    them counted afresh before each step, and every relator substituted
+    into and cyclically reduced after it."""
+    gens = list(p.generators)
+    tags = dict(p.tags)
+    rels = [groups._cyclically_reduced(w.letters) for w in p.relators]
+    rels = [w for w in rels if w]
+    while True:
+        total = {}
+        for v in rels:
+            for (h, _) in v:
+                total[h] = total.get(h, 0) + 1
+        best = None
+        for ri, w in enumerate(rels):
+            counts = {}
+            for (g, _) in w:
+                counts[g] = counts.get(g, 0) + 1
+            for g, c in counts.items():
+                if c != 1:
+                    continue
+                key = (len(w), total[g], g)
+                if best is None or key < best[0]:
+                    best = (key, ri, g)
+        if best is None:
+            break
+        _, ri, g = best
+        w = rels[ri]
+        i = next(i for i, (h, _) in enumerate(w) if h == g)
+        inverse = groups._inverse
+        repl = groups._free_reduced(inverse(w[:i]) + inverse(w[i + 1:]))
+        sub = {w[i]: repl, (g, -w[i][1]): inverse(repl)}
+        rels = [groups._cyclically_reduced(
+                    [y for l in x for y in sub.get(l, (l,))])
+                for x in rels[:ri] + rels[ri + 1:]]
+        rels = [x for x in rels if x]
+        gens.remove(g)
+        tags.pop(g, None)
+    return groups.GroupPresentation(gens, tags, [groups.Word(w) for w in rels])
 
 
 def ideals_by_all_minors(mat, k_max):

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 import time
 
@@ -9,8 +11,8 @@ from vkalex.laurent import (
 )
 from _util import (
     TABLE1, CLASSICAL_TREFOIL, KINK, divides, fox_derivative, fox_matrix,
-    table1_diagram, ideals_by_all_minors, random_knot, random_link, rotated,
-    tag_images,
+    table1_diagram, ideals_by_all_minors, knot_diagrams, random_knot,
+    random_link, rotated, tag_images, tietze_scan,
 )
 
 W = groups.Word
@@ -401,3 +403,43 @@ def test_tietze_plain_knot_group_abelianizes_to_cyclic():
     q = groups.tietze_eliminate(groups.wirtinger(d))
     assert len(q.generators) == 1
     assert q.relators == []
+
+
+def test_tietze_matches_scan_oracle():
+    """The kept counts and totals pick the same eliminations as counting
+    afresh: the same str() on the plain and reduced presentations of every
+    diagram of 0-3 chords and of 200 seeded knots and links of up to 10."""
+    rng = random.Random(11)
+    diagrams = [d for n in range(4) for d in knot_diagrams(n)]
+    diagrams += [random_knot(rng, rng.randint(0, 10)) if i % 2
+                 else random_link(rng, rng.randint(0, 10), rng.randint(2, 3))
+                 for i in range(200)]
+    eliminated = 0
+    for d in diagrams:
+        for p in (groups.wirtinger(d), groups.reduced_group(d)):
+            got = groups.tietze_eliminate(p)
+            assert str(got) == str(tietze_scan(p)), gauss.to_code(d)
+            eliminated += len(p.generators) - len(got.generators)
+    assert eliminated > 1000
+
+
+def test_reduced_ideals_of_large_knots():
+    """E_1 and E_2 of the reduced group of two 15- and two 20-chord knots
+    (one Random(1): two knots each of 10, 15 and 20 chords), against the
+    values the pseudo-remainder gcd gave, which takes 0.2-7 s a knot."""
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "large_reduced_ideals.json")
+    with open(path, encoding="utf-8") as fh:
+        want = json.load(fh)
+    rng = random.Random(1)
+    knots = [random_knot(rng, n) for n in (10, 10, 15, 15, 20, 20)][2:]
+    assert [str(gauss.to_code(d)) for d in knots] == [w["code"] for w in want]
+    start = time.perf_counter()
+    got = [groups.elementary_ideals(
+               groups.alexander_matrix(groups.reduced_group(d)), 2)
+           for d in knots]
+    assert time.perf_counter() - start < 1.0
+    for ideals, w in zip(got, want):
+        e1, e2 = ideals[1].gcd_generator, ideals[2].gcd_generator
+        assert (str(e1), str(e2)) == (w["E1"], w["E2"])
+        assert divides(e2, e1)

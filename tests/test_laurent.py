@@ -212,6 +212,72 @@ def test_gcd_properties():
             assert divides(h, gh) or (p.is_zero() and q.is_zero())
 
 
+def _prs(p, q):
+    """The pseudo-remainder gcd, the heuristic's fallback and oracle."""
+    return LaurentPoly(laurent._gcd(p.terms, q.terms))
+
+
+def _spy_prs(monkeypatch):
+    """The list of calls the PRS takes from now on, recursion included."""
+    calls = []
+    prs = laurent._gcd
+
+    def spy(a, b):
+        calls.append((a, b))
+        return prs(a, b)
+
+    monkeypatch.setattr(laurent, "_gcd", spy)
+    return calls
+
+
+def test_gcd_heuristic_keeps_one_minus_s_and_one_minus_t_apart(monkeypatch):
+    """At s = xi, t = xi^k the image of 1 - s divides that of 1 - t for
+    every k; evaluating s alone keeps them apart, and the integer content
+    of the images keeps the factor 1 + s in s alone."""
+    calls = _spy_prs(monkeypatch)
+    g = canonicalize((ONE + S) * (2 - S * T + T * T), MONOMIAL_SIGN)
+    assert gcd(g * (ONE - S), g * (ONE - T)) == g
+    assert gcd(6 * g * (ONE - S), 4 * S * g * (ONE - T)) == 2 * g
+    assert gcd(ONE - S, ONE - T) == ONE
+    assert calls == []
+
+
+def test_gcd_falls_back_to_the_prs(monkeypatch):
+    """A heuristic whose every trial division fails hands each pair to the
+    PRS, which gives the same gcd."""
+    rng = random.Random(3)
+    pairs = [((ONE - S) * (ONE - S * T), (ONE - T) * (ONE - S * T)),
+             (6 * (ONE - T) * (ONE + S), 9 * (ONE + S) * S)]
+    while len(pairs) < 20:
+        g, a, b = (random_poly(rng, span=2, terms=4) for _ in range(3))
+        if min(len(g.terms), len(a.terms), len(b.terms)) > 1:
+            pairs.append((g * a, g * b))
+    want = [gcd(p, q) for p, q in pairs]
+    monkeypatch.setattr(laurent, "_divides", lambda b, a: False)
+    calls = _spy_prs(monkeypatch)
+    for (p, q), w in zip(pairs, want):
+        del calls[:]
+        assert gcd(p, q) == w
+        assert calls
+    assert sum(len(w.terms) > 1 for w in want) > 10
+
+
+def test_gcd_matches_the_prs_fuzz(monkeypatch):
+    """The heuristic against the PRS on pairs g a, g b and g^2 a, g b, with
+    no pair left to the fallback."""
+    rng = random.Random(5)
+    pairs = []
+    for _ in range(300):
+        g, a, b = (random_poly(rng, span=2, terms=4, coeff=9)
+                   for _ in range(3))
+        pairs += [(g * a, g * b), (g * g * a, g * b)]
+    want = [_prs(p, q) for p, q in pairs]
+    assert sum(len(w.terms) > 1 for w in want) > 300
+    calls = _spy_prs(monkeypatch)
+    assert [gcd(p, q) for p, q in pairs] == want
+    assert calls == []
+
+
 def test_det_goldens():
     m = matrix([[S, T], [ONE, S]])
     assert m.det() == S * S - T
@@ -406,7 +472,7 @@ def test_unit_reduced_keeps_every_ideal_of_minors():
             return ZERO
         if x < 0.7 and not no_unit:
             return rng.choice(units)
-        e = random_poly(rng, span=1, terms=2, coeff=2)
+        e = random_poly(rng, span=1, terms=3, coeff=3)
         return e * 2 if e.inverse() is not None else e
 
     for i in range(150):
