@@ -1,6 +1,6 @@
 """The CLI's exact output on a fixed corpus.  tests/data/cli_digests.json
-holds the Gauss codes of table 1 and of 80 distinct seeded knots and links
-of 0-8 chords, and one sha256 of (exit code, stdout, stderr) per command
+holds the Gauss codes of table 1, of 80 distinct seeded knots and links
+of 0-8 chords and of a few hand-written links, and one sha256 of (exit code, stdout, stderr) per command
 line run on them, then one per sieve format over a census of the same
 codes.  The test replays every command line in-process; a change that is
 meant to keep the program's behaviour must keep every digest.
@@ -37,8 +37,18 @@ COMMANDS = (
 )
 
 
+# circles with U slots only (of 1-3 slots), with one O slot, with O slots
+# only, and with no slots at all
+HAND_WRITTEN = (
+    "U1+,O1+", "O1-,U1-", "U1+U2-,O2-O1+",
+    "O1+U2-O3+,U1+U3+,O2-", ",U1+U2+,O2+O1+,",
+    "O1+O2-,U1+U2-", "U1-U2+U3-,O1-O2+,O3-", "O1+O2-U1+U2-,,U3+,O3+",
+)
+
+
 def _corpus():
-    """Table 1, then 80 distinct seeded codes, two knots to one link."""
+    """Table 1, then 80 distinct seeded codes, two knots to one link, then
+    the hand-written links."""
     rng = random.Random(2026)
     codes = list(TABLE1.values())
     while len(codes) < len(TABLE1) + 80:
@@ -48,7 +58,7 @@ def _corpus():
         code = str(gauss.to_code(d))
         if code not in codes:
             codes.append(code)
-    return codes
+    return codes + [code for code in HAND_WRITTEN if code not in codes]
 
 
 def _digest(argv):
