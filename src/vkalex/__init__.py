@@ -12,10 +12,10 @@ from .laurent import (
 )
 from .gauss import (
     GaussCode, GaussDiagram, GaussSyntaxError, GaussValidationError,
-    NoCrossings, BadIndex, parse_gauss_code, short_arcs, to_code, to_diagram,
+    BadIndex, parse_gauss_code, to_code, to_diagram,
 )
 from .alexander import (
-    GeneralizedAlexander, NotAKnot, build_m_matrix, delta0, writhe_polynomial,
+    GeneralizedAlexander, NotAKnot, delta0, writhe_polynomial,
 )
 from .zh import AlreadyHasOmega, ZhDiagram
 from .groups import (

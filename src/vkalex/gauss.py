@@ -29,10 +29,6 @@ class GaussValidationError(ValueError):
     """Token stream parses but violates the pairing rules."""
 
 
-class NoCrossings(ValueError):
-    """Operation needs at least one crossing."""
-
-
 class BadIndex(IndexError):
     """Component or slot index out of range."""
 
@@ -185,31 +181,3 @@ def to_code(d):
             toks.append((role, labels[c], d.signs[c]))
         comps.append(toks)
     return GaussCode(comps)
-
-
-# ---------------------------------------------------------------------------
-# short arcs
-
-# Which of the pair (2k, 2k+1) the arc incoming at the over passage takes:
-# 2k at a positive crossing, 2k+1 at a negative one, where the two strands
-# trade sides ("over-first").  The mirror rule fails the worked 5.344
-# polynomial; tests/test_alexander.py builds it from this one and checks so.
-def _arc_offset(role, sign):
-    return (role == OVER) != (sign > 0)
-
-
-def short_arcs(d):
-    """The successor map of the 2n short arcs of an n-crossing diagram, as a
-    list: succ[a] is the arc that starts where arc a ends.  Arc ids are
-    0-based; crossing k owns the incoming pair (2k, 2k+1), and the arc
-    incoming at a slot ends there.  Raises NoCrossings on a chordless
-    diagram."""
-    n = len(d.signs)
-    if n == 0:
-        raise NoCrossings("no short arcs without crossings")
-    succ = [None] * (2 * n)
-    for comp in d.components:
-        arcs = [2 * c + _arc_offset(role, d.signs[c]) for c, role in comp]
-        for pos, a in enumerate(arcs):
-            succ[a] = arcs[(pos + 1) % len(arcs)]
-    return succ

@@ -5,8 +5,10 @@ reference code the tests compare against (exact division and
 divisibility, unit substitution, the writhe polynomial by division, the
 symbolic Fox derivative and the Fox matrix of any unit
 images built on it, the cofactor-expansion and plain Bareiss determinant
-oracles, the rescanning unit-pivot search and Tietze elimination, and the
-elementary ideals over all minors), the rejected short-arc and Zh head
+oracles, the rescanning unit-pivot search and Tietze elimination, the
+elementary ideals over all minors, M - P over the short arcs and its Schur
+complement on the arcs entering U slots, and the chord indices that decide
+almost-classical diagrams), the rejected short-arc and Zh head
 rules the calibration tests check against, the diagram transforms the
 invariance and symmetry tests apply (basepoint rotation, chord relabelling,
 deleting a component or the omega circle, reversal, sign negation and the
@@ -441,14 +443,137 @@ def ideals_by_all_minors(mat, k_max):
 
 
 # ---------------------------------------------------------------------------
+# M - P over the short arcs, the matrix alexander.delta0 reduces to its
+# crossing matrix N in one pass, built entry by entry from its definition
+
+class NoCrossings(ValueError):
+    """Operation needs at least one crossing."""
+
+
+# Which of the pair (2k, 2k+1) the arc incoming at the over passage takes:
+# 2k at a positive crossing, 2k+1 at a negative one, where the two strands
+# trade sides ("over-first").  The mirror rule fails the worked 5.344
+# polynomial; tests/test_alexander.py builds it from this one and checks so.
+def _arc_offset(role, sign):
+    return (role == gauss.OVER) != (sign > 0)
+
+
+def short_arcs(d):
+    """The successor map of the 2n short arcs of an n-crossing diagram, as a
+    list: succ[a] is the arc that starts where arc a ends.  Arc ids are
+    0-based; crossing k owns the incoming pair (2k, 2k+1), and the arc
+    incoming at a slot ends there.  Raises NoCrossings on a chordless
+    diagram."""
+    n = len(d.signs)
+    if n == 0:
+        raise NoCrossings("no short arcs without crossings")
+    succ = [None] * (2 * n)
+    for comp in d.components:
+        arcs = [2 * c + _arc_offset(role, d.signs[c]) for c, role in comp]
+        for pos, a in enumerate(arcs):
+            succ[a] = arcs[(pos + 1) % len(arcs)]
+    return succ
+
+
+_BLOCKS = {
+    1: {(0, 0): T.inverse(), (0, 1): ONE - ST.inverse(), (1, 1): S.inverse()},
+    -1: {(0, 0): S, (1, 0): ONE - ST, (1, 1): T},
+}
+
+
+def build_m_matrix(d):
+    """Block-diagonal 2n x 2n matrix with the block of sign_k, whose nonzero
+    entries _BLOCKS holds, at rows and columns (2k, 2k+1): the block of the
+    alexander module docstring, its arcs entering O and U in that order at
+    a positive crossing and swapped at a negative one (_arc_offset)."""
+    n = len(d.signs)
+    if n == 0:
+        raise NoCrossings("M needs at least one crossing")
+    return PolyMatrix(2 * n, 2 * n, {
+        (2 * k + r, 2 * k + c): e for k, sign in enumerate(d.signs)
+        for (r, c), e in _BLOCKS[sign].items()})
+
+
+def p_matrix(successor):
+    """P, the permutation matrix of the short-arc successor: entry (i, j)
+    is 1 iff arc i immediately precedes arc j."""
+    n = len(successor)
+    return PolyMatrix(n, n, {ij: ONE for ij in enumerate(successor)})
+
+
+def m_minus_p(d, successor):
+    """M - P of the diagram d under the short-arc successor list."""
+    diff = build_m_matrix(d)
+    # P is nonzero only at (i, successor(i)), so only there is a 1 taken off
+    for ij in enumerate(successor):
+        e = diff.entries.pop(ij, ZERO) - ONE
+        if e:
+            diff.entries[ij] = e
+    return diff
+
+
+def under_schur(d):
+    """The Schur complement of M - P on the arcs entering U slots of the
+    circles that hold an O slot, taken one unit pivot at a time, with the
+    rows and columns of the arcs of the other circles (U slots only)
+    dropped: those rows hold no other column.  Rows and columns are the
+    arcs entering O slots, in chord order, so this is the crossing matrix
+    N that alexander.delta0 builds directly."""
+    mp = m_minus_p(d, short_arcs(d))
+    rows = [{} for _ in range(mp.rows)]
+    for (i, j), e in mp.entries.items():
+        rows[i][j] = e
+    under = {}
+    for comp in d.components:
+        closed = all(role == gauss.UNDER for _, role in comp)
+        for c, role in comp:
+            if role == gauss.UNDER:
+                under[2 * c + _arc_offset(role, d.signs[c])] = closed
+    for a, closed in under.items():
+        if closed:
+            continue
+        inv = rows[a].pop(a).inverse()
+        for row in rows:
+            if a in row:
+                f = row.pop(a) * inv
+                for j, e in rows[a].items():
+                    row[j] = row.get(j, ZERO) - f * e
+                    if not row[j]:
+                        del row[j]
+        rows[a] = {}
+    overs = [a for a in range(mp.rows) if a not in under]
+    index = {a: k for k, a in enumerate(overs)}
+    return PolyMatrix(len(overs), len(overs), {
+        (index[a], index[b]): e for a in overs for b, e in rows[a].items()
+        if b in index})
+
+
+def chord_indices(d):
+    """index(c) of each chord c of the knot diagram d, in chord order: the
+    sum of sign * (+1 at an O slot, -1 at a U slot) over the slots strictly
+    after c's O slot and before its U slot.  These are the exponents of the
+    affine index polynomial, and all are 0 exactly when d is almost
+    classical (Alexander numberable)."""
+    (comp,) = d.components
+    at = {slot: p for p, slot in enumerate(comp)}
+    out = []
+    for c in range(len(d.signs)):
+        p, q = at[c, gauss.OVER], at[c, gauss.UNDER]
+        between = comp[p + 1:q] if p < q else comp[p + 1:] + comp[:q]
+        out.append(sum(d.signs[x] if role == gauss.OVER else -d.signs[x]
+                       for x, role in between))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the rejected rules, built from the library's one rule each
 
 def under_first_successor(d):
     """The short-arc successor under the mirror arc rule, in which the arc
     incoming at the under passage takes 2k at a positive crossing: the
-    library's successor conjugated by the swap 2k <-> 2k+1 of each
+    over-first successor conjugated by the swap 2k <-> 2k+1 of each
     crossing's pair of arcs."""
-    succ = gauss.short_arcs(d)
+    succ = short_arcs(d)
     return [succ[i ^ 1] ^ 1 for i in range(len(succ))]
 
 

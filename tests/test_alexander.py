@@ -8,9 +8,10 @@ from vkalex.laurent import (
 )
 from _util import (
     TABLE1, TABLE1_EXPECTED, CLASSICAL_TREFOIL, VIRTUAL_TREFOIL, KINK,
-    det_bareiss, exact_div, knot_diagrams, negated, relabeled,
-    reversed_diagram, ribbon_double, rotated, substitute, swapped,
-    table1_diagram, random_knot, random_link, under_first_successor,
+    NoCrossings, build_m_matrix, chord_indices, det_bareiss, exact_div,
+    knot_diagrams, m_minus_p, negated, p_matrix, relabeled, reversed_diagram,
+    ribbon_double, rotated, short_arcs, substitute, swapped, table1_diagram,
+    random_knot, random_link, under_first_successor, under_schur,
     writhe_by_division,
 )
 
@@ -28,38 +29,23 @@ def test_table_polynomials():
             assert got.canonical == canonicalize(expected, MONOMIAL_SIGN), name
 
 
-def _p_matrix(successor):
-    """P, the permutation matrix of the short-arc successor: entry (i, j)
-    is 1 iff arc i immediately precedes arc j."""
-    n = len(successor)
-    return PolyMatrix(n, n, {ij: ONE for ij in enumerate(successor)})
-
-
-def _m_minus_p(d, successor):
-    n = 2 * d.crossings
-    m = alexander.build_m_matrix(d)
-    p = _p_matrix(successor)
-    return PolyMatrix(n, n, {ij: m[ij] - p[ij]
-                             for ij in m.entries.keys() | p.entries.keys()})
-
-
 def test_worked_example_fixes_arc_convention():
     """The 4-crossing worked example is the calibration anchor.  The
     library's over-first arc rule and the under-first mirror give different
     successors on it, but happen to agree on its polynomial (they differ
     only in how negative chords mix with sign asymmetry), so the mixed-sign
     row 5.344 is checked too: it separates them, and only over-first
-    survives.  If this fails after a refactor, check gauss._arc_offset
+    survives.  If this fails after a refactor, check _util._arc_offset
     before anything else."""
     d = table1_diagram("4.12")
     expected = canonicalize(TABLE1_EXPECTED["4.12"], MONOMIAL_SIGN)
     assert alexander.delta0(d).canonical == expected
-    assert under_first_successor(d) != gauss.short_arcs(d)
+    assert under_first_successor(d) != short_arcs(d)
 
     sep = table1_diagram("5.344")
     sep_expected = canonicalize(TABLE1_EXPECTED["5.344"], MONOMIAL_SIGN)
-    over = _m_minus_p(sep, gauss.short_arcs(sep)).det()
-    under = _m_minus_p(sep, under_first_successor(sep)).det()
+    over = m_minus_p(sep, short_arcs(sep)).det()
+    under = m_minus_p(sep, under_first_successor(sep)).det()
     assert canonicalize(over, MONOMIAL_SIGN) == sep_expected
     assert canonicalize(under, MONOMIAL_SIGN) != sep_expected
 
@@ -67,17 +53,107 @@ def test_worked_example_fixes_arc_convention():
 def test_unit_pivot_det_matches_plain_bareiss():
     """det takes Schur steps on unit pivots before Bareiss; the oracle is a
     plain dense Bareiss with no unit pivots.  The two agree exactly, sign
-    included, and delta0 takes the determinant of this very matrix."""
+    included, and delta0 equals the determinant of this very matrix."""
     rng = random.Random(23)
     diagrams = [table1_diagram(name) for name in TABLE1]
     diagrams += [random_knot(rng, rng.randint(1, 8)) for _ in range(150)]
     diagrams += [random_link(rng, rng.randint(1, 8), rng.randint(2, 3))
                  for _ in range(100)]
     for d in diagrams:
-        diff = _m_minus_p(d, gauss.short_arcs(d))
+        diff = m_minus_p(d, short_arcs(d))
         det = diff.det()
         assert det == det_bareiss(diff)
         assert alexander.delta0(d).raw == det
+
+
+def _circle_kinds(d):
+    """(chordless circles, circles of U slots only) of the diagram."""
+    return (sum(not comp for comp in d.components),
+            sum(bool(comp) and all(role == gauss.UNDER for _, role in comp)
+                for comp in d.components))
+
+
+def test_delta0_is_det_of_m_minus_p():
+    """delta0 takes det(M - P) as s^x times a factor per circle of U slots
+    only times the determinant of the n x n crossing matrix N.  It equals
+    the determinant of the 2n x 2n M - P exactly, sign included, on every
+    one-circle diagram of 1-4 chords, on 500 seeded links, some with
+    chordless circles and some with circles of U slots only, and on knots
+    of 16-24 crossings."""
+    rng = random.Random(37)
+    links = [random_link(rng, rng.randint(1, 8), rng.randint(2, 4))
+             for _ in range(500)]
+    kinds = [_circle_kinds(d) for d in links]
+    assert sum(1 for c, _ in kinds if c) > 0
+    assert sum(1 for _, u in kinds if u) > 0
+    diagrams = [d for n in range(1, 5) for d in knot_diagrams(n)] + links
+    diagrams += [random_knot(rng, rng.randint(16, 24)) for _ in range(10)]
+    for d in diagrams:
+        assert alexander.delta0(d).raw == m_minus_p(d, short_arcs(d)).det(), d
+
+
+def test_crossing_matrix_is_the_schur_complement(monkeypatch):
+    """The one matrix delta0 takes a determinant of is the Schur complement
+    of M - P on the arcs entering U slots, without the circles of U slots
+    only, entry by entry: the oracle eliminates those arcs one unit pivot
+    at a time on the 2n x 2n matrix."""
+    seen = []
+    det = PolyMatrix.det
+
+    def spy(m):
+        seen.append(m)
+        return det(m)
+
+    monkeypatch.setattr(PolyMatrix, "det", spy)
+    rng = random.Random(41)
+    diagrams = [table1_diagram(name) for name in TABLE1]
+    diagrams += [random_link(rng, rng.randint(1, 8), rng.randint(1, 4))
+                 for _ in range(100)]
+    assert sum(1 for d in diagrams if _circle_kinds(d)[1]) > 0
+    for d in diagrams:
+        seen.clear()
+        alexander.delta0(d)
+        assert seen == [under_schur(d)], d
+
+
+def test_exact_delta0_is_label_and_basepoint_free():
+    """Relabelling chords and rotating a basepoint permute the short arcs
+    and so the rows and columns of M - P alike: the exact delta0, sign and
+    unit included, does not change, although the crossing matrix starts
+    each circle's walk at another slot and numbers its rows otherwise."""
+    rng = random.Random(43)
+    diagrams = [table1_diagram(name) for name in TABLE1]
+    diagrams += [random_knot(rng, rng.randint(1, 12)) for _ in range(40)]
+    diagrams += [random_link(rng, rng.randint(1, 8), rng.randint(2, 3))
+                 for _ in range(40)]
+    for d in diagrams:
+        base = alexander.delta0(d).raw
+        n = d.crossings
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert alexander.delta0(relabeled(d, perm)).raw == base, d
+            ci = rng.randrange(len(d.components))
+            k = rng.randrange(max(1, len(d.components[ci])))
+            assert alexander.delta0(rotated(d, ci, k)).raw == base, d
+
+
+def test_almost_classical_diagrams_have_zero_delta0():
+    """A knot diagram whose chord indices are all 0 is almost classical, so
+    homologically trivial in its Carter surface, and the paper's main
+    theorem makes its delta0 vanish: an independent check of the crossing
+    matrix on every one-circle diagram of 1-4 chords.  1,060 of them are
+    almost classical, and a further 1,324 have delta0 = 0 without being
+    so."""
+    almost_classical = other_zeros = 0
+    for d in (d for n in range(1, 5) for d in knot_diagrams(n)):
+        zero = alexander.delta0(d).is_zero
+        if any(chord_indices(d)):
+            other_zeros += zero
+        else:
+            assert zero, d
+            almost_classical += 1
+    assert (almost_classical, other_zeros) == (1060, 1324)
 
 
 def test_expected_product_evaluates_correctly():
@@ -88,8 +164,8 @@ def test_expected_product_evaluates_correctly():
 
 def test_matrix_shapes():
     d = table1_diagram("4.12")
-    m = alexander.build_m_matrix(d)
-    p = _p_matrix(gauss.short_arcs(d))
+    m = build_m_matrix(d)
+    p = p_matrix(short_arcs(d))
     assert (m.rows, m.cols) == (8, 8)
     assert (p.rows, p.cols) == (8, 8)
     # P is a permutation matrix
@@ -97,20 +173,20 @@ def test_matrix_shapes():
         assert sum(1 for c in range(8) if p[r, c] == ONE) == 1
     for c in range(8):
         assert sum(1 for r in range(8) if p[r, c] == ONE) == 1
-    with pytest.raises(gauss.NoCrossings):
-        alexander.build_m_matrix(gauss.to_diagram(gauss.parse_gauss_code("")))
+    with pytest.raises(NoCrossings):
+        build_m_matrix(gauss.to_diagram(gauss.parse_gauss_code("")))
 
 
 def test_crossing_blocks():
     # a one-crossing kink's M is the block of its crossing
-    pos = alexander.build_m_matrix(
+    pos = build_m_matrix(
         gauss.to_diagram(gauss.parse_gauss_code("O1+U1+")))
     assert pos[0, 0] == T.inverse()
     assert pos[0, 1] == ONE - ST.inverse()
     assert pos[1, 0] == ZERO
     assert pos[1, 1] == S.inverse()
     assert pos.det() == ST.inverse()
-    neg = alexander.build_m_matrix(
+    neg = build_m_matrix(
         gauss.to_diagram(gauss.parse_gauss_code("O1-U1-")))
     assert neg[0, 0] == S
     assert neg[1, 0] == ONE - ST

@@ -4,8 +4,9 @@ import pytest
 
 from vkalex import gauss
 from _util import (
-    TABLE1, CLASSICAL_TREFOIL, delete_component, random_knot, random_link,
-    relabeled, rotated, under_first_successor,
+    TABLE1, CLASSICAL_TREFOIL, NoCrossings, _arc_offset, delete_component,
+    random_knot, random_link, relabeled, rotated, short_arcs,
+    under_first_successor,
 )
 
 
@@ -127,7 +128,7 @@ def test_short_arcs_successor_is_permutation():
     for trial in range(40):
         n = rng.randint(1, 6)
         d = random_knot(rng, n) if trial % 2 else random_link(rng, n, rng.randint(1, 3))
-        succ = gauss.short_arcs(d)
+        succ = short_arcs(d)
         assert sorted(succ) == list(range(2 * n))
         # one cycle per component that carries chord endpoints, length = slots
         seen = set()
@@ -148,9 +149,9 @@ def test_short_arcs_successor_is_permutation():
 
 def test_short_arcs_end_slots():
     d = gauss.to_diagram(gauss.parse_gauss_code(CLASSICAL_TREFOIL))
-    succ = gauss.short_arcs(d)
+    succ = short_arcs(d)
     # the arc incoming at a slot of chord c is 2c + offset, so it ends there
-    end_slot = {2 * c + gauss._arc_offset(role, d.signs[c]): (ci, pos)
+    end_slot = {2 * c + _arc_offset(role, d.signs[c]): (ci, pos)
                 for ci, comp in enumerate(d.components)
                 for pos, (c, role) in enumerate(comp)}
     # every slot is the end of exactly one arc
@@ -164,9 +165,9 @@ def test_short_arcs_end_slots():
 
 def test_short_arcs_convention_matters():
     d = gauss.to_diagram(gauss.parse_gauss_code(TABLE1["4.12"]))
-    assert gauss.short_arcs(d) != under_first_successor(d)
+    assert short_arcs(d) != under_first_successor(d)
 
 
 def test_short_arcs_no_crossings():
-    with pytest.raises(gauss.NoCrossings):
-        gauss.short_arcs(gauss.to_diagram(gauss.parse_gauss_code("")))
+    with pytest.raises(NoCrossings):
+        short_arcs(gauss.to_diagram(gauss.parse_gauss_code("")))

@@ -5,9 +5,9 @@ PolyMatrix and a Fox matrix, and puts every original back."""
 import importlib.util
 from pathlib import Path
 
-from vkalex import alexander, cli, gauss
+from vkalex import cli
 from vkalex.laurent import PolyMatrix
-from _util import TABLE1, table1_diagram
+from _util import TABLE1, table1_diagram, under_schur
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -43,14 +43,13 @@ def test_traced_delta_and_ideals(capsys):
     spans = tracer.spans
     assert not any(s[4] and s[4].get("raised") for s in spans)
     m = tracing.layer_metrics(spans, 0, len(spans))
-    # M - P is nonzero where M or P is: no entry of M is 1
-    d = table1_diagram("4.12")
-    nonzero = (set(alexander.build_m_matrix(d).entries)
-               | set(enumerate(gauss.short_arcs(d))))
+    # delta0 takes one determinant, of the crossing matrix: the Schur
+    # complement of the 8 x 8 M - P on the arcs entering U slots, 4 x 4
+    n = under_schur(table1_diagram("4.12"))
     mp = [s for s in spans if s[0] == "laurent.det"
           and spans[s[3]][0] == "alexander.delta0"]
-    assert [(s[4]["dim"], s[4]["nnz"]) for s in mp] == [(8, len(nonzero))]
-    assert m["laurent.det_nnz_frac"] == mp[0][4]["nnz"] / 64
+    assert [(s[4]["dim"], s[4]["nnz"]) for s in mp] == [(4, len(n.entries))]
+    assert m["laurent.det_nnz_frac"] == mp[0][4]["nnz"] / 16
     assert m["laurent.det_calls"] > 1
     assert m["laurent.result_terms"] > 0
     assert m["groups.matrix_rows"] > 0 and m["groups.matrix_cols"] > 0
