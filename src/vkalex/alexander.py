@@ -32,7 +32,9 @@ sum of eps over the U slots strictly between a slot and the next O slot
 the last left out when U_k is on a circle of U slots only.  Then
 det(M - P) = s^x * prod_C (s^-(sum of eps over C) - 1) * det(N), with x
 minus the sum of eps over the U slots of the circles with an O slot and C
-running over the circles of U slots only.
+running over the circles of U slots only.  A circle of U slots only whose
+eps sum to 0 has the factor s^0 - 1 = 0, so delta0 returns zero as soon
+as it meets one, without building N.
 """
 
 from . import gauss
@@ -85,6 +87,9 @@ def delta0(d):
         if start is None:
             if comp:
                 total = sum(d.signs[c] for c, _ in comp)
+                if total == 0:
+                    # its factor s^0 - 1 is zero, whatever det(N) is
+                    return GeneralizedAlexander(ZERO)
                 unit *= LaurentPoly({(-total, 0): 1}) - ONE
             continue
         slots = comp[start:] + comp[:start]

@@ -5,13 +5,19 @@ lines and # comments skipped.  Each record gets the determinant polynomial
 computed; a nonzero value obstructs sliceness.  An external flags file
 (`name key=value ...`) can then be merged in, and a record survives the
 sieve when its graded genus flag is zero and its polynomial vanishes.
+
+Only a parallel sieve imports `concurrent.futures`: the package imports
+this module in every `vkalex` process, and the pool's imports would be a
+large share of the start-up of a one-knot command.  The factory that
+defers them keeps the executor class's name, `ProcessPoolExecutor`, so
+that callers which replace the pool by that module attribute, as the
+benchmark's tracer and the tests do, still find it.
 """
 
 import csv
 import io
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 from . import alexander, gauss
 
@@ -177,6 +183,13 @@ def _usable_cpus():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def ProcessPoolExecutor(workers):
+    """A process pool of `workers` workers, importing its module on first
+    use (see the module docstring)."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(workers)
 
 
 def run_sieve(records, parallel=True):

@@ -73,19 +73,29 @@ def _circle_kinds(d):
                 for comp in d.components))
 
 
+def _zero_factor(d):
+    """Whether some circle of U slots only has eps summing to 0, so that its
+    factor s^0 - 1 makes delta0 zero before N is built."""
+    return any(comp and all(role == gauss.UNDER for _, role in comp)
+               and sum(d.signs[c] for c, _ in comp) == 0
+               for comp in d.components)
+
+
 def test_delta0_is_det_of_m_minus_p():
     """delta0 takes det(M - P) as s^x times a factor per circle of U slots
     only times the determinant of the n x n crossing matrix N.  It equals
     the determinant of the 2n x 2n M - P exactly, sign included, on every
     one-circle diagram of 1-4 chords, on 500 seeded links, some with
     chordless circles and some with circles of U slots only, and on knots
-    of 16-24 crossings."""
+    of 16-24 crossings.  Some of those links have a circle of U slots only
+    whose eps sum to 0, where delta0 returns zero without taking det(N)."""
     rng = random.Random(37)
     links = [random_link(rng, rng.randint(1, 8), rng.randint(2, 4))
              for _ in range(500)]
     kinds = [_circle_kinds(d) for d in links]
     assert sum(1 for c, _ in kinds if c) > 0
     assert sum(1 for _, u in kinds if u) > 0
+    assert sum(1 for d in links if _zero_factor(d)) > 0
     diagrams = [d for n in range(1, 5) for d in knot_diagrams(n)] + links
     diagrams += [random_knot(rng, rng.randint(16, 24)) for _ in range(10)]
     for d in diagrams:
@@ -96,7 +106,8 @@ def test_crossing_matrix_is_the_schur_complement(monkeypatch):
     """The one matrix delta0 takes a determinant of is the Schur complement
     of M - P on the arcs entering U slots, without the circles of U slots
     only, entry by entry: the oracle eliminates those arcs one unit pivot
-    at a time on the 2n x 2n matrix."""
+    at a time on the 2n x 2n matrix.  A diagram with a circle of U slots
+    only whose eps sum to 0 has delta0 = 0 with no determinant taken."""
     seen = []
     det = PolyMatrix.det
 
@@ -110,10 +121,15 @@ def test_crossing_matrix_is_the_schur_complement(monkeypatch):
     diagrams += [random_link(rng, rng.randint(1, 8), rng.randint(1, 4))
                  for _ in range(100)]
     assert sum(1 for d in diagrams if _circle_kinds(d)[1]) > 0
+    zeros = [d for d in diagrams if _zero_factor(d)]
+    assert 0 < len(zeros) < sum(1 for d in diagrams if _circle_kinds(d)[1])
     for d in diagrams:
         seen.clear()
-        alexander.delta0(d)
-        assert seen == [under_schur(d)], d
+        g = alexander.delta0(d)
+        if _zero_factor(d):
+            assert seen == [] and g.is_zero, d
+        else:
+            assert seen == [under_schur(d)], d
 
 
 def test_exact_delta0_is_label_and_basepoint_free():

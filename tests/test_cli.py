@@ -411,3 +411,45 @@ def test_input_errors_exit_2_without_traceback(case, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# Runs the CLI calls given as a JSON list of argvs in this fresh
+# interpreter and prints their exit codes, the usable CPUs and which of the
+# process pool's modules got imported.
+_POOL_PROBE = """
+import contextlib, io, json, sys
+from vkalex import cli, sieve
+with contextlib.redirect_stdout(io.StringIO()):
+    rcs = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"rcs": rcs, "cpus": sieve._usable_cpus(),
+                  "loaded": [m for m in ("concurrent.futures",
+                                         "multiprocessing")
+                             if m in sys.modules]}))
+"""
+
+
+def _pool_probe(argvs):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vkalex.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _POOL_PROBE,
+                           json.dumps(argvs)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_only_a_parallel_sieve_imports_the_process_pool():
+    """The pool's modules are a large share of a one-knot command's
+    start-up, so no command but a parallel sieve may import them."""
+    code = TABLE1["4.12"]
+    probe = _pool_probe([
+        ["delta", code], ["writhe", code], ["zh", code],
+        ["group", "--reduced", "--simplify", code],
+        ["ideals", "--reduced", code], ["longitude", code],
+        ["--serial", "sieve", "--census", CENSUS]])
+    assert probe["rcs"] == [0] * 7
+    assert probe["loaded"] == []
+    probe = _pool_probe([["sieve", "--census", CENSUS]])
+    assert probe["rcs"] == [0]
+    expected = ["concurrent.futures", "multiprocessing"]
+    assert probe["loaded"] == (expected if probe["cpus"] > 1 else [])

@@ -5,11 +5,12 @@ PolyMatrix and a Fox matrix, and puts every original back."""
 import importlib.util
 from pathlib import Path
 
-from vkalex import cli
+from vkalex import cli, sieve
 from vkalex.laurent import PolyMatrix
 from _util import TABLE1, table1_diagram, under_schur
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+CENSUS = str(Path(__file__).resolve().parent / "data" / "table1.census")
 
 
 def _tracing():
@@ -53,3 +54,28 @@ def test_traced_delta_and_ideals(capsys):
     assert m["laurent.det_calls"] > 1
     assert m["laurent.result_terms"] > 0
     assert m["groups.matrix_rows"] > 0 and m["groups.matrix_cols"] > 0
+
+
+def test_traced_parallel_sieve(capsys, monkeypatch):
+    """The tracer wraps the sieve's pool by its module attribute
+    ProcessPoolExecutor and reads the worker count off what it returns."""
+    tracing = _tracing()
+    monkeypatch.setattr(sieve, "_usable_cpus", lambda: 2)
+    argv = ["sieve", "--census", CENSUS]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    pool = sieve.ProcessPoolExecutor
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert sieve.ProcessPoolExecutor is not pool
+        assert cli.main(argv) == 0
+        traced = capsys.readouterr().out
+    finally:
+        tracer.uninstall()
+    assert sieve.ProcessPoolExecutor is pool
+    assert traced == plain
+    spans = tracer.spans
+    pools = [s for s in spans if s[0] == "sieve.pool"]
+    assert [s[4] for s in pools] == [{"workers": 2}]
+    assert tracing.layer_metrics(spans, 0, len(spans))["sieve.workers"] == 2
