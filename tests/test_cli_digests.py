@@ -2,8 +2,10 @@
 holds the Gauss codes of table 1, of 80 distinct seeded knots and links
 of 0-8 chords and of a few hand-written links, and one sha256 of (exit code, stdout, stderr) per command
 line run on them, then one per sieve format over a census of the same
-codes.  The test replays every command line in-process; a change that is
-meant to keep the program's behaviour must keep every digest.
+codes.  It also holds three seeded knots of 30-40 chords with the digests
+of the LARGE commands alone, as reduced ideals are slow at that size.  The
+tests replay every command line in-process; a change that is meant to keep
+the program's behaviour must keep every digest.
 
     PYTHONPATH=src python tests/test_cli_digests.py
 
@@ -36,6 +38,12 @@ COMMANDS = (
     ("ideals", "--reduced", "--kmax", "3"),
 )
 
+# each is run on the large knots, with a code appended
+LARGE = (
+    ("delta", "--unit-class", "exact"),
+    ("writhe",),
+)
+
 
 # circles with U slots only (of 1-3 slots), with one O slot, with O slots
 # only, and with no slots at all
@@ -59,6 +67,17 @@ def _corpus():
         if code not in codes:
             codes.append(code)
     return codes + [code for code in HAND_WRITTEN if code not in codes]
+
+
+def _large_codes():
+    """Three seeded knots of 30-40 chords."""
+    rng = random.Random(1)
+    return [str(gauss.to_code(random_knot(rng, rng.randint(30, 40))))
+            for _ in range(3)]
+
+
+def _large_runs(codes):
+    return [list(cmd) + [code] for code in codes for cmd in LARGE]
 
 
 def _digest(argv):
@@ -113,11 +132,24 @@ def test_cli_bytes_match_the_recorded_digests(tmp_path):
     assert elapsed < 1.5
 
 
+def test_large_knot_bytes_match_the_recorded_digests():
+    with open(PATH, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    runs = _large_runs(doc["large_codes"])
+    assert len(runs) == len(doc["large_sha256"]) == 6
+    changed = [argv for argv, want in zip(runs, doc["large_sha256"])
+               if _digest(argv) != want]
+    assert not changed, changed
+
+
 if __name__ == "__main__":
     codes = _corpus()
     with tempfile.TemporaryDirectory() as folder:
         doc = {"codes": codes,
                "sha256": [_digest(argv) for argv in _runs(codes, folder)]}
+    large = _large_codes()
+    doc.update(large_codes=large,
+               large_sha256=[_digest(argv) for argv in _large_runs(large)])
     with open(PATH, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
