@@ -14,9 +14,7 @@ from .gauss import (
     GaussCode, GaussDiagram, GaussSyntaxError, GaussValidationError,
     BadIndex, parse_gauss_code, to_code, to_diagram,
 )
-from .alexander import (
-    GeneralizedAlexander, NotAKnot, delta0, writhe_polynomial,
-)
+from .alexander import NotAKnot, delta0, writhe_polynomial
 from .zh import AlreadyHasOmega, ZhDiagram
 from .groups import (
     ElementaryIdeal, GroupPresentation, Word, alexander_matrix,

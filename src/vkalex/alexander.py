@@ -1,6 +1,7 @@
 """The generalized Alexander polynomial det(M - P) of a virtual link, taken
 as the determinant of an n x n crossing matrix N, and the writhe polynomial
-derived from it.  A nonzero determinant obstructs the knot from being slice.
+of a knot, read off its chord indices.  A nonzero determinant obstructs the
+knot from being slice.
 
 M - P lives on the 2n short arcs, one ending at each slot.  M is block
 diagonal, the block of chord k, of sign eps_k, on the arcs entering its O
@@ -35,34 +36,22 @@ minus the sum of eps over the U slots of the circles with an O slot and C
 running over the circles of U slots only.  A circle of U slots only whose
 eps sum to 0 has the factor s^0 - 1 = 0, so delta0 returns zero as soon
 as it meets one, without building N.
+
+The writhe polynomial W(t) = -(det(M - P)/(1 - st))(t^-1, t) of a knot is
+Kauffman's affine index polynomial (JKTR 22, 2013), as Mellor showed (JKTR
+25, 2016): W(t) = sum over chords c of eps_c (t^-index(c) - 1), index(c)
+being the sum of eps * (+1 at an O slot, -1 at a U slot) over the slots
+strictly after O_c and before U_c.  It takes one pass along the circle and
+no determinant.
 """
 
 from . import gauss
-from .laurent import (
-    LaurentPoly, NotDivisible, PolyMatrix, canonicalize, MONOMIAL_SIGN, ONE,
-    ZERO,
-)
+# canonicalize stays importable here: bench/tracing.py patches it by name
+from .laurent import LaurentPoly, PolyMatrix, canonicalize, ONE, ZERO
 
 
 class NotAKnot(ValueError):
     """Operation defined only for one-component diagrams."""
-
-
-class GeneralizedAlexander:
-    """det(M - P) with its canonical form and vanishing verdict."""
-
-    def __init__(self, raw):
-        self.raw = raw
-        self.is_zero = raw.is_zero()
-
-    @property
-    def canonical(self):
-        """The monomial-sign canonical form, computed when read: the CLI
-        prints raw under its own unit class, and the writhe needs neither."""
-        return canonicalize(self.raw, MONOMIAL_SIGN)
-
-    def __repr__(self):
-        return "GeneralizedAlexander(%s)" % self.canonical
 
 
 def delta0(d):
@@ -73,7 +62,7 @@ def delta0(d):
     is classical and the invariant vanishes on classical links."""
     n = len(d.signs)
     if n == 0:
-        return GeneralizedAlexander(ZERO)
+        return ZERO
     entries = {}
 
     def put(k, m, key, c):
@@ -89,7 +78,7 @@ def delta0(d):
                 total = sum(d.signs[c] for c, _ in comp)
                 if total == 0:
                     # its factor s^0 - 1 is zero, whatever det(N) is
-                    return GeneralizedAlexander(ZERO)
+                    return ZERO
                 unit *= LaurentPoly({(-total, 0): 1}) - ONE
             continue
         slots = comp[start:] + comp[:start]
@@ -108,29 +97,26 @@ def delta0(d):
                 w += e
     det = PolyMatrix(n, n, {km: LaurentPoly(e)
                             for km, e in entries.items()}).det()
-    return GeneralizedAlexander(LaurentPoly({(shift, 0): 1}) * unit * det)
+    return LaurentPoly({(shift, 0): 1}) * unit * det
 
 
 def writhe_polynomial(d):
-    """-(det(M-P)/(1-st)) at (s, t) = (t^-1, t); a one-variable concordance
-    invariant of the knot."""
-    return writhe_from_delta0(delta0(d), d)
-
-
-def writhe_from_delta0(g, d):
-    """The writhe polynomial of the knot d from its GeneralizedAlexander g.
-    With u = st, det(M-P) = sum c s^a t^b is F(u, t) = sum c u^a t^(b-a).
-    1 - st divides it exactly when F(1, t) = 0, which holds for every knot,
-    and then the writhe polynomial is dF/du at u = 1, sum a c t^(b-a).  A
-    factor (st)^k adds k F(1, t) = 0, so the result needs no unit
-    normalization.  A nonzero F(1, t) is an implementation bug, not an
-    input problem, so its NotDivisible is allowed to escape."""
+    """The writhe polynomial of the knot d, a one-variable concordance
+    invariant, from its chord indices (see the module docstring).  With
+    sigma the running sum of +eps at an O slot and -eps at a U slot along
+    the circle, index(c) is sigma just before U_c less sigma just after
+    O_c; across the basepoint too, as sigma returns to 0."""
     if len(d.components) != 1:
         raise NotAKnot("divisibility statement applies to knots")
-    at_one, slope = {}, {}
-    for (a, b), c in g.raw.terms.items():
-        at_one[b - a] = at_one.get(b - a, 0) + c
-        slope[b - a] = slope.get(b - a, 0) + a * c
-    if any(at_one.values()):
-        raise NotDivisible("1 - st does not divide det(M - P)")
-    return LaurentPoly({(0, e): c for e, c in slope.items()})
+    sigma, exponent = 0, [0] * len(d.signs)
+    for c, role in d.components[0]:
+        if role == gauss.OVER:
+            sigma += d.signs[c]
+            exponent[c] += sigma
+        else:
+            exponent[c] -= sigma
+            sigma -= d.signs[c]
+    terms = {(0, 0): -sum(d.signs)}
+    for e, k in zip(d.signs, exponent):
+        terms[0, k] = terms.get((0, k), 0) + e
+    return LaurentPoly(terms)

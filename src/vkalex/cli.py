@@ -53,14 +53,15 @@ def _poly_str(poly, unit_class):
 def cmd_delta(args):
     d = _diagram(args.code)
     g = alexander.delta0(d)
-    shown = _poly_str(g.raw, args.unit_class)
-    obstructed = not g.is_zero
+    shown = _poly_str(g, args.unit_class)
+    zero = g.is_zero()
+    obstructed = not zero
     if args.format == "json":
-        out = {"delta0": shown, "zero": g.is_zero, "obstructed": obstructed}
+        out = {"delta0": shown, "zero": zero, "obstructed": obstructed}
         print(json.dumps(out, indent=2))
     else:
         print(shown)
-        print("zero: %s" % str(g.is_zero).lower())
+        print("zero: %s" % str(zero).lower())
         if obstructed:
             print("obstructed: true")
     return 0

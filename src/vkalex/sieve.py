@@ -19,7 +19,7 @@ import io
 import json
 import os
 
-from . import alexander, gauss
+from . import alexander, gauss, laurent
 
 
 # Row fields the sieve computes; a flags file may not set them.
@@ -108,19 +108,16 @@ def _sieve_one(item):
     try:
         d = gauss.to_diagram(gauss.parse_gauss_code(code))
         g = alexander.delta0(d)
-        zero = g.is_zero
-        row = {
+        zero = g.is_zero()
+        return {
             "name": name,
             "crossings": d.crossings,
-            "delta0": str(g.canonical),
+            "delta0": str(laurent.canonicalize(g, laurent.MONOMIAL_SIGN)),
             "delta0_zero": zero,
+            "writhe": (str(alexander.writhe_polynomial(d))
+                       if len(d.components) == 1 else ""),
+            "obstructed": not zero,
         }
-        if len(d.components) == 1:
-            row["writhe"] = str(alexander.writhe_from_delta0(g, d))
-        else:
-            row["writhe"] = ""
-        row["obstructed"] = not zero
-        return row
     except _ROW_ERRORS as exc:
         return {"name": name, "error": "%s: %s" % (type(exc).__name__, exc)}
 

@@ -2,9 +2,9 @@
 one-circle diagram with a few chords, random diagram generators for
 fuzzing, ribbon doubles, a PolyMatrix built from nested lists, the
 reference code the tests compare against (exact division and
-divisibility, unit substitution, the writhe polynomial by division, the
-symbolic Fox derivative and the Fox matrix of any unit
-images built on it, the cofactor-expansion and plain Bareiss determinant
+divisibility, unit substitution, the writhe polynomial by division and
+from the terms of delta0, the symbolic Fox derivative and the Fox matrix
+of any unit images built on it, the cofactor-expansion and plain Bareiss determinant
 oracles, the rescanning unit-pivot search and Tietze elimination, the
 elementary ideals over all minors, M - P over the short arcs and its Schur
 complement on the arcs entering U slots, and the chord indices that decide
@@ -17,6 +17,7 @@ O/U swap), and the Reidemeister rewrites they walk diagrams with."""
 from itertools import product
 
 from vkalex import gauss, groups
+from vkalex.alexander import NotAKnot
 from vkalex.zh import ZhDiagram, zh
 from vkalex.laurent import (
     LaurentPoly, NotDivisible, NotSquare, ONE, PolyMatrix, S, SizeTooLarge, T,
@@ -213,10 +214,29 @@ def substitute(p, s_image, t_image):
 
 
 def writhe_by_division(g):
-    """-(delta0 / (1 - st)) at (s, t) = (t^-1, t) for the
-    GeneralizedAlexander g of a knot, by long division and substitution:
-    the oracle for alexander.writhe_from_delta0."""
-    return -substitute(exact_div(g.raw, ONE - ST), T.inverse(), T)
+    """-(g / (1 - st)) at (s, t) = (t^-1, t) for the delta0 g of a knot, by
+    long division and substitution: an oracle for
+    alexander.writhe_polynomial."""
+    return -substitute(exact_div(g, ONE - ST), T.inverse(), T)
+
+
+def writhe_from_delta0(g, d):
+    """The writhe polynomial of the knot d from its delta0 g, in one pass
+    over g's terms: an oracle for alexander.writhe_polynomial.  With u = st,
+    g = sum c s^a t^b is F(u, t) = sum c u^a t^(b-a).  1 - st divides it
+    exactly when F(1, t) = 0, which holds for every knot, and then the
+    writhe polynomial is dF/du at u = 1, sum a c t^(b-a).  A factor (st)^k
+    adds k F(1, t) = 0, so the result needs no unit normalization.  A
+    nonzero F(1, t) raises NotDivisible."""
+    if len(d.components) != 1:
+        raise NotAKnot("divisibility statement applies to knots")
+    at_one, slope = {}, {}
+    for (a, b), c in g.terms.items():
+        at_one[b - a] = at_one.get(b - a, 0) + c
+        slope[b - a] = slope.get(b - a, 0) + a * c
+    if any(at_one.values()):
+        raise NotDivisible("1 - st does not divide det(M - P)")
+    return LaurentPoly({(0, e): c for e, c in slope.items()})
 
 
 def fox_derivative(w, gen):

@@ -6,9 +6,9 @@ import sys
 import pytest
 
 import vkalex
-from vkalex import alexander, cli, gauss
+from vkalex import alexander, cli, gauss, laurent
 from vkalex.laurent import NotDivisible, S
-from _util import TABLE1
+from _util import TABLE1, VIRTUAL_TREFOIL, writhe_from_delta0
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 CENSUS = os.path.join(DATA, "table1.census")
@@ -263,7 +263,7 @@ def test_delta_canonicalizes_once(capsys, monkeypatch):
         calls.append(mode)
         return canonicalize(poly, mode)
     canonicalize = cli.canonicalize
-    for module in (cli, alexander):
+    for module in (cli, laurent):
         monkeypatch.setattr(module, "canonicalize", spy)
     run(capsys, "delta", TABLE1["4.12"])
     run(capsys, "--unit-class", "exact", "delta", TABLE1["4.12"])
@@ -325,21 +325,25 @@ def test_sieve_internal_error_exits_3(capsys, monkeypatch):
 
 def test_writhe_guards_divisibility_by_one_minus_st(capsys, monkeypatch,
                                                    tmp_path):
-    """A delta0 that 1 - st does not divide is a bug: the writhe raises
-    NotDivisible, and writhe and sieve exit 3."""
-    monkeypatch.setattr(alexander, "delta0",
-                        lambda d: alexander.GeneralizedAlexander(S))
-    d = gauss.to_diagram(gauss.parse_gauss_code(TABLE1["4.12"]))
+    """The writhe no longer reads delta0.  With a delta0 that 1 - st does
+    not divide, the route through delta0's terms raises NotDivisible, but
+    writhe and the sieve print the writhe of the chord indices and exit 0.
+    test_divisibility_by_one_minus_st and criterion 4 check that 1 - st
+    divides delta0."""
+    code = VIRTUAL_TREFOIL
+    rc, want, _ = run(capsys, "writhe", code)
+    assert (rc, want) == (0, "t^-1 - 2 + t\n")
+    monkeypatch.setattr(alexander, "delta0", lambda d: S)
+    d = gauss.to_diagram(gauss.parse_gauss_code(code))
     with pytest.raises(NotDivisible):
-        alexander.writhe_from_delta0(alexander.delta0(d), d)
-    rc, out, err = run(capsys, "writhe", TABLE1["4.12"])
-    assert rc == 3
-    assert "internal error" in err and out == ""
+        writhe_from_delta0(alexander.delta0(d), d)
+    assert run(capsys, "writhe", code) == (0, want, "")
     census = tmp_path / "one.census"
-    census.write_text("4.12  %s\n" % TABLE1["4.12"])
-    rc, _, err = run(capsys, "--serial", "sieve", "--census", str(census))
-    assert rc == 3
-    assert "internal error" in err
+    census.write_text("vt  %s\n" % code)
+    rc, out, err = run(capsys, "--serial", "--format", "csv", "sieve",
+                       "--census", str(census))
+    assert rc == 0 and err == ""
+    assert out.splitlines()[1].split(",")[4] == want.strip()
 
 
 def test_flags_cannot_mark_an_obstructed_knot_surviving(capsys, tmp_path):

@@ -17,7 +17,7 @@ R3_HOST = "O1+O2+U1+O3+U2+U3+"
 
 
 def _delta(d):
-    return alexander.delta0(d).canonical
+    return canonicalize(alexander.delta0(d), MONOMIAL_SIGN)
 
 
 def test_r1_insert_then_undo():

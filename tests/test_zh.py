@@ -88,7 +88,8 @@ def _zh_path_matches(d, z):
     p = groups.wirtinger(z.diagram)
     g = groups.elementary_ideals(groups.alexander_matrix(p), 1)[1]
     lifted = (ONE - T) * substitute(g.gcd_generator, T, S * T)
-    return canonicalize(lifted, MONOMIAL_SIGN) == alexander.delta0(d).canonical
+    return (canonicalize(lifted, MONOMIAL_SIGN)
+            == canonicalize(alexander.delta0(d), MONOMIAL_SIGN))
 
 
 def test_zh_path_on_every_small_knot():
@@ -111,7 +112,7 @@ def test_zh_path_on_links():
         d = random_link(rng, rng.randint(2, 10), rng.randint(2, 3))
         c = sum(1 for comp in d.components if not comp)
         seen[c > 0] += 1
-        want = alexander.delta0(d).canonical
+        want = canonicalize(alexander.delta0(d), MONOMIAL_SIGN)
         p = groups.wirtinger(zh(d).diagram)
         for q in (groups.tietze_eliminate(p), p):
             ideals = groups.elementary_ideals(groups.alexander_matrix(q),
@@ -142,7 +143,7 @@ def test_zh_delta0_vanishes_on_extension_of_classical():
     # and the determinant polynomial of the extension still vanishes
     d = gauss.to_diagram(gauss.parse_gauss_code(CLASSICAL_TREFOIL))
     z = zh(d)
-    assert alexander.delta0(z.diagram).is_zero
+    assert alexander.delta0(z.diagram).is_zero()
 
 
 def test_zh_path_vanishes_on_ribbon_doubles():
@@ -151,7 +152,7 @@ def test_zh_path_vanishes_on_ribbon_doubles():
     doubled = 0
     while doubled < 30:
         d = random_knot(rng, rng.randint(1, 4))
-        if alexander.delta0(d).is_zero:
+        if alexander.delta0(d).is_zero():
             continue
         p = groups.wirtinger(zh(ribbon_double(d)).diagram)
         e1 = groups.elementary_ideals(groups.alexander_matrix(p), 1)[1]
