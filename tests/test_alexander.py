@@ -234,7 +234,7 @@ def test_divisibility_by_one_minus_st():
 
 def test_divisibility_check_needs_a_knot():
     """The writhe polynomial is defined on knots only, and a link raises
-    NotAKnot, with the message the CLI prints, before any work."""
+    NotAKnot, with the message the CLI prints."""
     d = gauss.to_diagram(gauss.parse_gauss_code("O1+U2+,U1+O2+"))
     with pytest.raises(alexander.NotAKnot,
                        match="^divisibility statement applies to knots$"):
