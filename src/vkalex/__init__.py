@@ -11,7 +11,7 @@ from .laurent import (
     POWERS_OF_ST, S, T, ZERO, NotDivisible, NotSquare, SizeTooLarge,
 )
 from .gauss import (
-    GaussCode, GaussDiagram, GaussSyntaxError, GaussValidationError,
+    GaussDiagram, GaussSyntaxError, GaussValidationError,
     BadIndex, parse_gauss_code, to_code, to_diagram,
 )
 from .alexander import NotAKnot, delta0, writhe_polynomial
@@ -21,7 +21,7 @@ from .groups import (
     elementary_ideals, longitude, reduced_group, tietze_eliminate, wirtinger,
 )
 from .sieve import (
-    CensusParseError, CensusRecord, SieveReport, load_census, load_flags,
+    CensusParseError, SieveReport, load_census, load_flags,
     merge_external_flags, run_sieve,
 )
 

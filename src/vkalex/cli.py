@@ -80,7 +80,7 @@ def cmd_writhe(args):
 def cmd_zh(args):
     d = _diagram(args.code)
     z = _zh(d)
-    code = str(gauss.to_code(z.diagram))
+    code = gauss.to_code(z.diagram)
     parts = code.split(",")
     if args.format == "json":
         comps = [{"code": text, "omega": ci == z.omega_index}
@@ -156,11 +156,12 @@ def cmd_longitude(args):
 
 def cmd_sieve(args):
     records, skipped = sieve.load_census(args.census, skip_bad=args.skip_bad)
+    flags = sieve.load_flags(args.flags) if args.flags else None
     report = sieve.run_sieve(records, parallel=not args.serial)
     if skipped:
         report.summary["skipped_lines"] = skipped
-    if args.flags:
-        report = sieve.merge_external_flags(report, args.flags)
+    if flags is not None:
+        report = sieve.merge_external_flags(report, flags)
     if args.format == "json":
         print(report.to_json())
     elif args.format == "csv":

@@ -41,30 +41,6 @@ OMEGA = "omega"
 _TOKEN = re.compile(r"([OU])(\d+)([+-])")
 
 
-class GaussCode:
-    """Validated parse of a Gauss code string.
-
-    components: list of token lists, token = (passage, label, sign).
-    """
-
-    def __init__(self, components):
-        self.components = [list(c) for c in components]
-        _validate(self.components)
-
-    def __eq__(self, other):
-        if not isinstance(other, GaussCode):
-            return NotImplemented
-        return self.components == other.components
-
-    def __str__(self):
-        return ",".join(
-            "".join("%s%s%s" % (p, l, "+" if s > 0 else "-") for (p, l, s) in comp)
-            for comp in self.components)
-
-    def __repr__(self):
-        return "GaussCode(%r)" % str(self)
-
-
 def _validate(components):
     seen = {}
     for comp in components:
@@ -83,11 +59,12 @@ def _validate(components):
 
 
 def parse_gauss_code(text):
-    """Parse and validate a Gauss code.  The empty string is the 0-crossing
-    unknot.  Raises GaussSyntaxError / GaussValidationError."""
+    """Parse and validate a Gauss code into its components, lists of tokens
+    (passage, label, sign).  The empty string is the 0-crossing unknot,
+    [[]].  Raises GaussSyntaxError / GaussValidationError."""
     stripped = "".join(text.split())
     if stripped == "":
-        return GaussCode([[]])
+        return [[]]
     components = []
     for part in stripped.split(","):
         toks = []
@@ -100,7 +77,8 @@ def parse_gauss_code(text):
                          1 if mo.group(3) == "+" else -1))
             pos = mo.end()
         components.append(toks)
-    return GaussCode(components)
+    _validate(components)
+    return components
 
 
 class GaussDiagram:
@@ -148,15 +126,16 @@ class GaussDiagram:
                 and self.component_roles == other.component_roles)
 
     def __repr__(self):
-        return "GaussDiagram(%r)" % str(to_code(self))
+        return "GaussDiagram(%r)" % to_code(self)
 
 
-def to_diagram(code):
-    """GaussCode -> GaussDiagram with chord ids in first-appearance order."""
+def to_diagram(components):
+    """Parsed components -> GaussDiagram with chord ids in first-appearance
+    order."""
     ids = {}
     signs = {}
     comps = []
-    for comp in code.components:
+    for comp in components:
         cl = []
         for (passage, label, sign) in comp:
             if label not in ids:
@@ -169,7 +148,7 @@ def to_diagram(code):
 
 
 def to_code(d):
-    """Readback: walk each circle from its basepoint and emit tokens.
+    """Readback: walk each circle from its basepoint and emit the Gauss code.
     Labels are 1-based in first-appearance order of the walk."""
     labels = {}
     comps = []
@@ -177,7 +156,8 @@ def to_code(d):
         toks = []
         for (c, role) in comp:
             if c not in labels:
-                labels[c] = str(len(labels) + 1)
-            toks.append((role, labels[c], d.signs[c]))
-        comps.append(toks)
-    return GaussCode(comps)
+                labels[c] = len(labels) + 1
+            toks.append("%s%d%s" % (role, labels[c],
+                                    "+" if d.signs[c] > 0 else "-"))
+        comps.append("".join(toks))
+    return ",".join(comps)

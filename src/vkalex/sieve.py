@@ -32,17 +32,6 @@ class CensusParseError(Exception):
         super().__init__("line %d: %s" % (line_no, message))
 
 
-class CensusRecord:
-    __slots__ = ("name", "code")
-
-    def __init__(self, name, code):
-        self.name = name
-        self.code = code
-
-    def __repr__(self):
-        return "CensusRecord(%r, %r)" % (self.name, self.code)
-
-
 _NOT_UTF8 = "line is not valid UTF-8"
 
 
@@ -62,10 +51,10 @@ def _lines(path):
 
 
 def load_census(path, skip_bad=False):
-    """Read census records.  Returns (records, skipped_count); a malformed
-    line (one that is not UTF-8 included), or one repeating an earlier name,
-    raises CensusParseError unless skip_bad is set, in which case it is only
-    counted."""
+    """Read census records, (name, code) pairs.  Returns (records,
+    skipped_count); a malformed line (one that is not UTF-8 included), or
+    one repeating an earlier name, raises CensusParseError unless skip_bad
+    is set, in which case it is only counted."""
     records = []
     names = set()
     skipped = 0
@@ -90,7 +79,7 @@ def load_census(path, skip_bad=False):
                 continue
             raise CensusParseError(error, line_no)
         names.add(parts[0])
-        records.append(CensusRecord(parts[0], parts[1]))
+        records.append((parts[0], parts[1]))
     return records, skipped
 
 
@@ -175,6 +164,12 @@ class SieveReport:
         return "\n".join(lines) + "\n"
 
 
+# Most rows a pool worker takes at once.  A chunk's round trip costs about
+# as much as one small row, so 50 rows keep it near 2 % of the chunk, and
+# one slow row holds back at most 49 others.
+_CHUNK_MAX = 50
+
+
 def _usable_cpus():
     """The CPUs this process may run on, where the platform says."""
     if hasattr(os, "sched_getaffinity"):
@@ -190,19 +185,18 @@ def ProcessPoolExecutor(workers):
 
 
 def run_sieve(records, parallel=True):
-    """Compute rows for all records, in input order, in a pool of one
-    worker per usable CPU.  parallel=False, or a single usable CPU, keeps
-    everything in-process; the outputs are identical either way."""
-    items = [(r.name, r.code) for r in records]
-    workers = _usable_cpus() if parallel and len(items) > 1 else 1
+    """Compute rows for all (name, code) records, in input order, in a pool
+    of one worker per usable CPU, and no more workers than records.
+    parallel=False, or a single usable CPU, keeps everything in-process;
+    the outputs are identical either way."""
+    workers = min(_usable_cpus(), len(records)) if parallel else 1
     if workers > 1:
-        # about four chunks per worker: a row takes around a millisecond, so
-        # one round trip per row would cost more than the row itself
-        chunk = -(-len(items) // (4 * workers))
+        # about four chunks per worker, at most _CHUNK_MAX rows each
+        chunk = min(-(-len(records) // (4 * workers)), _CHUNK_MAX)
         with ProcessPoolExecutor(workers) as pool:
-            rows = list(pool.map(_sieve_one, items, chunksize=chunk))
+            rows = list(pool.map(_sieve_one, records, chunksize=chunk))
     else:
-        rows = [_sieve_one(it) for it in items]
+        rows = [_sieve_one(r) for r in records]
     errors = sum(1 for r in rows if "error" in r)
     summary = {
         "total": len(rows),
@@ -240,11 +234,11 @@ def load_flags(path):
     return flags
 
 
-def merge_external_flags(report, flags_path):
-    """Attach external flags to the report rows and mark survivors: a record
-    survives when graded_genus_zero is true and its polynomial vanished.
-    Flag names that match no row become warnings."""
-    flags = load_flags(flags_path)
+def merge_external_flags(report, flags):
+    """Attach external flags, as load_flags returns them, to the report rows
+    and mark survivors: a record survives when graded_genus_zero is true and
+    its polynomial vanished.  Flag names that match no row become
+    warnings."""
     known = set()
     survivors = 0
     for row in report.rows:

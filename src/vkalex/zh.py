@@ -37,7 +37,7 @@ class ZhDiagram:
         return (self.diagram, self.omega_index) == (other.diagram, other.omega_index)
 
     def __repr__(self):
-        return "ZhDiagram(%r, omega=%d)" % (str(gauss.to_code(self.diagram)),
+        return "ZhDiagram(%r, omega=%d)" % (gauss.to_code(self.diagram),
                                             self.omega_index)
 
 

@@ -234,6 +234,26 @@ def test_sieve_non_utf8_flags_line_is_malformed(capsys, tmp_path):
     assert err == "error: line 2: line is not valid UTF-8\n"
 
 
+def test_sieve_reads_flags_before_computing_rows(capsys, monkeypatch,
+                                                 tmp_path):
+    """A bad flags file is reported before any row is computed, and after
+    the census's own errors."""
+    calls = []
+    monkeypatch.setattr("vkalex.sieve.run_sieve",
+                        lambda *a, **k: calls.append(a))
+    f = tmp_path / "f.flags"
+    f.write_text("4.12 graded_genus_zero=maybe\n")
+    rc, out, err = run(capsys, "sieve", "--census", CENSUS, "--flags", str(f))
+    assert (rc, out, calls) == (2, "", [])
+    assert err.startswith("error: line 1: graded_genus_zero")
+    bad = tmp_path / "c.census"
+    bad.write_text("junkline\n")
+    rc, out, err = run(capsys, "sieve", "--census", str(bad), "--flags",
+                       str(f))
+    assert (rc, out, calls) == (2, "", [])
+    assert err == "error: line 1: expected 'name gausscode'\n"
+
+
 def test_csv_rejected_outside_sieve(capsys):
     rc, _, err = run(capsys, "--format", "csv", "delta", "")
     assert rc == 2

@@ -63,7 +63,7 @@ def _corpus():
         n = rng.randint(0, 8)
         d = (random_knot(rng, n) if len(codes) % 3
              else random_link(rng, n, rng.randint(2, 3)))
-        code = str(gauss.to_code(d))
+        code = gauss.to_code(d)
         if code not in codes:
             codes.append(code)
     return codes + [code for code in HAND_WRITTEN if code not in codes]
@@ -72,7 +72,7 @@ def _corpus():
 def _large_codes():
     """Three seeded knots of 30-40 chords."""
     rng = random.Random(1)
-    return [str(gauss.to_code(random_knot(rng, rng.randint(30, 40))))
+    return [gauss.to_code(random_knot(rng, rng.randint(30, 40)))
             for _ in range(3)]
 
 

@@ -11,22 +11,20 @@ from _util import (
 
 
 def test_parse_trefoil():
-    code = gauss.parse_gauss_code(CLASSICAL_TREFOIL)
-    assert len(code.components) == 1
-    assert code.components[0][0] == ("O", "1", 1)
-    assert code.components[0][1] == ("U", "2", 1)
-    assert str(code) == CLASSICAL_TREFOIL
+    components = gauss.parse_gauss_code(CLASSICAL_TREFOIL)
+    assert len(components) == 1
+    assert components[0][0] == ("O", "1", 1)
+    assert components[0][1] == ("U", "2", 1)
+    assert gauss.to_code(gauss.to_diagram(components)) == CLASSICAL_TREFOIL
 
 
 def test_parse_whitespace_and_empty():
     assert gauss.parse_gauss_code(" O1+ U1+ ") == gauss.parse_gauss_code("O1+U1+")
-    unknot = gauss.parse_gauss_code("")
-    assert unknot.components == [[]]
-    two = gauss.parse_gauss_code(",")
-    assert two.components == [[], []]
+    assert gauss.parse_gauss_code("") == [[]]
+    assert gauss.parse_gauss_code(",") == [[], []]
     mixed = gauss.parse_gauss_code("O1+U1+,")
-    assert len(mixed.components) == 2
-    assert mixed.components[1] == []
+    assert len(mixed) == 2
+    assert mixed[1] == []
 
 
 def test_parse_syntax_errors():
@@ -47,20 +45,20 @@ def test_parse_validation_errors():
 
 
 def test_code_string_round_trip():
+    # table 1 labels its chords in first-appearance order, as to_code does
     for code_str in TABLE1.values():
-        code = gauss.parse_gauss_code(code_str)
-        assert gauss.parse_gauss_code(str(code)) == code
+        components = gauss.parse_gauss_code(code_str)
+        assert gauss.to_code(gauss.to_diagram(components)) == code_str
 
 
 def test_diagram_round_trip():
     for code_str in TABLE1.values():
-        code = gauss.parse_gauss_code(code_str)
-        d = gauss.to_diagram(code)
-        assert gauss.to_code(d) == code
+        d = gauss.to_diagram(gauss.parse_gauss_code(code_str))
+        assert gauss.to_diagram(gauss.parse_gauss_code(gauss.to_code(d))) == d
     # readback renames by first appearance
     shifted = gauss.parse_gauss_code("O7+U9+O8+U7+O9+U8+")
     d = gauss.to_diagram(shifted)
-    assert str(gauss.to_code(d)) == CLASSICAL_TREFOIL
+    assert gauss.to_code(d) == CLASSICAL_TREFOIL
 
 
 def test_diagram_validation():
@@ -82,8 +80,7 @@ def test_diagram_rejects_signs_other_than_plus_minus_one():
 
 
 def test_multi_component_diagram():
-    code = gauss.parse_gauss_code("O1+U2+,U1+O2+")
-    d = gauss.to_diagram(code)
+    d = gauss.to_diagram(gauss.parse_gauss_code("O1+U2+,U1+O2+"))
     assert len(d.components) == 2
     assert d.crossings == 2
     # chord 0 runs over on component 0 and under on 1, chord 1 the reverse
@@ -118,7 +115,7 @@ def test_delete_component():
     kept = delete_component(d, 0)
     assert len(kept.components) == 2
     assert kept.crossings == 1
-    assert gauss.to_code(kept) == gauss.parse_gauss_code(",O1-U1-")
+    assert gauss.to_code(kept) == ",O1-U1-"
     with pytest.raises(gauss.BadIndex):
         delete_component(d, 3)
 

@@ -14,15 +14,14 @@ FLAGS = os.path.join(DATA, "table1.flags")
 def test_load_census():
     records, skipped = sieve.load_census(CENSUS)
     assert skipped == 0
-    assert [r.name for r in records] == list(TABLE1)
-    assert records[0].code == TABLE1["4.12"]
+    assert records == list(TABLE1.items())
 
 
 def test_load_census_skips_comments_and_blanks(tmp_path):
     p = tmp_path / "c.census"
     p.write_text("# header\n\nk1 O1+U1+\n   \n# tail\nk2 O1-U1-\n")
     records, skipped = sieve.load_census(str(p))
-    assert [r.name for r in records] == ["k1", "k2"]
+    assert records == [("k1", "O1+U1+"), ("k2", "O1-U1-")]
     assert skipped == 0
 
 
@@ -33,7 +32,7 @@ def test_load_census_bad_lines(tmp_path):
         sieve.load_census(str(p))
     assert str(err.value).startswith("line 2: ")
     records, skipped = sieve.load_census(str(p), skip_bad=True)
-    assert [r.name for r in records] == ["k1", "k2"]
+    assert records == [("k1", "O1+U1+"), ("k2", "O1-U1-")]
     assert skipped == 1
     # a syntactically broken code is also a bad line
     p2 = tmp_path / "c2.census"
@@ -68,6 +67,25 @@ def test_parallel_and_serial_agree():
     assert a.to_json() == b.to_json()
 
 
+def _fake_pool(sizes, chunks):
+    """An in-process stand-in for the sieve's process pool that records the
+    worker count and the chunk size of each pool."""
+    class FakePool:
+        def __init__(self, workers):
+            sizes.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            chunks.append(chunksize)
+            return map(fn, items)
+    return FakePool
+
+
 def test_pool_sized_by_usable_cpus(monkeypatch):
     """One worker per CPU the process may run on; with one such CPU the rows
     are computed in-process, without a pool."""
@@ -84,35 +102,34 @@ def test_pool_sized_by_usable_cpus(monkeypatch):
     assert sieve.run_sieve(records).rows == serial
 
     sizes = []
-
-    class FakePool:
-        def __init__(self, workers):
-            sizes.append(workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
     monkeypatch.setattr(sieve.os, "sched_getaffinity", lambda pid: {0, 2, 5},
                         raising=False)
-    monkeypatch.setattr(sieve, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(sieve, "ProcessPoolExecutor", _fake_pool(sizes, []))
     assert sieve.run_sieve(records).rows == serial
+    # no more workers than rows: the pool forks all of them at once
+    assert sieve.run_sieve(records[:2]).rows == serial[:2]
     # without sched_getaffinity the pool falls back on os.cpu_count
     monkeypatch.delattr(sieve.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(sieve.os, "cpu_count", lambda: 4)
     assert sieve.run_sieve(records).rows == serial
-    assert sizes == [3, 4]
+    assert sizes == [3, 2, 4]
+
+
+def test_chunk_size_is_capped(monkeypatch):
+    """About four chunks per worker, but never so large that one slow row
+    holds back a long chunk of others."""
+    chunks = []
+    monkeypatch.setattr(sieve, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(sieve, "ProcessPoolExecutor", _fake_pool([], chunks))
+    pairs = [("k%d" % i, "O1+U1+") for i in range(1000)]
+    assert len(sieve.run_sieve(pairs).rows) == 1000
+    # 398 rows, as in the benchmark census, still get 50 rows a chunk
+    sieve.run_sieve(pairs[:398])
+    assert chunks == [50, 50]
 
 
 def test_error_rows_do_not_poison_the_batch():
-    records = [sieve.CensusRecord("good", "O1+O2+U1+U2+"),
-               sieve.CensusRecord("bad", "O1+"),
-               sieve.CensusRecord("also-good", "")]
+    records = [("good", "O1+O2+U1+U2+"), ("bad", "O1+"), ("also-good", "")]
     report = sieve.run_sieve(records, parallel=False)
     assert report.summary["total"] == 3
     assert report.summary["errors"] == 1
@@ -142,7 +159,7 @@ def test_json_shape():
 def test_merge_external_flags():
     records, _ = sieve.load_census(CENSUS)
     report = sieve.run_sieve(records, parallel=False)
-    report = sieve.merge_external_flags(report, FLAGS)
+    report = sieve.merge_external_flags(report, sieve.load_flags(FLAGS))
     assert report.summary["survivor_count"] == 3
     survivors = [r["name"] for r in report.rows if r.get("survives")]
     assert survivors == list(ZERO_NAMES)
@@ -157,7 +174,7 @@ def test_merge_flags_warns_on_unknown_names(tmp_path):
     report = sieve.run_sieve(records, parallel=False)
     f = tmp_path / "f.flags"
     f.write_text("4.12 graded_genus_zero=true\nnosuch graded_genus_zero=true\n")
-    report = sieve.merge_external_flags(report, str(f))
+    report = sieve.merge_external_flags(report, sieve.load_flags(str(f)))
     assert report.summary["survivor_count"] == 0  # 4.12 is obstructed
     assert any("nosuch" in w for w in report.summary["warnings"])
 
@@ -183,7 +200,7 @@ def test_load_census_non_utf8_line(tmp_path):
         sieve.load_census(str(p))
     assert str(err.value).startswith("line 3: ")
     records, skipped = sieve.load_census(str(p), skip_bad=True)
-    assert [r.name for r in records] == ["k1", "k3"]
+    assert [name for name, _ in records] == ["k1", "k3"]
     assert skipped == 1
 
 
@@ -195,7 +212,7 @@ def test_load_census_line_endings(tmp_path):
         sieve.load_census(str(p))
     assert str(err.value).startswith("line 3: ")
     records, skipped = sieve.load_census(str(p), skip_bad=True)
-    assert [(r.name, r.code) for r in records] == [
+    assert records == [
         ("k1", "O1+U1+"), ("k2", "O1-U1-"), ("k3", "O1+U1+")]
     assert skipped == 1
 
