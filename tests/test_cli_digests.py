@@ -36,6 +36,9 @@ COMMANDS = (
     ("group", "--reduced", "--simplify"),
     ("group", "--simplify"),
     ("ideals", "--reduced", "--kmax", "3"),
+    ("group", "--format", "json"),
+    ("longitude",),
+    ("longitude", "--comp", "1", "--format", "json"),
 )
 
 # each is run on the large knots, with a code appended
