@@ -17,8 +17,8 @@ from .gauss import (
 from .alexander import NotAKnot, delta0, writhe_polynomial
 from .zh import AlreadyHasOmega, ZhDiagram
 from .groups import (
-    ElementaryIdeal, GroupPresentation, Word, alexander_matrix,
-    elementary_ideals, longitude, reduced_group, tietze_eliminate, wirtinger,
+    GroupPresentation, alexander_matrix, elementary_ideals, longitude,
+    reduced_group, tietze_eliminate, wirtinger, word_text,
 )
 from .sieve import (
     CensusParseError, SieveReport, load_census, load_flags,

@@ -109,10 +109,10 @@ def cmd_group(args):
         p = groups.tietze_eliminate(p)
     if args.format == "json":
         gens = [{"name": "a%d" % (g + 1),
-                 "component": p.tags[g]} for g in p.generators]
+                 "component": tag} for g, tag in p.tags.items()]
         out = {
             "generators": gens,
-            "relators": [str(w) for w in p.relators],
+            "relators": [groups.word_text(w) for w in p.relators],
             "deficiency": p.deficiency(),
         }
         print(json.dumps(out, indent=2))
@@ -126,14 +126,9 @@ def cmd_ideals(args):
         raise UsageError("--kmax must be at least 0")
     p = _presentation(args)
     ideals = groups.elementary_ideals(groups.alexander_matrix(p), args.kmax)
-    rows = []
-    for ideal in ideals:
-        rows.append({
-            "k": ideal.k,
-            "gcd": _poly_str(ideal.gcd_generator, args.unit_class),
-            "zero": ideal.is_zero(),
-            "generator_count": ideal.generator_count,
-        })
+    rows = [{"k": k, "gcd": _poly_str(g, args.unit_class),
+             "zero": g.is_zero(), "generator_count": count}
+            for k, (g, count) in enumerate(ideals)]
     if args.format == "json":
         print(json.dumps({"ideals": rows}, indent=2))
     else:
@@ -145,12 +140,11 @@ def cmd_ideals(args):
 
 def cmd_longitude(args):
     d = _diagram(args.code)
-    w = groups.longitude(d, args.comp)
+    w = groups.word_text(groups.longitude(d, args.comp))
     if args.format == "json":
-        print(json.dumps({"component": args.comp, "longitude": str(w)},
-                         indent=2))
+        print(json.dumps({"component": args.comp, "longitude": w}, indent=2))
     else:
-        print(str(w))
+        print(w)
     return 0
 
 

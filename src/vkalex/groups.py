@@ -8,6 +8,10 @@ arc a into the outgoing arc d by the arc b carrying the over strand,
     r = b^e a b^-e d^-1.
 
 A component with no undercrossing contributes a single free generator.
+Words are plain letters (generator id, +-1): relators are tuples of them
+and longitudes lists, and word_text prints one as a1 a3^-1 a2.  A
+presentation is its dict of generator tags, in generator order, and its
+relators.
 
 The one abelianization the program uses sends every generator on an omega
 component to s and every other generator to t, so the generators are told
@@ -15,7 +19,8 @@ apart by their component tags alone.  Fox differentiation of the relators
 followed by this map yields the Alexander matrix, whose ideals of minors are
 the elementary ideals.  They are taken from one reduction of the matrix by
 unit pivots u = +-s^a t^b: row and column operations keep every ideal of
-minors, and the block sum u + A' has I_m(u + A') = I_(m-1)(A').
+minors, and the block sum u + A' has I_m(u + A') = I_(m-1)(A').  Each
+ideal comes back as its (gcd, generator count) pair.
 """
 
 import operator
@@ -28,42 +33,10 @@ from .zh import zh as _zh
 from .laurent import LaurentPoly, PolyMatrix, gcd, ONE, ZERO
 
 
-class Word:
-    """Word in free group generators: a sequence of (generator id, +-1)."""
-
-    __slots__ = ("letters",)
-
-    def __init__(self, letters=()):
-        self.letters = tuple((operator.index(g), operator.index(e))
-                             for (g, e) in letters)
-        if any(e not in (1, -1) for (_, e) in self.letters):
-            raise ValueError("letter exponents must be +-1")
-
-    def free_reduced(self):
-        return Word(_free_reduced(self.letters))
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __eq__(self, other):
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __str__(self):
-        if not self.letters:
-            return "1"
-        return " ".join("a%d" % (g + 1) if e == 1 else "a%d^-1" % (g + 1)
-                        for (g, e) in self.letters)
-
-    def __repr__(self):
-        return "Word(%s)" % str(self)
+def word_text(letters):
+    """A word's letters as text, a1 a3^-1 a2, and 1 for the empty word."""
+    return " ".join("a%d" % (g + 1) if e == 1 else "a%d^-1" % (g + 1)
+                    for (g, e) in letters) or "1"
 
 
 def _free_reduced(letters):
@@ -93,22 +66,28 @@ def _inverse(letters):
 
 
 class GroupPresentation:
-    """generators: list of ids; tags: per-generator component tag, either a
-    regular component index or the string 'omega'; relators: list of Word."""
+    """tags: the component tag of each generator id, in generator order,
+    either a regular component index or the string 'omega'; relators:
+    words, each a sequence of letters (generator id, +-1)."""
 
-    def __init__(self, generators, tags, relators):
-        self.generators = list(generators)
+    def __init__(self, tags, relators):
         self.tags = dict(tags)
-        self.relators = [w if isinstance(w, Word) else Word(w) for w in relators]
-        declared = set(self.generators)
+        self.relators = [tuple(w) for w in relators]
         for w in self.relators:
-            for (g, _) in w:
-                if g not in declared:
+            for (g, e) in w:
+                g, e = operator.index(g), operator.index(e)
+                if e not in (1, -1):
+                    raise ValueError("letter exponents must be +-1")
+                if g not in self.tags:
                     raise ValueError("relator uses undeclared generator %d" % g)
 
+    @property
+    def generators(self):
+        return list(self.tags)
+
     def __str__(self):
-        gens = " ".join("a%d" % (g + 1) for g in self.generators)
-        rels = " ; ".join(str(w) for w in self.relators)
+        gens = " ".join("a%d" % (g + 1) for g in self.tags)
+        rels = " ; ".join(word_text(w) for w in self.relators)
         return "gens: %s ; rels: %s" % (gens, rels) if rels else \
                "gens: %s ; rels:" % gens
 
@@ -116,23 +95,7 @@ class GroupPresentation:
         return "GroupPresentation(%s)" % str(self)
 
     def deficiency(self):
-        return len(self.generators) - len(self.relators)
-
-
-class ElementaryIdeal:
-    """k-th elementary ideal: the number of minors generating it and their
-    gcd."""
-
-    def __init__(self, k, generator_count, gcd_generator):
-        self.k = k
-        self.generator_count = generator_count
-        self.gcd_generator = gcd_generator
-
-    def is_zero(self):
-        return self.gcd_generator.is_zero()
-
-    def __repr__(self):
-        return "ElementaryIdeal(k=%d, gcd=%s)" % (self.k, self.gcd_generator)
+        return len(self.tags) - len(self.relators)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +140,8 @@ def wirtinger(d):
             if role == gauss.UNDER:
                 a, b, eps = row[pos], over[c], d.signs[c]
                 nxt = row[(pos + 1) % len(row)]
-                relators.append(Word([(b, eps), (a, 1), (b, -eps), (nxt, -1)]))
-    return GroupPresentation(list(tags), tags, relators)
+                relators.append(((b, eps), (a, 1), (b, -eps), (nxt, -1)))
+    return GroupPresentation(tags, relators)
 
 
 def reduced_group(d):
@@ -225,8 +188,9 @@ def elementary_ideals(mat, k_max):
     I_m(u + A') = I_(m-1)(A').  After p pivots E_k = I_(g-k-p)(A'), the
     full ring when g-k-p <= 0 and zero when g-k-p exceeds a side of A'.
     Otherwise its gcd starts from that of E_(k-1), takes the minors of A'
-    one at a time, by (row set, column set), and stops once it is 1.  The
-    generator count is that of all the (g-k)-minors of A."""
+    one at a time, by (row set, column set), and stops once it is 1.
+    Returns one (gcd, generator count) pair per ideal, E_k at index k; the
+    count is that of all the (g-k)-minors of A."""
     g = mat.cols
     pivots, res = mat.unit_reduced()
     out = []
@@ -240,7 +204,7 @@ def elementary_ideals(mat, k_max):
         else:
             # E_(k-1) lies in E_k, so the gcd of E_k divides that of
             # E_(k-1) and may start from it
-            acc = out[-1].gcd_generator if out else ZERO
+            acc = out[-1][0] if out else ZERO
             index_sets = ((ri, ci)
                           for ri in combinations(range(res.rows), m)
                           for ci in combinations(range(res.cols), m))
@@ -248,8 +212,7 @@ def elementary_ideals(mat, k_max):
                 if acc == ONE:
                     break
                 acc = gcd(acc, res.submatrix(ri, ci).det())
-        out.append(ElementaryIdeal(
-            k, comb(mat.rows, size) * comb(g, size), acc))
+        out.append((acc, comb(mat.rows, size) * comb(g, size)))
     return out
 
 
@@ -257,10 +220,11 @@ def elementary_ideals(mat, k_max):
 # longitudes
 
 def longitude(d, comp):
-    """Longitude word of a component: walk it from slot 0, record the over
-    arc with the crossing sign at each undercrossing, then append m^-w where
-    m is the arc through the basepoint and w the exponent sum of the letters
-    living on this component.  The correction makes the m-exponent sum zero."""
+    """Longitude word of a component, as a list of letters: walk it from
+    slot 0, record the over arc with the crossing sign at each
+    undercrossing, then append m^-w where m is the arc through the
+    basepoint and w the exponent sum of the letters living on this
+    component.  The correction makes the m-exponent sum zero."""
     if not 0 <= comp < len(d.components):
         raise gauss.BadIndex("no component %d" % comp)
     at, over, _ = _arcs(d)
@@ -270,7 +234,7 @@ def longitude(d, comp):
     w = sum(e for (g, e) in letters if g in own)
     if w:
         letters += [(at[comp][0], -1 if w > 0 else 1)] * abs(w)
-    return Word(letters).free_reduced()
+    return _free_reduced(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +246,12 @@ def tietze_eliminate(p):
     shortest defining relator, then fewest total occurrences of the
     generator, then smallest generator id, the first relator on ties.
     Relators are kept cyclically reduced and empty relators dropped, in
-    their order; generator ids are preserved.  The relators stay letter
-    lists until the result is built, each with its letter counts, and the
-    totals over all of them are kept up to date: an elimination of g
-    rewrites and counts again only the relators that hold g."""
-    gens = list(p.generators)
+    their order; generator ids are preserved.  Each relator is kept with
+    its letter counts, and the totals over all of them are kept up to
+    date: an elimination of g rewrites and counts again only the relators
+    that hold g."""
     tags = dict(p.tags)
-    rels = [_cyclically_reduced(w.letters) for w in p.relators]
+    rels = [_cyclically_reduced(w) for w in p.relators]
     rels = [(w, Counter(g for g, _ in w)) for w in rels if w]
     total = Counter(g for w, _ in rels for g, _ in w)
     while True:
@@ -326,6 +289,5 @@ def tietze_eliminate(p):
                     total[h] += c
             kept.append((x, cx))
         rels = kept
-        gens.remove(g)
-        tags.pop(g, None)
-    return GroupPresentation(gens, tags, [Word(w) for w, _ in rels])
+        del tags[g]
+    return GroupPresentation(tags, [w for w, _ in rels])

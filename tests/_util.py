@@ -155,6 +155,16 @@ def ribbon_double(d):
     return gauss.GaussDiagram([comp + tail], d.signs + [-e for e in d.signs])
 
 
+def connected_sum(a, b, p, q):
+    """The connected sum of the one-component diagrams a and b, cut before
+    slot p of a and before slot q of b: a's word from slot p on, then b's
+    from slot q on, with b's chords relabelled after a's."""
+    (ca,), (cb,) = a.components, b.components
+    n = len(a.signs)
+    tail = [(c + n, role) for c, role in cb[q:] + cb[:q]]
+    return gauss.GaussDiagram([ca[p:] + ca[:p] + tail], a.signs + b.signs)
+
+
 def random_poly(rng, span=3, terms=4, coeff=9):
     """Random Laurent polynomial with exponents in [-span, span]."""
     from vkalex.laurent import LaurentPoly
@@ -240,20 +250,21 @@ def writhe_from_delta0(g, d):
 
 
 def fox_derivative(w, gen):
-    """Formal free derivative of the groups.Word w by the given generator:
-    a list of (+-1, Word prefix) pairs, one per occurrence.  The symbolic
+    """Formal free derivative of the word w, a sequence of letters
+    (generator id, +-1), by the given generator: a list of (+-1, prefix)
+    pairs, one per occurrence, each prefix a tuple of letters.  The symbolic
     oracle for groups.alexander_matrix, which streams the prefix images."""
     out = []
     prefix = []
     for (g, e) in w:
         if e == 1:
             if g == gen:
-                out.append((1, groups.Word(prefix)))
+                out.append((1, tuple(prefix)))
             prefix.append((g, e))
         else:
             prefix.append((g, e))
             if g == gen:
-                out.append((-1, groups.Word(prefix)))
+                out.append((-1, tuple(prefix)))
     return out
 
 
@@ -402,9 +413,8 @@ def tietze_scan(p):
     and result, with every relator's letters and the totals over all of
     them counted afresh before each step, and every relator substituted
     into and cyclically reduced after it."""
-    gens = list(p.generators)
     tags = dict(p.tags)
-    rels = [groups._cyclically_reduced(w.letters) for w in p.relators]
+    rels = [groups._cyclically_reduced(w) for w in p.relators]
     rels = [w for w in rels if w]
     while True:
         total = {}
@@ -434,9 +444,8 @@ def tietze_scan(p):
                     [y for l in x for y in sub.get(l, (l,))])
                 for x in rels[:ri] + rels[ri + 1:]]
         rels = [x for x in rels if x]
-        gens.remove(g)
-        tags.pop(g, None)
-    return groups.GroupPresentation(gens, tags, [groups.Word(w) for w in rels])
+        del tags[g]
+    return groups.GroupPresentation(tags, rels)
 
 
 def ideals_by_all_minors(mat, k_max):

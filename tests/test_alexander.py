@@ -9,11 +9,11 @@ from vkalex.laurent import (
 )
 from _util import (
     TABLE1, TABLE1_EXPECTED, CLASSICAL_TREFOIL, VIRTUAL_TREFOIL, KINK,
-    NoCrossings, build_m_matrix, chord_indices, det_bareiss, exact_div,
-    knot_diagrams, m_minus_p, negated, p_matrix, relabeled, reversed_diagram,
-    ribbon_double, rotated, short_arcs, substitute, swapped, table1_diagram,
-    random_knot, random_link, under_first_successor, under_schur,
-    writhe_by_division, writhe_from_delta0,
+    NoCrossings, build_m_matrix, chord_indices, connected_sum, det_bareiss,
+    exact_div, knot_diagrams, m_minus_p, negated, p_matrix, relabeled,
+    reversed_diagram, ribbon_double, rotated, short_arcs, substitute,
+    swapped, table1_diagram, random_knot, random_link, under_first_successor,
+    under_schur, writhe_by_division, writhe_from_delta0,
 )
 
 ST = S * T
@@ -162,10 +162,13 @@ def test_almost_classical_diagrams_have_zero_delta0():
     theorem makes its delta0 vanish: an independent check of the crossing
     matrix on every one-circle diagram of 1-4 chords.  1,060 of them are
     almost classical, and a further 1,324 have delta0 = 0 without being
-    so."""
+    so.  On every one of them delta0(1, t) = 0 and delta0(s, 1) = 0."""
     almost_classical = other_zeros = 0
     for d in (d for n in range(1, 5) for d in knot_diagrams(n)):
-        zero = alexander.delta0(d).is_zero()
+        g = alexander.delta0(d)
+        assert substitute(g, ONE, T).is_zero(), d
+        assert substitute(g, S, ONE).is_zero(), d
+        zero = g.is_zero()
         if any(chord_indices(d)):
             other_zeros += zero
         else:
@@ -219,17 +222,22 @@ def test_classical_examples_vanish():
 
 
 def test_divisibility_by_one_minus_st():
+    """1 - st divides delta0 of a knot, and so does the whole product
+    (1 - s)(1 - t)(1 - st)."""
+    product = (ONE - S) * (ONE - T) * (ONE - ST)
     for name in TABLE1:
         d = table1_diagram(name)
         g = alexander.delta0(d)
         q = exact_div(g, ONE - ST)
         assert q * (ONE - ST) == g
+        assert exact_div(g, product) * product == g, name
     rng = random.Random(23)
     for _ in range(30):
         d = random_knot(rng, rng.randint(1, 5))
         g = alexander.delta0(d)
         q = exact_div(g, ONE - ST)
         assert q * (ONE - ST) == g
+        assert exact_div(g, product) * product == g, d
 
 
 def test_divisibility_check_needs_a_knot():
@@ -251,7 +259,8 @@ def test_writhe_matches_division():
     with s = u/t, and -(delta0 / (1 - st))(t^-1, t) by long division and
     substitution.  On every one-circle diagram of 1-4 chords, on 500 seeded
     knots of 1-24 crossings and on five of 25-30.  As the writhe no longer
-    reads delta0, the implication W != 0 => delta0 != 0 is checked too."""
+    reads delta0, the implication W != 0 => delta0 != 0 is checked too, and
+    W'(1), the sum of e * c over the terms c t^e of W, is 0 (Kauffman)."""
     rng = random.Random(29)
     diagrams = [d for n in range(1, 5) for d in knot_diagrams(n)]
     diagrams += [random_knot(rng, rng.randint(1, 24)) for _ in range(500)]
@@ -262,6 +271,7 @@ def test_writhe_matches_division():
         w = alexander.writhe_polynomial(d)
         assert w == writhe_from_delta0(g, d) == writhe_by_division(g), d
         assert w.is_zero() or not g.is_zero(), d
+        assert sum(e * c for (_, e), c in w.terms.items()) == 0, d
         writhes += not w.is_zero()
     assert writhes >= 2900
 
@@ -339,6 +349,32 @@ def test_ribbon_doubles_vanish():
         assert alexander.writhe_polynomial(dd) == ZERO
 
 
+def test_ribbon_sums_with_almost_classical_knots_vanish():
+    """K # J, for K almost classical (2-7 chords) and J = ribbon_double(J0)
+    (J0 of 1-4 chords) joined at random slots, is concordant to K: one
+    saddle splits it into K and J, and J's slice disc caps J off.  So the
+    paper's main theorem makes delta0 vanish on it, and the writhe
+    polynomial, a concordance invariant, is that of K.  Delta0 itself is
+    not a concordance invariant, so it is not compared.  46 of the 100
+    sums are not almost classical, so they test more than the
+    almost-classical case does."""
+    rng = random.Random(41)
+    not_almost_classical = 0
+    for _ in range(100):
+        n = rng.randint(2, 7)
+        k = random_knot(rng, n)
+        while any(chord_indices(k)):
+            k = random_knot(rng, n)
+        j = ribbon_double(random_knot(rng, rng.randint(1, 4)))
+        d = connected_sum(k, j, rng.randrange(2 * n),
+                          rng.randrange(2 * len(j.signs)))
+        assert alexander.delta0(d).is_zero(), d
+        assert (alexander.writhe_polynomial(d)
+                == alexander.writhe_polynomial(k)), d
+        not_almost_classical += any(chord_indices(d))
+    assert not_almost_classical == 46
+
+
 def test_delta0_symmetry_laws():
     """Up to +-s^a t^b: reversing every component and negating every sign
     each send delta0(s, t) to delta0(s^-1, t^-1), swapping O and U with
@@ -347,7 +383,8 @@ def test_delta0_symmetry_laws():
     four moves exactly, with no normalization: W(t^-1), -W(t^-1), -W(t^-1)
     and W(t).  No oracle: the laws check M - P, its sign and arc rules, the
     sparse determinant and the writhe polynomial on knots of 2-20 crossings
-    and links of 2-10 chords on 2-3 circles, far beyond table 1."""
+    and links of 2-10 chords on 2-3 circles, far beyond table 1.  On each of
+    them delta0(1, t) = 0 and delta0(s, 1) = 0 as well."""
     rng = random.Random(11)
     diagrams = [random_knot(rng, rng.randint(2, 20)) for _ in range(100)]
     diagrams += [random_link(rng, rng.randint(2, 10), rng.randint(2, 3))
@@ -356,6 +393,8 @@ def test_delta0_symmetry_laws():
     nonzero = writhes = 0
     for d in diagrams:
         g = alexander.delta0(d)
+        assert substitute(g, ONE, T).is_zero(), d
+        assert substitute(g, S, ONE).is_zero(), d
         nonzero += not g.is_zero()
         knot = len(d.components) == 1
         if knot:

@@ -15,42 +15,37 @@ from _util import (
     random_link, rotated, tag_images, tietze_scan,
 )
 
-W = groups.Word
-
 # a 6-crossing knot whose E_1 is 1 - t + t^2 and whose E_2 is the full ring
 SIX_E2_ONE = "O1-U2+O2+U3+O3+U4-U1-O4-O5+U6+U5+O6+"
 
 
 def test_word_basics():
-    w = W([(0, 1), (2, -1), (1, 1)])
-    assert str(w) == "a1 a3^-1 a2"
-    assert str(W()) == "1"
-    assert groups._inverse(w.letters) == [(1, -1), (2, 1), (0, -1)]
-    assert groups._free_reduced(
-        w.letters + tuple(groups._inverse(w.letters))) == []
-    assert len(w) == 3
-    assert W([(0, 1), (0, 1), (0, -1)]).free_reduced() == W([(0, 1)])
+    w = ((0, 1), (2, -1), (1, 1))
+    assert groups.word_text(w) == "a1 a3^-1 a2"
+    assert groups.word_text(()) == "1"
+    assert groups._inverse(w) == [(1, -1), (2, 1), (0, -1)]
+    assert groups._free_reduced(w + tuple(groups._inverse(w))) == []
+    assert groups._free_reduced([(0, 1), (0, 1), (0, -1)]) == [(0, 1)]
     with pytest.raises(ValueError):
-        W([(0, 2)])
+        groups.GroupPresentation({0: 0}, [[(0, 2)]])
 
 
 def test_cyclic_reduction():
-    w = W([(0, -1), (1, 1), (2, 1), (0, 1)])
-    assert groups._cyclically_reduced(w.letters) == [(1, 1), (2, 1)]
+    w = ((0, -1), (1, 1), (2, 1), (0, 1))
+    assert groups._cyclically_reduced(w) == [(1, 1), (2, 1)]
     # reduction cascades
-    w2 = W([(0, -1), (1, -1), (2, 1), (1, 1), (0, 1)])
-    assert groups._cyclically_reduced(w2.letters) == [(2, 1)]
-    assert groups._cyclically_reduced(W([(0, 1), (0, -1)]).letters) == []
+    w2 = ((0, -1), (1, -1), (2, 1), (1, 1), (0, 1))
+    assert groups._cyclically_reduced(w2) == [(2, 1)]
+    assert groups._cyclically_reduced(((0, 1), (0, -1))) == []
 
 
 def test_presentation_rendering():
-    p = groups.GroupPresentation([0, 1], {0: 0, 1: 0},
-                                 [W([(0, 1), (1, -1)])])
+    p = groups.GroupPresentation({0: 0, 1: 0}, [((0, 1), (1, -1))])
     assert str(p) == "gens: a1 a2 ; rels: a1 a2^-1"
-    free = groups.GroupPresentation([0], {0: 0}, [])
+    free = groups.GroupPresentation({0: 0}, [])
     assert str(free) == "gens: a1 ; rels:"
     with pytest.raises(ValueError):
-        groups.GroupPresentation([0], {0: 0}, [W([(3, 1)])])
+        groups.GroupPresentation({0: 0}, [[(3, 1)]])
 
 
 def test_wirtinger_trefoil():
@@ -61,7 +56,7 @@ def test_wirtinger_trefoil():
     assert all(len(w) == 4 for w in p.relators)
     # every relator is a conjugation b a b^-1 d^-1
     for w in p.relators:
-        (b, e1), (a, e2), (b2, e3), (d2, e4) = w.letters
+        (b, e1), (a, e2), (b2, e3), (d2, e4) = w
         assert b == b2 and e1 == -e3 and e2 == 1 and e4 == -1
 
 
@@ -70,7 +65,7 @@ def test_wirtinger_kink():
     p = groups.wirtinger(d)
     assert len(p.generators) == 1
     assert len(p.relators) == 1
-    assert groups._cyclically_reduced(p.relators[0].letters) == []
+    assert groups._cyclically_reduced(p.relators[0]) == []
 
 
 def test_wirtinger_degenerate_components():
@@ -105,19 +100,19 @@ def test_abelianization_images():
 
 
 def test_word_rejects_non_integer_letters():
-    for letters in ([(0.9, 1)], [(0, 1.0)], [("0", 1)]):
+    for letters in ([(0.9, 1)], [(0.0, 1)], [(0, 1.0)], [("0", 1)]):
         with pytest.raises(TypeError):
-            W(letters)
+            groups.GroupPresentation({0: 0}, [letters])
 
 
 def test_fox_derivative_goldens():
     # d/da (a b a^-1 b^-1) = 1 + (prefix a b a^-1) * (-1)
-    w = W([(0, 1), (1, 1), (0, -1), (1, -1)])
+    w = ((0, 1), (1, 1), (0, -1), (1, -1))
     terms = fox_derivative(w, 0)
-    assert terms[0] == (1, W())
-    assert terms[1] == (-1, W([(0, 1), (1, 1), (0, -1)]))
+    assert terms[0] == (1, ())
+    assert terms[1] == (-1, ((0, 1), (1, 1), (0, -1)))
     # d/da (a^-1) = -a^-1
-    assert fox_derivative(W([(0, -1)]), 0) == [(-1, W([(0, -1)]))]
+    assert fox_derivative(((0, -1),), 0) == [(-1, ((0, -1),))]
     assert fox_derivative(w, 5) == []
 
 
@@ -128,7 +123,7 @@ def test_alexander_matrix_matches_symbolic_derivative():
     for _ in range(40):
         letters = [(rng.randint(0, 3), rng.choice((1, -1)))
                    for _ in range(rng.randint(0, 8))]
-        p = groups.GroupPresentation([0, 1, 2, 3], tags, [W(letters)])
+        p = groups.GroupPresentation(tags, [letters])
         assert groups.alexander_matrix(p) == fox_matrix(p, tag_images(p))
 
 
@@ -150,21 +145,21 @@ def test_elementary_ideal_conventions():
     d = gauss.to_diagram(gauss.parse_gauss_code(KINK))
     p = groups.wirtinger(d)  # 1 generator, 1 relator
     ideals = groups.elementary_ideals(groups.alexander_matrix(p), 2)
-    assert ideals[0].k == 0
+    assert len(ideals) == 3
     # k >= generator count: full ring
-    assert ideals[1].gcd_generator == ONE
-    assert ideals[2].gcd_generator == ONE
+    assert ideals[1][0] == ONE
+    assert ideals[2][0] == ONE
     # free presentation: E_0 has no minors of positive size
-    free = groups.GroupPresentation([0], {0: 0}, [])
+    free = groups.GroupPresentation({0: 0}, [])
     fi = groups.elementary_ideals(groups.alexander_matrix(free), 1)
-    assert fi[0].is_zero()
-    assert fi[1].gcd_generator == ONE
+    assert fi[0][0].is_zero()
+    assert fi[1][0] == ONE
 
 
 def _assert_chain(p, k_max):
     ideals = groups.elementary_ideals(groups.alexander_matrix(p), k_max)
     for a, b in zip(ideals, ideals[1:]):
-        ga, gb = a.gcd_generator, b.gcd_generator
+        ga, gb = a[0], b[0]
         if ga.is_zero():
             continue
         assert divides(gb, ga)
@@ -220,7 +215,7 @@ def test_elementary_ideals_match_all_minors():
     # formula does not see
     for m, n in ((2, 3), (2, 5), (3, 4)):
         p = groups.GroupPresentation(
-            [0, 1], {0: 0, 1: 0}, [W([(0, 1)] * m + [(1, -1)] * n)])
+            {0: 0, 1: 0}, [[(0, 1)] * m + [(1, -1)] * n])
         _assert_ideals_match(fox_matrix(p, {0: T ** n, 1: T ** m}), 2)
         _assert_ideals_match(fox_matrix(p, {0: ONE, 1: ONE}), 2)
 
@@ -228,8 +223,8 @@ def test_elementary_ideals_match_all_minors():
 def _assert_ideals_match(mat, k_max):
     got = groups.elementary_ideals(mat, k_max)
     want = ideals_by_all_minors(mat, k_max)
-    assert [(e.gcd_generator, e.generator_count) for e in got] == want
-    assert [e.k for e in got] == list(range(k_max + 1))
+    assert got == want
+    assert len(got) == k_max + 1
 
 
 def _det_calls(monkeypatch):
@@ -280,7 +275,7 @@ def test_second_ideal_stops_at_gcd_one(monkeypatch):
     # gcd 1 at the 16th
     assert len(_dets_for_last_ideal(calls, groups.wirtinger(d), 2)) <= 16
     got = groups.elementary_ideals(mat, 2)
-    assert [(e.gcd_generator, e.generator_count) for e in got] == want
+    assert got == want
 
 
 def test_chordless_link_ideals_from_the_full_presentation():
@@ -299,7 +294,7 @@ def test_chordless_link_ideals_from_the_full_presentation():
         z = groups.reduced_group(d)
         for p in (z, groups.tietze_eliminate(z)):
             ideals = groups.elementary_ideals(groups.alexander_matrix(p), 3)
-            gcds.append([e.gcd_generator for e in ideals])
+            gcds.append([g for g, _ in ideals])
         assert gcds[0] == gcds[1]
         assert gcds[0][2].is_zero() and not gcds[0][3].is_zero()
     assert time.perf_counter() - start < 0.5
@@ -312,8 +307,8 @@ def test_trefoil_first_ideal_is_classical_alexander():
     for k in range(6):
         p = groups.wirtinger(rotated(d, 0, k))
         ideals = groups.elementary_ideals(groups.alexander_matrix(p), 1)
-        assert ideals[0].gcd_generator == ZERO
-        got = canonicalize(ideals[1].gcd_generator, MONOMIAL_SIGN)
+        assert ideals[0][0] == ZERO
+        got = canonicalize(ideals[1][0], MONOMIAL_SIGN)
         assert got == canonicalize(ONE - T + T * T, MONOMIAL_SIGN)
 
 
@@ -323,16 +318,16 @@ def test_plain_wirtinger_ideals_forget_virtual_structure():
     d = table1_diagram("4.12")
     p = groups.wirtinger(d)
     ideals = groups.elementary_ideals(groups.alexander_matrix(p), 1)
-    assert ideals[0].gcd_generator == ZERO
-    assert canonicalize(ideals[1].gcd_generator, MONOMIAL_SIGN) \
+    assert ideals[0][0] == ZERO
+    assert canonicalize(ideals[1][0], MONOMIAL_SIGN) \
         == canonicalize(ONE, MONOMIAL_SIGN)
 
 
 def test_longitude_small_cases():
     unknot = gauss.to_diagram(gauss.parse_gauss_code(""))
-    assert groups.longitude(unknot, 0) == W()
+    assert groups.longitude(unknot, 0) == []
     kink = gauss.to_diagram(gauss.parse_gauss_code(KINK))
-    assert groups.longitude(kink, 0) == W()
+    assert groups.longitude(kink, 0) == []
     with pytest.raises(gauss.BadIndex):
         groups.longitude(kink, 1)
 
@@ -369,7 +364,7 @@ def test_tietze_trefoil():
 
 
 def test_tietze_leaves_free_presentations_alone():
-    free = groups.GroupPresentation([0, 4], {0: 0, 4: 0}, [])
+    free = groups.GroupPresentation({0: 0, 4: 0}, [])
     q = groups.tietze_eliminate(free)
     assert q.generators == [0, 4]
     assert q.relators == []
@@ -392,10 +387,9 @@ def test_tietze_reduced_group_reaches_two_generators():
     tags = sorted(str(q.tags[g]) for g in q.generators)
     assert gauss.OMEGA in tags
     # elimination preserved the first ideal gcd up to units
-    g1 = groups.elementary_ideals(groups.alexander_matrix(p), 1)[1]
-    g2 = groups.elementary_ideals(groups.alexander_matrix(q), 1)[1]
-    assert canonicalize(g1.gcd_generator, MONOMIAL_SIGN) \
-        == canonicalize(g2.gcd_generator, MONOMIAL_SIGN)
+    g1 = groups.elementary_ideals(groups.alexander_matrix(p), 1)[1][0]
+    g2 = groups.elementary_ideals(groups.alexander_matrix(q), 1)[1][0]
+    assert canonicalize(g1, MONOMIAL_SIGN) == canonicalize(g2, MONOMIAL_SIGN)
 
 
 def test_tietze_plain_knot_group_abelianizes_to_cyclic():
@@ -440,6 +434,6 @@ def test_reduced_ideals_of_large_knots():
            for d in knots]
     assert time.perf_counter() - start < 1.0
     for ideals, w in zip(got, want):
-        e1, e2 = ideals[1].gcd_generator, ideals[2].gcd_generator
+        (e1, _), (e2, _) = ideals[1:3]
         assert (str(e1), str(e2)) == (w["E1"], w["E2"])
         assert divides(e2, e1)

@@ -182,7 +182,7 @@ def _group_ideals(d):
     out = []
     for p, k_max in ((groups.wirtinger(d), 2), (groups.reduced_group(d), 1)):
         ideals = groups.elementary_ideals(groups.alexander_matrix(p), k_max)
-        out += [canonicalize(e.gcd_generator, MONOMIAL_SIGN) for e in ideals]
+        out += [canonicalize(g, MONOMIAL_SIGN) for g, _ in ideals]
     return out
 
 
