@@ -102,23 +102,6 @@ def _quo(a, b):
     return quo
 
 
-def _div_exact(a, b):
-    """Exact quotient a/b in the Laurent ring; NotDivisible if it does not
-    exist.  Both arguments are shifted to least exponents 0, divided by
-    _quo, and the monomial shift is applied back at the end."""
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not a:
-        return {}
-    ams, amt = _min_exp(a)
-    bms, bmt = _min_exp(b)
-    quo = _quo(_shift(a, -ams, -amt), _shift(b, -bms, -bmt))
-    if quo is None:
-        raise NotDivisible("%s is not divisible by %s"
-                           % (_render(a), _render(b)))
-    return _shift(quo, ams - bms, amt - bmt)
-
-
 def _render_key(k):
     # report order: ascending t-exponent, then ascending s-exponent
     return (k[1], k[0])
@@ -168,9 +151,8 @@ def _render(a):
 
 
 # ---------------------------------------------------------------------------
-# gcd: a heuristic (GCDHEU, Char, Geddes and Gonnet 1989) in front of a
-# primitive pseudo-remainder sequence (PRS), both on the same (e_s, e_t)
-# dicts as the rest of the ring.
+# gcd: GCDHEU (Char, Geddes and Gonnet 1989) on the same (e_s, e_t) dicts as
+# the rest of the ring.
 #
 # The heuristic evaluates s at an integer xi, takes the gcd of the two images
 # in Z[t] by the same heuristic at t = xi' (there the images are integers and
@@ -183,74 +165,18 @@ def _render(a):
 # k, so the Alexander-type inputs of the ideals path, which carry both, would
 # never pass the division.
 #
-# The PRS is the fallback when the heuristic gives up and the tests' oracle.
-# It is a sequence in t over Z[s], and the content of a polynomial (the gcd
-# of its t-coefficients) is a gcd of t-free polynomials, which _gcd takes by
-# swapping s and t and recursing; two integers end the recursion.  It swells
-# on mid-sized inputs: one gcd of two 28- and 56-term minors with
-# coefficients under 2^8 takes about 10 s in the content gcds of _primitive.
-
-def _swap(a):
-    return {(et, es): c for (es, et), c in a.items()}
-
-
-def _t_lead(a):
-    """t-degree of the nonzero a and its t-leading coefficient."""
-    d = max(et for _, et in a)
-    return d, {(es, 0): c for (es, et), c in a.items() if et == d}
-
-
-def _primitive(a):
-    """(content, primitive part) of the nonzero a as a polynomial in t over
-    Z[s]; the content is canonical up to +-s^k."""
-    by_t = {}
-    for (es, et), c in a.items():
-        by_t.setdefault(et, {})[(es, 0)] = c
-    g = {}
-    for coeff in by_t.values():
-        g = _gcd(g, coeff)
-        if g == _ONE:
-            return g, a
-    return g, _div_exact(a, g)
-
-
-def _prem(a, b):
-    """Pseudo-remainder of the nonzero a by b as polynomials in t."""
-    db, lb = _t_lead(b)
-    da, la = _t_lead(a)
-    while da >= db:
-        a = _add(_mul(lb, a), _shift(_mul(_neg(la), b), 0, da - db))
-        if not a:
-            break
-        d, la = _t_lead(a)
-        if d >= da:
-            raise NotDivisible("pseudo-remainder failed to drop degree")
-        da = d
-    return a
-
-
-def _gcd(p, q):
-    """gcd in Z[s^{+-1}, t^{+-1}], canonicalized up to +-s^a t^b."""
-    if not p or not q:
-        return _canon_monomial_sign(p or q)
-    p = _canon_monomial_sign(p)
-    q = _canon_monomial_sign(q)
-    if not any(et for _, et in p) and not any(et for _, et in q):
-        if len(p) == 1 and len(q) == 1:
-            return {(0, 0): igcd(p[(0, 0)], q[(0, 0)])}
-        return _canon_monomial_sign(_swap(_gcd(_swap(p), _swap(q))))
-    cp, f = _primitive(p)
-    cq, g = _primitive(q)
-    if _t_lead(f)[0] < _t_lead(g)[0]:
-        f, g = g, f
-    while g:
-        r = _prem(f, g)
-        f, g = g, (_primitive(r)[1] if r else r)
-    return _canon_monomial_sign(_mul(f, _gcd(cp, cq)))
-
-
-_TRIES = 6
-
+# The loop over xi has no cap, and it ends.  Let G be the gcd of the
+# primitive inputs and p', q' the cofactors, which are coprime.  For all but
+# finitely many xi the images p'(xi, t) and q'(xi, t) share no factor of
+# positive degree (their resultant in t and their leading coefficients do not
+# vanish at xi), so the gcd of the images is +-k G(xi, t), with k an integer
+# that divides every t-coefficient of p' and q' at xi.  Those coefficients
+# have no common factor in Z[s], so a Bezout combination of them over Z[s]
+# is a fixed nonzero integer R, and k divides R.  Once xi > 2 |R| |G|, with
+# |G| the largest coefficient, the balanced digits read back k G, whose
+# primitive part G passes the division.  xi grows by 73794/27011 at each
+# point, so it gets there.  The univariate level follows by the same
+# argument.
 
 def _divides(b, a):
     """True when the nonzero b divides a in Z[s, t]: the heuristic's trial
@@ -268,7 +194,7 @@ def _at_s(f, xi):
 
 def _heu(p, q):
     """gcd of the nonzero p and q in Z[s, t], both with least exponents 0, by
-    GCDHEU, or None when _TRIES evaluation points fail here or below."""
+    GCDHEU: the points xi grow until a candidate passes the division."""
     cp, cq = igcd(*p.values()), igcd(*q.values())
     c = igcd(cp, cq)
     # least exponents 0: a single term is a constant
@@ -277,14 +203,12 @@ def _heu(p, q):
     p = {k: v // cp for k, v in p.items()}
     q = {k: v // cq for k, v in q.items()}
     xi = 2 * min(max(map(abs, p.values())), max(map(abs, q.values()))) + 2
-    for _ in range(_TRIES):
+    while True:
         a, b = _at_s(p, xi), _at_s(q, xi)
         # an image that lost its constant term has a factor t the inputs
         # lack: try the next point
         if (0, 0) in a and (0, 0) in b:
             g = _heu(a, b)
-            if g is None:
-                return None
             h = {}
             half = xi // 2
             for (et, _), v in g.items():
@@ -302,7 +226,6 @@ def _heu(p, q):
             if _divides(h, p) and _divides(h, q):
                 return {k: c * v for k, v in h.items()}
         xi = xi * 73794 // 27011
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -424,13 +347,13 @@ T = LaurentPoly({(0, 1): 1})
 
 def gcd(p, q):
     """A gcd in the UFD Z[s^{+-1}, t^{+-1}], canonical up to +-s^a t^b, by
-    the heuristic with the PRS as its fallback.  gcd(0, 0) = 0."""
+    the heuristic GCDHEU, which tries points until one certifies its
+    candidate.  gcd(0, 0) = 0."""
     a, b = p.terms, q.terms
     if not a or not b:
         return LaurentPoly._raw(_canon_monomial_sign(a or b))
-    g = _heu(_canon_monomial_sign(a), _canon_monomial_sign(b))
-    return LaurentPoly._raw(_gcd(a, b) if g is None
-                            else _canon_monomial_sign(g))
+    return LaurentPoly._raw(_canon_monomial_sign(
+        _heu(_canon_monomial_sign(a), _canon_monomial_sign(b))))
 
 
 def canonicalize(p, mode=MONOMIAL_SIGN):

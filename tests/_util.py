@@ -1,27 +1,31 @@
 """Shared fixtures: the golden table of small virtual knots, every
 one-circle diagram with a few chords, random diagram generators for
-fuzzing, ribbon doubles, a PolyMatrix built from nested lists, the
-reference code the tests compare against (exact division and
-divisibility, unit substitution, the writhe polynomial by division and
-from the terms of delta0, the symbolic Fox derivative and the Fox matrix
-of any unit images built on it, the cofactor-expansion and plain Bareiss determinant
-oracles, the rescanning unit-pivot search and Tietze elimination, the
-elementary ideals over all minors, M - P over the short arcs and its Schur
-complement on the arcs entering U slots, and the chord indices that decide
-almost-classical diagrams), the rejected short-arc and Zh head
+fuzzing, ribbon doubles and concordant knots, a PolyMatrix built from
+nested lists, the reference code the tests compare against (exact
+division and divisibility, the pseudo-remainder gcd, unit substitution,
+the writhe polynomial by division and from the terms of delta0, the
+symbolic Fox derivative and the Fox matrix of any unit images built on
+it, the cofactor-expansion and plain Bareiss determinant oracles, the
+rescanning unit-pivot search and Tietze elimination, the elementary
+ideals over all minors, M - P over the short arcs and its Schur
+complement on the arcs entering U slots, and the chord indices that
+decide almost-classical diagrams), the rejected short-arc and Zh head
 rules the calibration tests check against, the diagram transforms the
-invariance and symmetry tests apply (basepoint rotation, chord relabelling,
-deleting a component or the omega circle, reversal, sign negation and the
-O/U swap), and the Reidemeister rewrites they walk diagrams with."""
+invariance and symmetry tests apply (basepoint rotation, chord
+relabelling, deleting a component or the omega circle, reversal, sign
+negation and the O/U swap), and the Reidemeister rewrites they walk
+diagrams with."""
 
-from itertools import product
+from itertools import combinations, product
+from math import gcd as igcd
 
 from vkalex import gauss, groups
 from vkalex.alexander import NotAKnot
 from vkalex.zh import ZhDiagram, zh
 from vkalex.laurent import (
     LaurentPoly, NotDivisible, NotSquare, ONE, PolyMatrix, S, SizeTooLarge, T,
-    ZERO, _add, _div_exact, _mul, gcd,
+    ZERO, _ONE, _add, _canon_monomial_sign, _min_exp, _mul, _neg, _quo,
+    _render, _shift, gcd,
 )
 
 ST = S * T
@@ -189,6 +193,24 @@ def matrix(grid):
                                         for j, e in enumerate(r)})
 
 
+def _div_exact(a, b):
+    """Exact quotient a/b of raw dicts in the Laurent ring; NotDivisible if
+    it does not exist.  Both arguments are shifted to least exponents 0,
+    divided by laurent._quo, and the monomial shift is applied back at the
+    end."""
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not a:
+        return {}
+    ams, amt = _min_exp(a)
+    bms, bmt = _min_exp(b)
+    quo = _quo(_shift(a, -ams, -amt), _shift(b, -bms, -bmt))
+    if quo is None:
+        raise NotDivisible("%s is not divisible by %s"
+                           % (_render(a), _render(b)))
+    return _shift(quo, ams - bms, amt - bmt)
+
+
 def exact_div(p, q):
     """The exact quotient p/q of two LaurentPolys; NotDivisible if it does
     not exist, ZeroDivisionError if q is zero."""
@@ -204,6 +226,80 @@ def divides(a, b):
     except NotDivisible:
         return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the gcd oracle: a primitive pseudo-remainder sequence (PRS) in t over Z[s]
+# on raw dicts.  The content of a polynomial (the gcd of its t-coefficients)
+# is a gcd of t-free polynomials, which _prs_gcd takes by swapping s and t
+# and recursing; two integers end the recursion.  It swells on mid-sized
+# inputs: one gcd of two 28- and 56-term minors with coefficients under 2^8
+# takes about 10 s in the content gcds of _primitive.
+
+def _swap(a):
+    return {(et, es): c for (es, et), c in a.items()}
+
+
+def _t_lead(a):
+    """t-degree of the nonzero a and its t-leading coefficient."""
+    d = max(et for _, et in a)
+    return d, {(es, 0): c for (es, et), c in a.items() if et == d}
+
+
+def _primitive(a):
+    """(content, primitive part) of the nonzero a as a polynomial in t over
+    Z[s]; the content is canonical up to +-s^k."""
+    by_t = {}
+    for (es, et), c in a.items():
+        by_t.setdefault(et, {})[(es, 0)] = c
+    g = {}
+    for coeff in by_t.values():
+        g = _prs_gcd(g, coeff)
+        if g == _ONE:
+            return g, a
+    return g, _div_exact(a, g)
+
+
+def _prem(a, b):
+    """Pseudo-remainder of the nonzero a by b as polynomials in t."""
+    db, lb = _t_lead(b)
+    da, la = _t_lead(a)
+    while da >= db:
+        a = _add(_mul(lb, a), _shift(_mul(_neg(la), b), 0, da - db))
+        if not a:
+            break
+        d, la = _t_lead(a)
+        if d >= da:
+            raise NotDivisible("pseudo-remainder failed to drop degree")
+        da = d
+    return a
+
+
+def _prs_gcd(p, q):
+    """gcd of raw dicts in Z[s^{+-1}, t^{+-1}], canonicalized up to
+    +-s^a t^b."""
+    if not p or not q:
+        return _canon_monomial_sign(p or q)
+    p = _canon_monomial_sign(p)
+    q = _canon_monomial_sign(q)
+    if not any(et for _, et in p) and not any(et for _, et in q):
+        if len(p) == 1 and len(q) == 1:
+            return {(0, 0): igcd(p[(0, 0)], q[(0, 0)])}
+        return _canon_monomial_sign(_swap(_prs_gcd(_swap(p), _swap(q))))
+    cp, f = _primitive(p)
+    cq, g = _primitive(q)
+    if _t_lead(f)[0] < _t_lead(g)[0]:
+        f, g = g, f
+    while g:
+        r = _prem(f, g)
+        f, g = g, (_primitive(r)[1] if r else r)
+    return _canon_monomial_sign(_mul(f, _prs_gcd(cp, cq)))
+
+
+def prs_gcd(p, q):
+    """The gcd of two LaurentPolys by the PRS, canonical up to +-s^a t^b as
+    laurent.gcd's is: the oracle for the heuristic."""
+    return LaurentPoly(_prs_gcd(p.terms, q.terms))
 
 
 def substitute(p, s_image, t_image):
@@ -911,3 +1007,32 @@ def apply_r3(d, triangle):
     for (ci, p, q) in pairs:
         comps[ci][p], comps[ci][q] = comps[ci][q], comps[ci][p]
     return gauss.GaussDiagram(comps, d.signs, d.component_roles)
+
+
+def concordant(d, rng):
+    """A knot concordant to the knot d: d joined by connected_sum to one or
+    two ribbon_doubles of random 1-3-chord knots at random slots, then one
+    to four Reidemeister moves, each an R1 kink, an R2 pair or an R3 slide
+    where one applies.  Each sum is concordant to d by one saddle and the
+    slice disc of the ribbon double."""
+    for _ in range(rng.randint(1, 2)):
+        j = ribbon_double(random_knot(rng, rng.randint(1, 3)))
+        d = connected_sum(d, j, rng.randrange(len(d.components[0])),
+                          rng.randrange(2 * len(j.signs)))
+    for _ in range(rng.randint(1, 4)):
+        slides = []
+        for tri in combinations(range(len(d.signs)), 3):
+            try:
+                slides.append(apply_r3(d, tri))
+            except NotApplicable:
+                pass
+        move = rng.choice(("r1", "r2", "r3") if slides else ("r1", "r2"))
+        gaps = len(d.components[0]) + 1
+        if move == "r3":
+            d = rng.choice(slides)
+        elif move == "r1":
+            d = apply_r1(d, (0, rng.randrange(gaps)), rng.choice((1, -1)),
+                         rng.choice(("over-first", "under-first")))
+        else:
+            d = apply_r2(d, (0, rng.randrange(gaps)), (0, rng.randrange(gaps)))
+    return d

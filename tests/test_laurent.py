@@ -1,6 +1,6 @@
 import random
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +13,7 @@ from vkalex.laurent import (
 from vkalex import alexander, gauss, groups, laurent
 from _util import (
     TABLE1, VIRTUAL_TREFOIL, det_bareiss, det_cofactor, divides, exact_div,
-    matrix, random_knot, random_link, random_poly, substitute,
+    matrix, prs_gcd, random_knot, random_link, random_poly, substitute,
     unit_schur_scan,
 )
 
@@ -212,39 +212,45 @@ def test_gcd_properties():
             assert divides(h, gh) or (p.is_zero() and q.is_zero())
 
 
-def _prs(p, q):
-    """The pseudo-remainder gcd, the heuristic's fallback and oracle."""
-    return LaurentPoly(laurent._gcd(p.terms, q.terms))
+def _count_points(monkeypatch):
+    """The number of evaluation points each call of the heuristic takes from
+    now on, one entry per call at either level, in the order they return."""
+    counts, stack = [], []
+    heu, at_s = laurent._heu, laurent._at_s
 
+    def spy_heu(p, q):
+        stack.append(set())
+        try:
+            return heu(p, q)
+        finally:
+            counts.append(len(stack.pop()))
 
-def _spy_prs(monkeypatch):
-    """The list of calls the PRS takes from now on, recursion included."""
-    calls = []
-    prs = laurent._gcd
+    def spy_at_s(f, xi):
+        stack[-1].add(xi)
+        return at_s(f, xi)
 
-    def spy(a, b):
-        calls.append((a, b))
-        return prs(a, b)
-
-    monkeypatch.setattr(laurent, "_gcd", spy)
-    return calls
+    monkeypatch.setattr(laurent, "_heu", spy_heu)
+    monkeypatch.setattr(laurent, "_at_s", spy_at_s)
+    return counts
 
 
 def test_gcd_heuristic_keeps_one_minus_s_and_one_minus_t_apart(monkeypatch):
     """At s = xi, t = xi^k the image of 1 - s divides that of 1 - t for
     every k; evaluating s alone keeps them apart, and the integer content
-    of the images keeps the factor 1 + s in s alone."""
-    calls = _spy_prs(monkeypatch)
+    of the images keeps the factor 1 + s in s alone.  Each call certifies
+    within six points at each level."""
+    counts = _count_points(monkeypatch)
     g = canonicalize((ONE + S) * (2 - S * T + T * T), MONOMIAL_SIGN)
     assert gcd(g * (ONE - S), g * (ONE - T)) == g
     assert gcd(6 * g * (ONE - S), 4 * S * g * (ONE - T)) == 2 * g
     assert gcd(ONE - S, ONE - T) == ONE
-    assert calls == []
+    assert counts and max(counts) <= 6
 
 
-def test_gcd_falls_back_to_the_prs(monkeypatch):
-    """A heuristic whose every trial division fails hands each pair to the
-    PRS, which gives the same gcd."""
+def test_gcd_goes_past_refused_points(monkeypatch):
+    """A trial division that refuses its first 20 calls on each pair sends
+    the heuristic on to larger points, at either level, and the gcd still
+    comes out equal to the PRS oracle's."""
     rng = random.Random(3)
     pairs = [((ONE - S) * (ONE - S * T), (ONE - T) * (ONE - S * T)),
              (6 * (ONE - T) * (ONE + S), 9 * (ONE + S) * S)]
@@ -252,30 +258,50 @@ def test_gcd_falls_back_to_the_prs(monkeypatch):
         g, a, b = (random_poly(rng, span=2, terms=4) for _ in range(3))
         if min(len(g.terms), len(a.terms), len(b.terms)) > 1:
             pairs.append((g * a, g * b))
-    want = [gcd(p, q) for p, q in pairs]
-    monkeypatch.setattr(laurent, "_divides", lambda b, a: False)
-    calls = _spy_prs(monkeypatch)
+    want = [prs_gcd(p, q) for p, q in pairs]
+    divides_ = laurent._divides
+    calls = []
+
+    def refuse(b, a):
+        calls.append(b)
+        return len(calls) > 20 and divides_(b, a)
+
+    monkeypatch.setattr(laurent, "_divides", refuse)
     for (p, q), w in zip(pairs, want):
         del calls[:]
         assert gcd(p, q) == w
-        assert calls
+        assert len(calls) > 20
     assert sum(len(w.terms) > 1 for w in want) > 10
 
 
+def test_gcd_certifies_past_six_points(monkeypatch):
+    """p = (s + 1 + L)(1 + t) and q = (s + 1)(1 + t), L = lcm(1..50): at
+    a point xi the images share the integer gcd(L, xi + 1) as well as
+    1 + t, and the digits cannot read it back while it exceeds xi / 2.  No
+    candidate certifies within six points, and the loop goes on until one
+    does, equal to the PRS."""
+    big = lcm(*range(1, 51))
+    p = (S + 1 + big) * (ONE + T)
+    q = (S + 1) * (ONE + T)
+    counts = _count_points(monkeypatch)
+    assert gcd(p, q) == ONE + T == prs_gcd(p, q)
+    assert counts[-1] > 6
+
+
 def test_gcd_matches_the_prs_fuzz(monkeypatch):
-    """The heuristic against the PRS on pairs g a, g b and g^2 a, g b, with
-    no pair left to the fallback."""
+    """The heuristic against the PRS oracle on pairs g a, g b and g^2 a,
+    g b, each certified within six points at each level."""
     rng = random.Random(5)
     pairs = []
     for _ in range(300):
         g, a, b = (random_poly(rng, span=2, terms=4, coeff=9)
                    for _ in range(3))
         pairs += [(g * a, g * b), (g * g * a, g * b)]
-    want = [_prs(p, q) for p, q in pairs]
+    want = [prs_gcd(p, q) for p, q in pairs]
     assert sum(len(w.terms) > 1 for w in want) > 300
-    calls = _spy_prs(monkeypatch)
+    counts = _count_points(monkeypatch)
     assert [gcd(p, q) for p, q in pairs] == want
-    assert calls == []
+    assert counts and max(counts) <= 6
 
 
 def test_det_goldens():

@@ -13,7 +13,7 @@ SRC = ROOT / "src" / "vkalex"
 
 def _modules():
     """src/vkalex without the package's re-exports, and the benchmark,
-    which patches some names through strings."""
+    which patches some names through strings (_patched_names)."""
     paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     return paths + sorted((ROOT / "bench").glob("*.py"))
 
@@ -34,17 +34,30 @@ def _definitions(tree):
     return out
 
 
+def _patched_names(path, tree):
+    """The identifier-like string constants of a benchmark file, where the
+    tracer names the attributes it patches, outside a __slots__ declaration,
+    which names an attribute without using it; none for a library file,
+    where such a string is a message or a key."""
+    if path.parent == SRC:
+        return set()
+    slots = {id(c) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                     for t in node.targets)
+             for c in ast.walk(node.value)}
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.isidentifier() and id(node) not in slots}
+
+
 def _references(tree):
-    """Every Name, Attribute and identifier-like string constant."""
+    """Every Name and Attribute."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and node.value.isidentifier()):
-            out.add(node.value)
     return out
 
 
@@ -53,7 +66,7 @@ def test_every_library_definition_is_used():
     used = set()
     for path in _modules():
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        used |= _references(tree)
+        used |= _references(tree) | _patched_names(path, tree)
         if path.parent == SRC:
             for name in _definitions(tree):
                 defined.setdefault(name, path.name)
@@ -140,21 +153,9 @@ def _stored_attributes(tree):
 
 
 def _read_attributes(tree):
-    """Every attribute name loaded, and every identifier-like string
-    constant outside a __slots__ declaration, which names an attribute
-    without reading it."""
-    slots = {id(c) for node in ast.walk(tree) if isinstance(node, ast.Assign)
-             and any(isinstance(t, ast.Name) and t.id == "__slots__"
-                     for t in node.targets)
-             for c in ast.walk(node.value)}
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.add(node.attr)
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and node.value.isidentifier() and id(node) not in slots):
-            out.add(node.value)
-    return out
+    """Every attribute name loaded."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
 def test_every_stored_attribute_is_read():
@@ -164,7 +165,7 @@ def test_every_stored_attribute_is_read():
     read = set()
     for path in _modules():
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        read |= _read_attributes(tree)
+        read |= _read_attributes(tree) | _patched_names(path, tree)
         if path.parent == SRC:
             for name in _stored_attributes(tree):
                 stored.setdefault(name, path.name)
