@@ -3,7 +3,8 @@ holds the Gauss codes of table 1, of 80 distinct seeded knots and links
 of 0-8 chords and of a few hand-written links, and one sha256 of (exit code, stdout, stderr) per command
 line run on them, then one per sieve format over a census of the same
 codes.  It also holds three seeded knots of 30-40 chords with the digests
-of the LARGE commands alone, as reduced ideals are slow at that size.  The
+of the LARGE commands alone, as E_2 and E_3 of the reduced group are slow
+at that size.  The
 tests replay every command line in-process; a change that is meant to keep
 the program's behaviour must keep every digest.
 
@@ -45,6 +46,8 @@ COMMANDS = (
 LARGE = (
     ("delta", "--unit-class", "exact"),
     ("writhe",),
+    ("ideals", "--reduced", "--kmax", "1"),
+    ("ideals", "--reduced", "--kmax", "1", "--unit-class", "exact"),
 )
 
 
@@ -139,7 +142,7 @@ def test_large_knot_bytes_match_the_recorded_digests():
     with open(PATH, encoding="utf-8") as fh:
         doc = json.load(fh)
     runs = _large_runs(doc["large_codes"])
-    assert len(runs) == len(doc["large_sha256"]) == 6
+    assert len(runs) == len(doc["large_sha256"]) == 12
     changed = [argv for argv, want in zip(runs, doc["large_sha256"])
                if _digest(argv) != want]
     assert not changed, changed
