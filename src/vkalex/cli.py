@@ -125,7 +125,10 @@ def cmd_ideals(args):
     if args.kmax < 0:
         raise UsageError("--kmax must be at least 0")
     p = _presentation(args)
-    ideals = groups.elementary_ideals(groups.alexander_matrix(p), args.kmax)
+    omega = next((j for j, g in enumerate(p.generators)
+                  if p.tags[g] == gauss.OMEGA), None)
+    ideals = groups.elementary_ideals(groups.alexander_matrix(p), args.kmax,
+                                      omega)
     rows = [{"k": k, "gcd": _poly_str(g, args.unit_class),
              "zero": g.is_zero(), "generator_count": count}
             for k, (g, count) in enumerate(ideals)]

@@ -17,10 +17,21 @@ The one abelianization the program uses sends every generator on an omega
 component to s and every other generator to t, so the generators are told
 apart by their component tags alone.  Fox differentiation of the relators
 followed by this map yields the Alexander matrix, whose ideals of minors are
-the elementary ideals.  They are taken from one reduction of the matrix by
-unit pivots u = +-s^a t^b: row and column operations keep every ideal of
-minors, and the block sum u + A' has I_m(u + A') = I_(m-1)(A').  Each
-ideal comes back as its (gcd, generator count) pair.
+the elementary ideals.  Each ideal comes back as its (gcd, generator count)
+pair.
+
+When A is r x (r + 1) and its one omega column goes to s, the gcd of E_1
+takes one determinant.  Fox's fundamental formula, the sum over generators
+of (dr/dx_j)(x_j - 1) = r - 1, maps to sum_j A_j (phi(x_j) - 1) = 0 over the
+columns A_j, so a maximal minor A^j (column j deleted) satisfies
+A^j (phi(x_k) - 1) = +-A^k (phi(x_j) - 1).  For the omega column and any
+other column k this reads A^omega (t - 1) = +-A^k (s - 1); 1 - s and 1 - t
+are coprime, so 1 - s divides A^omega, every minor is +-(phi(x_j) - 1) D
+with D = A^omega / (1 - s), and D generates gcd(E_1) (Crowell and Fox,
+Introduction to Knot Theory, 1963).  Every other ideal, and E_1 of any
+other matrix, is taken from one reduction of the matrix by unit pivots
+u = +-s^a t^b: row and column operations keep every ideal of minors, and
+the block sum u + A' has I_m(u + A') = I_(m-1)(A').
 """
 
 import operator
@@ -30,7 +41,8 @@ from math import comb
 
 from . import gauss
 from .zh import zh as _zh
-from .laurent import LaurentPoly, PolyMatrix, gcd, ONE, ZERO
+from .laurent import (LaurentPoly, NotDivisible, PolyMatrix, canonicalize,
+                      gcd, ONE, ZERO, _quo)
 
 
 def word_text(letters):
@@ -178,23 +190,57 @@ def alexander_matrix(p):
                       {ij: LaurentPoly(t) for ij, t in entries.items()})
 
 
-def elementary_ideals(mat, k_max):
+_ONE_MINUS_S = {(0, 0): 1, (1, 0): -1}
+
+
+def _omega_quotient(mat, omega):
+    """D = A^omega / (1 - s) for the r x (r + 1) matrix A = mat: the
+    monomial-sign form of the minor without column omega, whose least
+    exponents are 0, divided exactly by 1 - s, which keeps that form.
+    Raises NotDivisible when 1 - s does not divide it."""
+    keep = [j for j in range(mat.cols) if j != omega]
+    minor = canonicalize(mat.submatrix(range(mat.rows), keep).det()).terms
+    if not minor:
+        return ZERO
+    quo = _quo(minor, _ONE_MINUS_S)
+    if quo is None:
+        raise NotDivisible("1 - s does not divide the minor without the "
+                           "omega column")
+    return LaurentPoly._raw(quo)
+
+
+def elementary_ideals(mat, k_max, omega=None):
     """Elementary ideals E_0 .. E_k_max of the Alexander matrix A = mat,
     whose g columns are the generators of its presentation.  E_k is
     generated by the (g-k) x (g-k) minors of A and is the full ring when
-    g-k <= 0.  A is reduced once by unit pivots (PolyMatrix.unit_reduced):
-    a step on the unit u turns A into u + A' by row and column
-    operations, which keep each ideal of minors, and
-    I_m(u + A') = I_(m-1)(A').  After p pivots E_k = I_(g-k-p)(A'), the
-    full ring when g-k-p <= 0 and zero when g-k-p exceeds a side of A'.
-    Otherwise its gcd starts from that of E_(k-1), takes the minors of A'
-    one at a time, by (row set, column set), and stops once it is 1.
-    Returns one (gcd, generator count) pair per ideal, E_k at index k; the
-    count is that of all the (g-k)-minors of A."""
+    g-k <= 0.
+
+    omega names the column of the one generator alexander_matrix sends
+    to s, every other column's generator going to t.  When it is given
+    and A has g = r + 1 >= 2 columns for its r rows, Fox's formula
+    (module docstring) makes every maximal minor +-(s - 1) D or
+    +-(t - 1) D, so E_0 = 0 and gcd(E_1) = D = A^omega / (1 - s), one
+    determinant and no gcd; for k_max <= 1 nothing else is computed.
+
+    Every other ideal, and E_1 when omega is None or A has another shape
+    (a link with a chordless circle, say), takes the gcd route.  A is
+    reduced once by unit pivots (PolyMatrix.unit_reduced): a step on the
+    unit u turns A into u + A' by row and column operations, which keep
+    each ideal of minors, and I_m(u + A') = I_(m-1)(A').  After p pivots
+    E_k = I_(g-k-p)(A'), the full ring when g-k-p <= 0 and zero when
+    g-k-p exceeds a side of A'.  Otherwise its gcd starts from that of
+    E_(k-1), D included, takes the minors of A' one at a time, by (row
+    set, column set), and stops once it is 1.  Returns one (gcd,
+    generator count) pair per ideal, E_k at index k; the count is that of
+    all the (g-k)-minors of A."""
     g = mat.cols
-    pivots, res = mat.unit_reduced()
     out = []
-    for k in range(k_max + 1):
+    if omega is not None and g == mat.rows + 1 >= 2 and k_max >= 1:
+        out = [(ZERO, 0), (_omega_quotient(mat, omega), g)]
+        if k_max == 1:
+            return out
+    pivots, res = mat.unit_reduced()
+    for k in range(len(out), k_max + 1):
         size = max(g - k, 0)
         m = size - pivots
         if m <= 0:

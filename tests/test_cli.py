@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import vkalex
-from vkalex import alexander, cli, gauss, laurent
+from vkalex import alexander, cli, gauss, groups, laurent
 from vkalex.laurent import NotDivisible, S
 from _util import TABLE1, VIRTUAL_TREFOIL, writhe_from_delta0
 
@@ -152,6 +152,46 @@ def test_ideals_json_counts_every_minor(capsys):
         {"k": 1, "gcd": "1 - t + t^2", "zero": False, "generator_count": 36},
         {"k": 2, "gcd": "1", "zero": False, "generator_count": 225},
     ]}, indent=2) + "\n"
+
+
+def test_reduced_first_ideal_takes_one_determinant(capsys, monkeypatch):
+    # the extension's Fox matrix of 4.12 is 12 x 13 with one omega column,
+    # so E_1 is the minor without that column divided by 1 - s: one
+    # determinant and no gcd
+    dets = []
+    det = laurent.PolyMatrix.det
+
+    def spy(self):
+        dets.append((self.rows, self.cols))
+        return det(self)
+
+    def no_gcd(p, q):
+        raise AssertionError("gcd called")
+    monkeypatch.setattr(laurent.PolyMatrix, "det", spy)
+    monkeypatch.setattr(laurent, "gcd", no_gcd)
+    monkeypatch.setattr(groups, "gcd", no_gcd)
+    rc, out, err = run(capsys, "ideals", "--reduced", "--kmax", "1",
+                       TABLE1["4.12"])
+    assert (rc, err) == (0, "")
+    assert dets == [(12, 12)]
+    assert out == ("E_0: gcd = 0 (0 generators)\n"
+                   "E_1: gcd = s^3 - s*t - s^2*t - 2*s^3*t + t^2 + 2*s*t^2"
+                   " + 2*s^2*t^2 + s^3*t^2 - 2*t^3 - s*t^3 - s^2*t^3 + t^4"
+                   " (13 generators)\n")
+
+
+def test_reduced_first_ideal_not_divisible_exits_3(capsys, monkeypatch):
+    calls = []
+
+    def fail(a, b):
+        calls.append((a, b))
+    monkeypatch.setattr(groups, "_quo", fail)
+    rc, out, err = run(capsys, "ideals", "--reduced", "--kmax", "1",
+                       TABLE1["4.12"])
+    assert calls
+    assert rc == 3
+    assert "internal error" in err and "1 - s" in err
+    assert out == ""
 
 
 def test_longitude(capsys):

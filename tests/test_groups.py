@@ -2,6 +2,7 @@ import json
 import os
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -127,10 +128,31 @@ def test_alexander_matrix_matches_symbolic_derivative():
         assert groups.alexander_matrix(p) == fox_matrix(p, tag_images(p))
 
 
+def _small_diagrams():
+    """Every knot diagram of at most 3 chords, then 40 seeded links of 2-6
+    chords on 2-3 circles, some with a chordless circle."""
+    rng = random.Random(17)
+    return ([d for n in (1, 2, 3) for d in knot_diagrams(n)]
+            + [random_link(rng, rng.randint(2, 6), rng.randint(2, 3))
+               for _ in range(40)])
+
+
+def _omega_column(p):
+    """The column of the presentation's omega generator, or None."""
+    return next((j for j, g in enumerate(p.generators)
+                 if p.tags[g] == gauss.OMEGA), None)
+
+
+def _one_minor_rule_applies(mat, omega):
+    return omega is not None and mat.cols == mat.rows + 1 >= 2
+
+
 def test_fox_fundamental_identity():
-    # sum over generators of (d r / d g)^alpha (alpha(g) - 1) = 0 per relator
-    for name in ("4.12", "5.344", "5.2430"):
-        d = table1_diagram(name)
+    # sum over generators of (d r / d g)^alpha (alpha(g) - 1) = 0 per
+    # relator: the columns A_j of the Alexander matrix satisfy
+    # sum_j A_j (phi(x_j) - 1) = 0
+    diagrams = [table1_diagram(name) for name in ("4.12", "5.344", "5.2430")]
+    for d in diagrams + _small_diagrams():
         for p in (groups.wirtinger(d), groups.reduced_group(d)):
             images = tag_images(p)
             mat = groups.alexander_matrix(p)
@@ -139,6 +161,44 @@ def test_fox_fundamental_identity():
                 for j, g in enumerate(p.generators):
                     acc = acc + mat[r, j] * (images[g] - ONE)
                 assert acc == ZERO
+
+
+def test_one_minor_rule_matches_the_gcd_route():
+    """E_0 .. E_2 of the extension's Alexander matrix with its omega column
+    named, where gcd(E_1) is one minor divided by 1 - s, equal those of the
+    gcd route, taken with no omega column named, on every knot diagram of
+    at most 3 chords and on seeded links, chordless circles included."""
+    kinds = Counter()
+    for d in _small_diagrams():
+        p = groups.reduced_group(d)
+        mat = groups.alexander_matrix(p)
+        omega = _omega_column(p)
+        assert omega is not None
+        got = groups.elementary_ideals(mat, 2, omega)
+        assert got == groups.elementary_ideals(mat, 2), gauss.to_code(d)
+        assert groups.elementary_ideals(mat, 1, omega) == got[:2]
+        kinds[_one_minor_rule_applies(mat, omega), got[1][0].is_zero()] += 1
+    # the rule gives zero and nonzero D, and links with a chordless circle,
+    # whose E_1 is zero, skip it
+    assert kinds[True, True] and kinds[True, False] and kinds[False, True]
+    assert not kinds[False, False]
+
+
+def test_one_minor_rule_matches_all_minors():
+    """The rule against the gcd over every minor, on seeded links where it
+    applies (every circle with a chord) and where it does not."""
+    rng = random.Random(29)
+    applies = Counter()
+    for _ in range(30):
+        d = random_link(rng, rng.randint(1, 5), rng.randint(1, 3))
+        p = groups.reduced_group(d)
+        mat = groups.alexander_matrix(p)
+        omega = _omega_column(p)
+        k_max = 2 if mat.cols <= 8 else 1
+        assert (groups.elementary_ideals(mat, k_max, omega)
+                == ideals_by_all_minors(mat, k_max)), gauss.to_code(d)
+        applies[_one_minor_rule_applies(mat, omega)] += 1
+    assert applies[True] >= 10 and applies[False] >= 5
 
 
 def test_elementary_ideal_conventions():

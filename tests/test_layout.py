@@ -12,8 +12,7 @@ SRC = ROOT / "src" / "vkalex"
 
 
 def _modules():
-    """src/vkalex without the package's re-exports, and the benchmark,
-    which patches some names through strings (_patched_names)."""
+    """src/vkalex without the package's re-exports, and the benchmark."""
     paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     return paths + sorted((ROOT / "bench").glob("*.py"))
 
@@ -34,20 +33,19 @@ def _definitions(tree):
     return out
 
 
-def _patched_names(path, tree):
-    """The identifier-like string constants of a benchmark file, where the
-    tracer names the attributes it patches, outside a __slots__ declaration,
-    which names an attribute without using it; none for a library file,
-    where such a string is a message or a key."""
-    if path.parent == SRC:
-        return set()
-    slots = {id(c) for node in ast.walk(tree) if isinstance(node, ast.Assign)
-             and any(isinstance(t, ast.Name) and t.id == "__slots__"
-                     for t in node.targets)
-             for c in ast.walk(node.value)}
-    return {node.value for node in ast.walk(tree)
-            if isinstance(node, ast.Constant) and isinstance(node.value, str)
-            and node.value.isidentifier() and id(node) not in slots}
+def _patched_names():
+    """The attribute names the tracer patches through strings: the third
+    item of each tuple bench/tracing.py's _patch_points returns.  No other
+    string counts as a use, since in the library or the rest of the
+    benchmark such a string is a message or a key."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(
+        encoding="utf-8"))
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "_patch_points")
+    return {item.elts[2].value for node in ast.walk(func)
+            if isinstance(node, ast.Return)
+            for item in node.value.elts if isinstance(item, ast.Tuple)}
 
 
 def _references(tree):
@@ -63,10 +61,10 @@ def _references(tree):
 
 def test_every_library_definition_is_used():
     defined = {}
-    used = set()
+    used = _patched_names()
     for path in _modules():
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        used |= _references(tree) | _patched_names(path, tree)
+        used |= _references(tree)
         if path.parent == SRC:
             for name in _definitions(tree):
                 defined.setdefault(name, path.name)
@@ -162,10 +160,10 @@ def test_every_stored_attribute_is_read():
     """A value a library class keeps on self that neither the library nor
     the benchmark reads back is kept for the tests alone."""
     stored = {}
-    read = set()
+    read = _patched_names()
     for path in _modules():
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        read |= _read_attributes(tree) | _patched_names(path, tree)
+        read |= _read_attributes(tree)
         if path.parent == SRC:
             for name in _stored_attributes(tree):
                 stored.setdefault(name, path.name)
