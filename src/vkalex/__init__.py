@@ -15,7 +15,7 @@ from .gauss import (
     BadIndex, parse_gauss_code, to_code, to_diagram,
 )
 from .alexander import NotAKnot, delta0, writhe_polynomial
-from .zh import AlreadyHasOmega, ZhDiagram
+from .zh import ZhDiagram
 from .groups import (
     GroupPresentation, alexander_matrix, elementary_ideals, longitude,
     reduced_group, tietze_eliminate, wirtinger, word_text,

@@ -126,7 +126,7 @@ def cmd_ideals(args):
         raise UsageError("--kmax must be at least 0")
     p = _presentation(args)
     omega = next((j for j, g in enumerate(p.generators)
-                  if p.tags[g] == gauss.OMEGA), None)
+                  if p.tags[g] == groups.OMEGA), None)
     ideals = groups.elementary_ideals(groups.alexander_matrix(p), args.kmax,
                                       omega)
     rows = [{"k": k, "gcd": _poly_str(g, args.unit_class),

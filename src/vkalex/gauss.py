@@ -13,8 +13,10 @@ unlink.
 
 A GaussDiagram stores each component as a list of slots (chord_id, role) with
 role 'O' or 'U', plus a sign (+1 or -1) per chord.  Chord ids are dense
-0..n-1.  Rotating a basepoint, relabelling chords, deleting a component and
-the Reidemeister rewrites are not in the library: no command runs them, and
+0..n-1.  A diagram is circles and chords only and gives no circle a part
+to play; a construction that adds a circle says which one it is.
+Rotating a basepoint, relabelling chords, deleting a component and the
+Reidemeister rewrites are not in the library: no command runs them, and
 the tests keep them, to check that the invariants do not change under them.
 """
 
@@ -35,8 +37,6 @@ class BadIndex(IndexError):
 
 OVER = "O"
 UNDER = "U"
-REGULAR = "regular"
-OMEGA = "omega"
 
 _TOKEN = re.compile(r"([OU])(\d+)([+-])")
 
@@ -86,17 +86,11 @@ class GaussDiagram:
 
     components: list of slot lists, slot = (chord_id, 'O'|'U')
     signs: list of +-1, indexed by chord id
-    component_roles: 'regular' or 'omega' per component
     """
 
-    def __init__(self, components, signs, component_roles=None):
+    def __init__(self, components, signs):
         self.components = [list(c) for c in components]
         self.signs = list(signs)
-        if component_roles is None:
-            component_roles = [REGULAR] * len(self.components)
-        self.component_roles = list(component_roles)
-        if len(self.component_roles) != len(self.components):
-            raise ValueError("one role per component required")
         self._check()
 
     def _check(self):
@@ -122,8 +116,7 @@ class GaussDiagram:
         if not isinstance(other, GaussDiagram):
             return NotImplemented
         return (self.components == other.components
-                and self.signs == other.signs
-                and self.component_roles == other.component_roles)
+                and self.signs == other.signs)
 
     def __repr__(self):
         return "GaussDiagram(%r)" % to_code(self)

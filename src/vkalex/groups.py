@@ -13,12 +13,13 @@ and longitudes lists, and word_text prints one as a1 a3^-1 a2.  A
 presentation is its dict of generator tags, in generator order, and its
 relators.
 
-The one abelianization the program uses sends every generator on an omega
-component to s and every other generator to t, so the generators are told
-apart by their component tags alone.  Fox differentiation of the relators
-followed by this map yields the Alexander matrix, whose ideals of minors are
-the elementary ideals.  Each ideal comes back as its (gcd, generator count)
-pair.
+A generator's tag is its component's index, or OMEGA on the circle that
+wirtinger is told is omega: a position zh reports, not a mark the diagram
+carries.  The one abelianization the program uses sends every generator
+tagged OMEGA to s and every other generator to t.  Fox differentiation of
+the relators followed by this map yields the Alexander matrix, whose
+ideals of minors are the elementary ideals.  Each ideal comes back as its
+(gcd, generator count) pair.
 
 When A is r x (r + 1) and its one omega column goes to s, the gcd of E_1
 takes one determinant.  Fox's fundamental formula, the sum over generators
@@ -43,6 +44,8 @@ from . import gauss
 from .zh import zh as _zh
 from .laurent import (LaurentPoly, NotDivisible, PolyMatrix, canonicalize,
                       gcd, ONE, ZERO, _quo)
+
+OMEGA = "omega"
 
 
 def word_text(letters):
@@ -79,7 +82,7 @@ def _inverse(letters):
 
 class GroupPresentation:
     """tags: the component tag of each generator id, in generator order,
-    either a regular component index or the string 'omega'; relators:
+    either a component index or OMEGA; relators:
     words, each a sequence of letters (generator id, +-1)."""
 
     def __init__(self, tags, relators):
@@ -113,10 +116,11 @@ class GroupPresentation:
 # ---------------------------------------------------------------------------
 # presentations from diagrams
 
-def _arcs(d):
+def _arcs(d, omega=None):
     """One pass over the slots.  Returns at[ci][pos], the generator of the
     arc covering slot pos of component ci; over[c], the generator of the arc
-    carrying chord c's over strand; and the component tag of each generator.
+    carrying chord c's over strand; and the component tag of each generator,
+    OMEGA on component omega.
     Arc j of a component runs up to and including its j-th under slot, the
     slots after its last under slot belong to arc 0, and a component without
     under slots is one free arc."""
@@ -126,7 +130,7 @@ def _arcs(d):
     for ci, comp in enumerate(d.components):
         first = len(tags)
         nu = sum(1 for _, role in comp if role == gauss.UNDER)
-        tag = gauss.OMEGA if d.component_roles[ci] == gauss.OMEGA else ci
+        tag = OMEGA if ci == omega else ci
         for g in range(first, first + max(1, nu)):
             tags[g] = tag
         row = []
@@ -142,9 +146,10 @@ def _arcs(d):
     return at, over, tags
 
 
-def wirtinger(d):
-    """Wirtinger presentation of the diagram's group."""
-    at, over, tags = _arcs(d)
+def wirtinger(d, omega=None):
+    """Wirtinger presentation of the diagram's group; the generators of
+    component omega, if given, are tagged OMEGA."""
+    at, over, tags = _arcs(d, omega)
     relators = []
     for ci, comp in enumerate(d.components):
         row = at[ci]
@@ -159,7 +164,8 @@ def wirtinger(d):
 def reduced_group(d):
     """Group of the omega-extension; the omega generators are tagged so the
     abelianization can separate them."""
-    return wirtinger(_zh(d).diagram)
+    z = _zh(d)
+    return wirtinger(z.diagram, z.omega_index)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +178,7 @@ def alexander_matrix(p):
     so the running prefix is streamed as the exponents (a, b), and each
     derivative adds +-1 at them."""
     index = {g: j for j, g in enumerate(p.generators)}
-    step = {g: (1, 0) if p.tags[g] == gauss.OMEGA else (0, 1)
+    step = {g: (1, 0) if p.tags[g] == OMEGA else (0, 1)
             for g in p.generators}
     entries = {}
     for i, w in enumerate(p.relators):

@@ -11,40 +11,22 @@ head is its over endpoint and its foot the under one: the other choice
 breaks the identity delta0 = (1 - t) gcd(E_1)(t, st), and tests/test_zh.py
 builds that choice from this one to check so.
 
-Deleting the omega component and its chords gives back the original
-diagram; the tests check that, and the library has no deletion of its own.
+The omega circle is a position, not a mark: zh returns its index with
+the diagram, which is circles and chords like any other.  Deleting the
+omega component and its chords gives back the original diagram; the
+tests check that, and the library has no deletion of its own.
 """
+
+from collections import namedtuple
 
 from . import gauss
 
-
-class AlreadyHasOmega(ValueError):
-    """The input diagram already carries an omega component."""
-
-
-class ZhDiagram:
-    """A GaussDiagram plus the index of its omega component (always last)."""
-
-    def __init__(self, diagram, omega_index):
-        if diagram.component_roles[omega_index] != gauss.OMEGA:
-            raise ValueError("component %d is not tagged omega" % omega_index)
-        self.diagram = diagram
-        self.omega_index = omega_index
-
-    def __eq__(self, other):
-        if not isinstance(other, ZhDiagram):
-            return NotImplemented
-        return (self.diagram, self.omega_index) == (other.diagram, other.omega_index)
-
-    def __repr__(self):
-        return "ZhDiagram(%r, omega=%d)" % (gauss.to_code(self.diagram),
-                                            self.omega_index)
+ZhDiagram = namedtuple("ZhDiagram", "diagram omega_index")
 
 
 def zh(d):
-    """Build the omega-extension.  Input components must all be regular."""
-    if any(role == gauss.OMEGA for role in d.component_roles):
-        raise AlreadyHasOmega("diagram already has an omega component")
+    """Build the omega-extension: a ZhDiagram whose omega circle, at
+    omega_index, comes after every circle of d."""
     n = len(d.signs)
     signs = list(d.signs)
     for e in d.signs:
@@ -60,5 +42,4 @@ def zh(d):
         comps.append(out)
     comps.append([(c, gauss.OVER) for comp in comps for (c, _) in comp
                   if c >= n])
-    roles = list(d.component_roles) + [gauss.OMEGA]
-    return ZhDiagram(gauss.GaussDiagram(comps, signs, roles), len(comps) - 1)
+    return ZhDiagram(gauss.GaussDiagram(comps, signs), len(comps) - 1)

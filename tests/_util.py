@@ -367,7 +367,7 @@ def fox_derivative(w, gen):
 def tag_images(p):
     """The program's abelianization of the presentation p: omega generators
     to s, every other generator to t."""
-    return {g: S if p.tags[g] == gauss.OMEGA else T for g in p.generators}
+    return {g: S if p.tags[g] == groups.OMEGA else T for g in p.generators}
 
 
 def fox_matrix(p, images):
@@ -711,8 +711,7 @@ def zh_head_under(d):
     flip = {gauss.OVER: gauss.UNDER, gauss.UNDER: gauss.OVER}
     comps = [[(c, flip[role] if c < n else role) for c, role in comp]
              for comp in z.components]
-    return ZhDiagram(gauss.GaussDiagram(comps, z.signs, z.component_roles),
-                     len(comps) - 1)
+    return ZhDiagram(gauss.GaussDiagram(comps, z.signs), len(comps) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +726,7 @@ def rotated(d, ci, k):
     if comp:
         k %= len(comp)
         comps[ci] = comp[k:] + comp[:k]
-    return gauss.GaussDiagram(comps, d.signs, d.component_roles)
+    return gauss.GaussDiagram(comps, d.signs)
 
 
 def relabeled(d, perm):
@@ -739,19 +738,17 @@ def relabeled(d, perm):
     signs = [0] * len(d.signs)
     for old, new in enumerate(perm):
         signs[new] = d.signs[old]
-    return gauss.GaussDiagram(comps, signs, d.component_roles)
+    return gauss.GaussDiagram(comps, signs)
 
 
 def reversed_diagram(d):
     """Every component walked the other way; signs kept."""
-    return gauss.GaussDiagram([c[::-1] for c in d.components], d.signs,
-                              d.component_roles)
+    return gauss.GaussDiagram([c[::-1] for c in d.components], d.signs)
 
 
 def negated(d):
     """Every chord sign negated; O and U kept."""
-    return gauss.GaussDiagram(d.components, [-e for e in d.signs],
-                              d.component_roles)
+    return gauss.GaussDiagram(d.components, [-e for e in d.signs])
 
 
 def swapped(d):
@@ -759,7 +756,7 @@ def swapped(d):
     flip = {gauss.OVER: gauss.UNDER, gauss.UNDER: gauss.OVER}
     return gauss.GaussDiagram(
         [[(c, flip[role]) for c, role in comp] for comp in d.components],
-        d.signs, d.component_roles)
+        d.signs)
 
 
 def delete_component(d, idx):
@@ -768,9 +765,8 @@ def delete_component(d, idx):
     if not 0 <= idx < len(d.components):
         raise gauss.BadIndex("no component %d" % idx)
     rest = _remove_chords(d, {c for (c, _) in d.components[idx]})
-    comps, roles = rest.components, rest.component_roles
-    return gauss.GaussDiagram(comps[:idx] + comps[idx + 1:], rest.signs,
-                              roles[:idx] + roles[idx + 1:])
+    comps = rest.components
+    return gauss.GaussDiagram(comps[:idx] + comps[idx + 1:], rest.signs)
 
 
 def _remove_chords(d, doomed):
@@ -778,8 +774,7 @@ def _remove_chords(d, doomed):
     newid = {c: i for i, c in enumerate(keep)}
     comps = [[(newid[c], role) for (c, role) in comp if c not in doomed]
              for comp in d.components]
-    return gauss.GaussDiagram(comps, [d.signs[c] for c in keep],
-                              d.component_roles)
+    return gauss.GaussDiagram(comps, [d.signs[c] for c in keep])
 
 
 def delete_omega(z):
@@ -834,7 +829,7 @@ def apply_r1(d, site, sign, kind="over-first"):
     if kind == "under-first":
         pair.reverse()
     comps = _insert(d.components, [(site, pair)])
-    return gauss.GaussDiagram(comps, d.signs + [sign], d.component_roles)
+    return gauss.GaussDiagram(comps, d.signs + [sign])
 
 
 def undo_r1(d, chord):
@@ -860,7 +855,7 @@ def apply_r2(d, site_a, site_b):
     jobs = [(site_a, [(c1, gauss.OVER), (c2, gauss.OVER)]),
             (site_b, [(c1, gauss.UNDER), (c2, gauss.UNDER)])]
     comps = _insert(d.components, jobs)
-    return gauss.GaussDiagram(comps, d.signs + [1, -1], d.component_roles)
+    return gauss.GaussDiagram(comps, d.signs + [1, -1])
 
 
 def undo_r2(d, chord_a, chord_b):
@@ -1006,7 +1001,7 @@ def apply_r3(d, triangle):
     comps = [list(c) for c in d.components]
     for (ci, p, q) in pairs:
         comps[ci][p], comps[ci][q] = comps[ci][q], comps[ci][p]
-    return gauss.GaussDiagram(comps, d.signs, d.component_roles)
+    return gauss.GaussDiagram(comps, d.signs)
 
 
 def concordant(d, rng):

@@ -16,7 +16,7 @@ import random
 import sys
 import time
 
-from vkalex import alexander, gauss, groups
+from vkalex import alexander, groups
 from vkalex.laurent import ONE, S, T, NotDivisible, canonicalize
 
 from _util import exact_div, random_knot, substitute
@@ -28,7 +28,7 @@ def one_minor_gcd(d):
     """gcd(E_1) of the extension's group, by the one-minor rule."""
     p = groups.reduced_group(d)
     omega = next(j for j, g in enumerate(p.generators)
-                 if p.tags[g] == gauss.OMEGA)
+                 if p.tags[g] == groups.OMEGA)
     return groups.elementary_ideals(groups.alexander_matrix(p), 1, omega)[1][0]
 
 

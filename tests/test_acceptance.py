@@ -92,7 +92,7 @@ def test_criterion_05_cross_path_equivalence(capsys):
     for name in TABLE1:
         d = table1_diagram(name)
         g = alexander.delta0(d)
-        p = groups.wirtinger(zh(d).diagram)
+        p = groups.reduced_group(d)
         ideals = groups.elementary_ideals(groups.alexander_matrix(p), 1)
         e1 = ideals[1][0]
         if e1.is_zero() != g.is_zero():
@@ -256,7 +256,7 @@ def test_criterion_08_zh_structural(capsys):
         if not ok:
             bad += 1
     trefoil = gauss.to_diagram(gauss.parse_gauss_code(CLASSICAL_TREFOIL))
-    p = groups.wirtinger(zh(trefoil).diagram)
+    p = groups.reduced_group(trefoil)
     ideals = groups.elementary_ideals(groups.alexander_matrix(p), 1)
     split_zero = ideals[1][0].is_zero()
     _verdict(capsys, 8, bad == 0 and split_zero,

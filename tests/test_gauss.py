@@ -66,8 +66,6 @@ def test_diagram_validation():
         gauss.GaussDiagram([[(0, "O"), (0, "O")]], [1])
     with pytest.raises(ValueError):
         gauss.GaussDiagram([[(1, "O"), (1, "U")]], [1])  # ids not dense
-    with pytest.raises(ValueError):
-        gauss.GaussDiagram([[(0, "O"), (0, "U")]], [1], ["regular", "omega"])
 
 
 def test_diagram_rejects_signs_other_than_plus_minus_one():

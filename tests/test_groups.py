@@ -88,7 +88,44 @@ def test_wirtinger_tags_follow_components():
     p = groups.wirtinger(d)
     assert sorted(set(p.tags.values())) == [0, 1]
     z = groups.reduced_group(d)
-    assert gauss.OMEGA in z.tags.values()
+    assert groups.OMEGA in z.tags.values()
+
+
+def test_wirtinger_tags_the_named_circle_omega():
+    """wirtinger(d, i) tags exactly the generators of circle i OMEGA and
+    keeps every other tag and relator of wirtinger(d), which tags none; a
+    circle with no U slot has one free generator, and that is tagged too."""
+    rng = random.Random(50)
+    free_omega = 0
+    for _ in range(60):
+        d = random_link(rng, rng.randint(0, 6), rng.randint(2, 4))
+        plain = groups.wirtinger(d)
+        assert groups.OMEGA not in plain.tags.values()
+        for i in range(len(d.components)):
+            p = groups.wirtinger(d, i)
+            assert p.relators == plain.relators
+            mine = [g for g in plain.generators if plain.tags[g] == i]
+            assert [g for g in p.generators
+                    if p.tags[g] == groups.OMEGA] == mine
+            assert all(p.tags[g] == plain.tags[g]
+                       for g in p.generators if g not in mine)
+            if not any(role == gauss.UNDER for _, role in d.components[i]):
+                assert len(mine) == 1
+                free_omega += 1
+    assert free_omega >= 20
+
+
+def test_reduced_group_tags_its_last_generator_omega():
+    """The omega circle of the extension has O slots only, so its one
+    generator is free, comes last, and is the only one tagged OMEGA."""
+    rng = random.Random(51)
+    diagrams = [table1_diagram(name) for name in TABLE1]
+    diagrams += [random_link(rng, rng.randint(0, 5), rng.randint(1, 3))
+                 for _ in range(30)]
+    for d in diagrams:
+        p = groups.reduced_group(d)
+        assert [g for g in p.generators
+                if p.tags[g] == groups.OMEGA] == p.generators[-1:]
 
 
 def test_abelianization_images():
@@ -96,7 +133,7 @@ def test_abelianization_images():
     # every other generator -> t
     d = table1_diagram("4.12")
     p = groups.reduced_group(d)
-    assert {p.tags[g] == gauss.OMEGA for g in p.generators} == {True, False}
+    assert {p.tags[g] == groups.OMEGA for g in p.generators} == {True, False}
     assert fox_matrix(p, tag_images(p)) == groups.alexander_matrix(p)
 
 
@@ -120,7 +157,7 @@ def test_fox_derivative_goldens():
 def test_alexander_matrix_matches_symbolic_derivative():
     # random words over two regular and two omega generators
     rng = random.Random(47)
-    tags = {0: 0, 1: gauss.OMEGA, 2: 1, 3: gauss.OMEGA}
+    tags = {0: 0, 1: groups.OMEGA, 2: 1, 3: groups.OMEGA}
     for _ in range(40):
         letters = [(rng.randint(0, 3), rng.choice((1, -1)))
                    for _ in range(rng.randint(0, 8))]
@@ -140,7 +177,7 @@ def _small_diagrams():
 def _omega_column(p):
     """The column of the presentation's omega generator, or None."""
     return next((j for j, g in enumerate(p.generators)
-                 if p.tags[g] == gauss.OMEGA), None)
+                 if p.tags[g] == groups.OMEGA), None)
 
 
 def _one_minor_rule_applies(mat, omega):
@@ -445,7 +482,7 @@ def test_tietze_reduced_group_reaches_two_generators():
     assert len(q.relators) == 1
     # one survivor is an omega generator, the other a regular one
     tags = sorted(str(q.tags[g]) for g in q.generators)
-    assert gauss.OMEGA in tags
+    assert groups.OMEGA in tags
     # elimination preserved the first ideal gcd up to units
     g1 = groups.elementary_ideals(groups.alexander_matrix(p), 1)[1][0]
     g2 = groups.elementary_ideals(groups.alexander_matrix(q), 1)[1][0]

@@ -1,11 +1,9 @@
 import random
 import types
 
-import pytest
-
 from vkalex import alexander, gauss, groups
 from vkalex.laurent import canonicalize, MONOMIAL_SIGN, ONE, S, T
-from vkalex.zh import AlreadyHasOmega, ZhDiagram, zh
+from vkalex.zh import zh
 from _util import (
     TABLE1, CLASSICAL_TREFOIL, KINK, delete_omega, knot_diagrams,
     random_knot, random_link, ribbon_double, substitute, zh_head_under,
@@ -19,7 +17,6 @@ def test_zh_of_unknot():
     assert z.diagram.crossings == 0
     assert z.omega_index == 1
     assert z.diagram.components[1] == []
-    assert z.diagram.component_roles == [gauss.REGULAR, gauss.OMEGA]
 
 
 def test_zh_structure():
@@ -30,7 +27,6 @@ def test_zh_structure():
         assert z.diagram.crossings == 3 * n
         assert len(z.diagram.components) == len(d.components) + 1
         assert z.omega_index == len(z.diagram.components) - 1
-        assert z.diagram.component_roles[-1] == gauss.OMEGA
         # the omega circle carries one O endpoint per new chord
         omega = z.diagram.components[z.omega_index]
         assert len(omega) == 2 * n
@@ -61,11 +57,21 @@ def test_zh_kink():
     assert gauss.to_code(z.diagram) == "O1+U2+U3-U1+,O2+O3-"
 
 
-def test_zh_refuses_second_omega():
-    d = gauss.to_diagram(gauss.parse_gauss_code(KINK))
-    z = zh(d)
-    with pytest.raises(AlreadyHasOmega):
-        zh(z.diagram)
+def test_zh_of_an_extension_extends_it_again():
+    """A diagram carries no omega mark, so zh takes an extension's
+    diagram as a link with one more circle: its omega circle comes after
+    the first one, and deleting it gives back the extension's diagram."""
+    rng = random.Random(50)
+    diagrams = [gauss.to_diagram(gauss.parse_gauss_code(code))
+                for code in ("", KINK, CLASSICAL_TREFOIL)]
+    diagrams += [random_link(rng, rng.randint(0, 4), rng.randint(1, 3))
+                 for _ in range(20)]
+    for d in diagrams:
+        z = zh(d)
+        zz = zh(z.diagram)
+        assert zz.omega_index == z.omega_index + 1
+        assert zz.diagram.crossings == 3 * z.diagram.crossings
+        assert delete_omega(zz) == z.diagram
 
 
 def test_zh_submodule_is_importable_as_module():
@@ -74,17 +80,11 @@ def test_zh_submodule_is_importable_as_module():
     assert m.zh is zh
 
 
-def test_zh_diagram_validates_role():
-    d = gauss.to_diagram(gauss.parse_gauss_code(KINK))
-    with pytest.raises(ValueError):
-        ZhDiagram(d, 0)  # component 0 is not tagged omega
-
-
 def _zh_path_matches(d, z):
     """delta0 = (1 - t) g(t, st) up to +-s^a t^b, g the gcd of the first
     elementary ideal of the group of the extension z of d with omega
     generators sent to s."""
-    p = groups.wirtinger(z.diagram)
+    p = groups.wirtinger(z.diagram, z.omega_index)
     g = groups.elementary_ideals(groups.alexander_matrix(p), 1)[1][0]
     lifted = (ONE - T) * substitute(g, T, S * T)
     return (canonicalize(lifted, MONOMIAL_SIGN)
@@ -112,7 +112,7 @@ def test_zh_path_on_links():
         c = sum(1 for comp in d.components if not comp)
         seen[c > 0] += 1
         want = canonicalize(alexander.delta0(d), MONOMIAL_SIGN)
-        p = groups.wirtinger(zh(d).diagram)
+        p = groups.reduced_group(d)
         for q in (groups.tietze_eliminate(p), p):
             ideals = groups.elementary_ideals(groups.alexander_matrix(q),
                                               1 + c)
@@ -153,7 +153,7 @@ def test_zh_path_vanishes_on_ribbon_doubles():
         d = random_knot(rng, rng.randint(1, 4))
         if alexander.delta0(d).is_zero():
             continue
-        p = groups.wirtinger(zh(ribbon_double(d)).diagram)
+        p = groups.reduced_group(ribbon_double(d))
         e1 = groups.elementary_ideals(groups.alexander_matrix(p), 1)[1][0]
         assert e1 == 0
         doubled += 1
