@@ -11,7 +11,9 @@ the program's behaviour must keep every digest.
     PYTHONPATH=src python tests/test_cli_digests.py
 
 rewrites the file from the current code, for a change that is meant to
-alter the output."""
+alter the output.  When the code lists are the recorded ones, it first
+prints, per subcommand, how many recorded digests the rewrite changes,
+for the corpus and for the large knots, so a re-pin shows its scope."""
 
 import contextlib
 import hashlib
@@ -21,6 +23,7 @@ import os
 import random
 import tempfile
 import time
+from collections import Counter
 
 from vkalex import cli, gauss
 from _util import TABLE1, random_knot, random_link
@@ -94,6 +97,14 @@ def _digest(argv):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _scope(label, runs, old, new):
+    """One line naming how many of the digests old the digests new change,
+    by the subcommand of their command line."""
+    moved = Counter(argv[0] for argv, a, b in zip(runs, old, new) if a != b)
+    return "%s: %s" % (label, ", ".join(
+        "%s: %d" % kv for kv in sorted(moved.items())) or "none changed")
+
+
 def _sieve_files(codes, folder):
     """A census of the nonempty codes, named k0, k1, ... by their place in
     codes, with one line that fails to validate, and a flags file that
@@ -148,14 +159,35 @@ def test_large_knot_bytes_match_the_recorded_digests():
     assert not changed, changed
 
 
+def test_a_repin_counts_its_changes_by_subcommand():
+    runs = [["delta", "a"], ["writhe", "a"], ["writhe", "b"], ["sieve", "x"]]
+    old, new = ["1", "2", "3", "4"], ["1", "9", "9", "5"]
+    assert _scope("corpus", runs, old, new) == "corpus: sieve: 1, writhe: 2"
+    assert _scope("large knots", runs, old, old) == "large knots: none changed"
+
+
 if __name__ == "__main__":
+    old = {}
+    if os.path.exists(PATH):
+        with open(PATH, encoding="utf-8") as fh:
+            old = json.load(fh)
     codes = _corpus()
     with tempfile.TemporaryDirectory() as folder:
-        doc = {"codes": codes,
-               "sha256": [_digest(argv) for argv in _runs(codes, folder)]}
+        runs = _runs(codes, folder)
+        doc = {"codes": codes, "sha256": [_digest(argv) for argv in runs]}
     large = _large_codes()
+    large_runs = _large_runs(large)
     doc.update(large_codes=large,
-               large_sha256=[_digest(argv) for argv in _large_runs(large)])
+               large_sha256=[_digest(argv) for argv in large_runs])
+    for label, key, digests, argvs in (
+            ("corpus", "codes", "sha256", runs),
+            ("large knots", "large_codes", "large_sha256", large_runs)):
+        if (old.get(key) == doc[key]
+                and len(old.get(digests, ())) == len(doc[digests])):
+            print(_scope(label, argvs, old[digests], doc[digests]))
+        else:
+            print("%s: the code or command list changed; every digest is "
+                  "recorded anew" % label)
     with open(PATH, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
