@@ -107,7 +107,7 @@ def writhe_polynomial(d):
     the circle, index(c) is sigma just before U_c less sigma just after
     O_c; across the basepoint too, as sigma returns to 0."""
     if len(d.components) != 1:
-        raise NotAKnot("divisibility statement applies to knots")
+        raise NotAKnot("the writhe polynomial is defined for knots only")
     sigma, exponent = 0, [0] * len(d.signs)
     for c, role in d.components[0]:
         if role == gauss.OVER:

@@ -335,7 +335,7 @@ def writhe_from_delta0(g, d):
     adds k F(1, t) = 0, so the result needs no unit normalization.  A
     nonzero F(1, t) raises NotDivisible."""
     if len(d.components) != 1:
-        raise NotAKnot("divisibility statement applies to knots")
+        raise NotAKnot("the writhe polynomial is defined for knots only")
     at_one, slope = {}, {}
     for (a, b), c in g.terms.items():
         at_one[b - a] = at_one.get(b - a, 0) + c

@@ -245,8 +245,9 @@ def test_divisibility_check_needs_a_knot():
     """The writhe polynomial is defined on knots only, and a link raises
     NotAKnot, with the message the CLI prints."""
     d = gauss.to_diagram(gauss.parse_gauss_code("O1+U2+,U1+O2+"))
-    with pytest.raises(alexander.NotAKnot,
-                       match="^divisibility statement applies to knots$"):
+    with pytest.raises(
+            alexander.NotAKnot,
+            match="^the writhe polynomial is defined for knots only$"):
         alexander.writhe_polynomial(d)
 
 
