@@ -10,10 +10,10 @@ from vkalex.laurent import (
 from _util import (
     TABLE1, TABLE1_EXPECTED, CLASSICAL_TREFOIL, VIRTUAL_TREFOIL, KINK,
     NoCrossings, build_m_matrix, chord_indices, concordant, connected_sum,
-    det_bareiss, exact_div, knot_diagrams, m_minus_p, negated, p_matrix,
-    relabeled, reversed_diagram, ribbon_double, rotated, short_arcs,
-    substitute, swapped, table1_diagram, random_knot, random_link,
-    under_first_successor, under_schur, writhe_by_division,
+    det_bareiss, divides, exact_div, knot_diagrams, m_minus_p, negated,
+    p_matrix, relabeled, reversed_diagram, ribbon_double, rotated,
+    short_arcs, substitute, swapped, table1_diagram, random_knot,
+    random_link, under_first_successor, under_schur, writhe_by_division,
     writhe_from_delta0,
 )
 
@@ -375,6 +375,43 @@ def test_ribbon_sums_with_almost_classical_knots_vanish():
                 == alexander.writhe_polynomial(k)), d
         not_almost_classical += any(chord_indices(d))
     assert not_almost_classical == 46
+
+
+def test_connected_sum_laws():
+    """The crossing matrix of K # J is block diagonal but for one entry
+    moved between the two blocks, so by multilinearity in those columns
+    Delta0(K # J) = Delta0(K) B - A Delta0(J), with B equal to 1 at
+    s = t = 1.  Hence, at any cut slots: if Delta0(J) = 0, then Delta0(K)
+    divides Delta0(K # J); and if also Delta0(K) != 0, then
+    Delta0(K # J) != 0.  K has 1-6 chords and Delta0(K) != 0, so the
+    second law has teeth; J alternates between ribbon doubles and random
+    1-6-chord knots with Delta0 = 0.  Without the premise the first law
+    fails on 51 of 100 sums with Delta0(J) != 0."""
+    rng = random.Random(50)
+
+    def knot(zero):
+        while True:
+            d = random_knot(rng, rng.randint(1, 6))
+            if alexander.delta0(d).is_zero() == zero:
+                return d
+
+    def summed(k, j):
+        return alexander.delta0(connected_sum(
+            k, j, rng.randrange(2 * len(k.signs)),
+            rng.randrange(2 * len(j.signs))))
+
+    for i in range(300):
+        k = knot(False)
+        j = (ribbon_double(random_knot(rng, rng.randint(1, 3))) if i % 2
+             else knot(True))
+        g, g_k = summed(k, j), alexander.delta0(k)
+        assert divides(g_k, g), (k, j)
+        assert not g.is_zero(), (k, j)
+    undivided = 0
+    for _ in range(100):
+        k, j = knot(False), knot(False)
+        undivided += not divides(alexander.delta0(k), summed(k, j))
+    assert undivided == 51
 
 
 def test_concordant_pairs():
