@@ -112,15 +112,6 @@ class GaussDiagram:
     def crossings(self):
         return len(self.signs)
 
-    def __eq__(self, other):
-        if not isinstance(other, GaussDiagram):
-            return NotImplemented
-        return (self.components == other.components
-                and self.signs == other.signs)
-
-    def __repr__(self):
-        return "GaussDiagram(%r)" % to_code(self)
-
 
 def to_diagram(components):
     """Parsed components -> GaussDiagram with chord ids in first-appearance

@@ -106,9 +106,6 @@ class GroupPresentation:
         return "gens: %s ; rels: %s" % (gens, rels) if rels else \
                "gens: %s ; rels:" % gens
 
-    def __repr__(self):
-        return "GroupPresentation(%s)" % str(self)
-
     def deficiency(self):
         return len(self.tags) - len(self.relators)
 

@@ -235,10 +235,13 @@ class LaurentPoly:
     """Immutable bivariate integer Laurent polynomial.
 
     LaurentPoly(terms) is the one public constructor: `terms` maps
-    (e_s, e_t) to int coefficients, zeros dropped.  Instances are
-    hashable and must not be mutated after construction.  Exponents and
+    (e_s, e_t) to int coefficients, zeros dropped.  Exponents and
     coefficients must be integers (operator.index): a float or a string
-    raises TypeError rather than being truncated.
+    raises TypeError rather than being truncated.  The operators are the
+    ones the program applies: p - q, p * q and p == q, on LaurentPoly
+    operands only, so mixing one with an int raises TypeError (and p == 1
+    is False), plus is_zero() and str(p).  Instances must not be mutated
+    after construction.
     """
 
     __slots__ = ("terms",)
@@ -261,86 +264,30 @@ class LaurentPoly:
         object.__setattr__(obj, "terms", terms)
         return obj
 
-    # ring structure ----------------------------------------------------
-    def __add__(self, other):
-        return LaurentPoly._raw(_add(self.terms, _coerce(other)))
-
-    __radd__ = __add__
-
     def __sub__(self, other):
-        return LaurentPoly._raw(_add(self.terms, _neg(_coerce(other))))
-
-    def __rsub__(self, other):
-        return LaurentPoly._raw(_add(_coerce(other), _neg(self.terms)))
-
-    def __neg__(self):
-        return LaurentPoly._raw(_neg(self.terms))
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return LaurentPoly._raw(_add(self.terms, _neg(other.terms)))
 
     def __mul__(self, other):
-        return LaurentPoly._raw(_mul(self.terms, _coerce(other)))
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return LaurentPoly._raw(_mul(self.terms, other.terms))
 
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            inv = self.inverse()
-            if inv is None:
-                raise NotDivisible("negative power of a non-unit")
-            return inv ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def inverse(self):
-        """Inverse if this is a unit (+- a monomial), else None."""
-        if len(self.terms) != 1:
-            return None
-        ((es, et), c), = self.terms.items()
-        if c not in (1, -1):
-            return None
-        return LaurentPoly._raw({(-es, -et): c})
-
-    # predicates and views ----------------------------------------------
-    def __bool__(self):
-        return bool(self.terms)
+    def __eq__(self, other):
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return self.terms == other.terms
 
     def is_zero(self):
         return not self.terms
 
-    def __eq__(self, other):
-        if isinstance(other, LaurentPoly):
-            return self.terms == other.terms
-        if isinstance(other, int):
-            return self.terms == _coerce(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __str__(self):
         return _render(self.terms)
-
-    def __repr__(self):
-        return "LaurentPoly(%s)" % _render(self.terms)
-
-
-def _coerce(x):
-    if isinstance(x, LaurentPoly):
-        return x.terms
-    if isinstance(x, int):
-        return {(0, 0): x} if x else {}
-    raise TypeError("cannot mix LaurentPoly with %r" % type(x).__name__)
 
 
 ZERO = LaurentPoly({})
 ONE = LaurentPoly({(0, 0): 1})
-S = LaurentPoly({(1, 0): 1})
-T = LaurentPoly({(0, 1): 1})
 
 
 # module-level operations ---------------------------------------------------
@@ -576,9 +523,6 @@ class PolyMatrix:
             if e.terms:
                 self.entries[i, j] = e
 
-    def __getitem__(self, rc):
-        return self.entries.get(rc, ZERO)
-
     def submatrix(self, row_idx, col_idx):
         """The rows row_idx and columns col_idx, each of distinct indices."""
         ri = {r: i for i, r in enumerate(row_idx)}
@@ -588,15 +532,6 @@ class PolyMatrix:
         return PolyMatrix(len(ri), len(ci), {
             (ri[r], ci[c]): e for (r, c), e in self.entries.items()
             if r in ri and c in ci})
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == \
-               (other.rows, other.cols, other.entries)
-
-    def __repr__(self):
-        return "PolyMatrix(%d, %d, %r)" % (self.rows, self.cols, self.entries)
 
     def _sparse_rows(self):
         rows = [{} for _ in range(self.rows)]

@@ -1,8 +1,10 @@
 """Shared fixtures: the golden table of small virtual knots, every
 one-circle diagram with a few chords, random diagram generators for
-fuzzing, ribbon doubles and concordant knots, a PolyMatrix built from
-nested lists, the reference code the tests compare against (exact
-division and divisibility, the pseudo-remainder gcd, unit substitution,
+fuzzing, ribbon doubles and concordant knots, the ring operators the
+library leaves out (Poly, and S, T, ONE and ZERO built on it), a
+PolyMatrix built from nested lists, its entries read as Polys, the data
+that makes two matrices or two diagrams equal, the reference code the
+tests compare against (exact division and divisibility, the pseudo-remainder gcd, unit substitution,
 the writhe polynomial by division and from the terms of delta0, the
 symbolic Fox derivative and the Fox matrix of any unit images built on
 it, the cofactor-expansion and plain Bareiss determinant oracles, the
@@ -23,11 +25,97 @@ from vkalex import gauss, groups
 from vkalex.alexander import NotAKnot
 from vkalex.zh import ZhDiagram, zh
 from vkalex.laurent import (
-    LaurentPoly, NotDivisible, NotSquare, ONE, PolyMatrix, S, SizeTooLarge, T,
-    ZERO, _ONE, _add, _canon_monomial_sign, _min_exp, _mul, _neg, _quo,
-    _render, _shift, gcd,
+    LaurentPoly, NotDivisible, NotSquare, PolyMatrix, SizeTooLarge, _ONE,
+    _add, _canon_monomial_sign, _min_exp, _mul, _neg, _quo, _render, _shift,
+    gcd,
 )
 
+
+def _terms(x):
+    """The terms of a LaurentPoly, or of an int as a constant; None for
+    anything else."""
+    if isinstance(x, LaurentPoly):
+        return x.terms
+    if isinstance(x, int):
+        return {(0, 0): x} if x else {}
+    return None
+
+
+class Poly(LaurentPoly):
+    """A LaurentPoly with the ring operators the library leaves out, for
+    the tests: +, - and * with a LaurentPoly or an int on either side,
+    unary minus, ** (a negative power of a unit only), inverse() and a
+    hash.  Every result is a Poly.  Python tries a subclass's reflected
+    operator first, so a library value met with a Poly gets them too:
+    delta0(d) * S and 1 - canonicalize(p) are Polys.  Like the library's,
+    it has no truth value of its own and is never equal to an int: test
+    for zero with is_zero()."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        b = _terms(other)
+        return NotImplemented if b is None else Poly._raw(_add(self.terms, b))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        b = _terms(other)
+        return (NotImplemented if b is None
+                else Poly._raw(_add(self.terms, _neg(b))))
+
+    def __rsub__(self, other):
+        b = _terms(other)
+        return (NotImplemented if b is None
+                else Poly._raw(_add(b, _neg(self.terms))))
+
+    def __neg__(self):
+        return Poly._raw(_neg(self.terms))
+
+    def __mul__(self, other):
+        b = _terms(other)
+        return NotImplemented if b is None else Poly._raw(_mul(self.terms, b))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if n < 0:
+            inv = self.inverse()
+            if inv is None:
+                raise NotDivisible("negative power of a non-unit")
+            return inv ** -n
+        out = ONE
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def inverse(self):
+        """The inverse if this is a unit (+- a monomial), else None."""
+        if len(self.terms) != 1:
+            return None
+        ((es, et), c), = self.terms.items()
+        if c not in (1, -1):
+            return None
+        return Poly._raw({(-es, -et): c})
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+def poly(p):
+    """The LaurentPoly p as a Poly, for the operators the library leaves
+    out."""
+    return p if isinstance(p, Poly) else Poly._raw(p.terms)
+
+
+ZERO = Poly({})
+ONE = Poly({(0, 0): 1})
+S = Poly({(1, 0): 1})
+T = Poly({(0, 1): 1})
 ST = S * T
 
 # name -> gauss code, for the 4- and 5-crossing knots with published
@@ -171,7 +259,6 @@ def connected_sum(a, b, p, q):
 
 def random_poly(rng, span=3, terms=4, coeff=9):
     """Random Laurent polynomial with exponents in [-span, span]."""
-    from vkalex.laurent import LaurentPoly
     d = {}
     for _ in range(rng.randint(0, terms)):
         es = rng.randint(-span, span)
@@ -179,7 +266,7 @@ def random_poly(rng, span=3, terms=4, coeff=9):
         c = rng.randint(-coeff, coeff)
         if c:
             d[(es, et)] = d.get((es, et), 0) + c
-    return LaurentPoly(d)
+    return Poly(d)
 
 
 def matrix(grid):
@@ -191,6 +278,22 @@ def matrix(grid):
         raise ValueError("ragged rows")
     return PolyMatrix(len(grid), cols, {(i, j): e for i, r in enumerate(grid)
                                         for j, e in enumerate(r)})
+
+
+def entry(m, i, j):
+    """Entry (i, j) of the PolyMatrix m as a Poly, ZERO where nothing is
+    stored."""
+    return poly(m.entries.get((i, j), ZERO))
+
+
+def matrix_data(m):
+    """What makes two PolyMatrix values equal: (rows, cols, entries)."""
+    return m.rows, m.cols, m.entries
+
+
+def diagram_data(d):
+    """What makes two GaussDiagram values equal: (components, signs)."""
+    return d.components, d.signs
 
 
 def _div_exact(a, b):
@@ -214,7 +317,7 @@ def _div_exact(a, b):
 def exact_div(p, q):
     """The exact quotient p/q of two LaurentPolys; NotDivisible if it does
     not exist, ZeroDivisionError if q is zero."""
-    return LaurentPoly(_div_exact(p.terms, q.terms))
+    return Poly(_div_exact(p.terms, q.terms))
 
 
 def divides(a, b):
@@ -299,14 +402,15 @@ def _prs_gcd(p, q):
 def prs_gcd(p, q):
     """The gcd of two LaurentPolys by the PRS, canonical up to +-s^a t^b as
     laurent.gcd's is: the oracle for the heuristic."""
-    return LaurentPoly(_prs_gcd(p.terms, q.terms))
+    return Poly(_prs_gcd(p.terms, q.terms))
 
 
 def substitute(p, s_image, t_image):
     """p with s -> s_image, t -> t_image, both units +-s^a t^b: a linear map
     on exponents with a sign.  A non-unit image raises ValueError."""
     for image in (s_image, t_image):
-        if not isinstance(image, LaurentPoly) or image.inverse() is None:
+        if not (isinstance(image, LaurentPoly)
+                and poly(image).inverse() is not None):
             raise ValueError("substitution needs a unit image "
                              "+-s^a t^b, got %s" % image)
     ((sa, sb), sc), = s_image.terms.items()
@@ -316,7 +420,7 @@ def substitute(p, s_image, t_image):
     for (es, et), c in p.terms.items():
         k = (sa * es + ta * et, sb * es + tb * et)
         out[k] = get(k, 0) + c * sc ** (es % 2) * tc ** (et % 2)
-    return LaurentPoly(out)
+    return Poly(out)
 
 
 def writhe_by_division(g):
@@ -342,7 +446,7 @@ def writhe_from_delta0(g, d):
         slope[b - a] = slope.get(b - a, 0) + a * c
     if any(at_one.values()):
         raise NotDivisible("1 - st does not divide det(M - P)")
-    return LaurentPoly({(0, e): c for e, c in slope.items()})
+    return Poly({(0, e): c for e, c in slope.items()})
 
 
 def fox_derivative(w, gen):
@@ -409,8 +513,8 @@ def det_cofactor(m):
         rest = rows_left[1:]
         acc = ZERO
         for pos, c in enumerate(cols_left):
-            e = m[r, c]
-            if not e:
+            e = m.entries.get((r, c))
+            if e is None:
                 continue
             term = e * minor(rest, cols_left[:pos] + cols_left[pos + 1:])
             acc = acc + term if pos % 2 == 0 else acc - term
@@ -431,11 +535,12 @@ def det_bareiss(m):
     n = m.rows
     if n == 0:
         return ONE
-    a = [[m[i, j] for j in range(n)] for i in range(n)]
+    a = [[poly(m.entries.get((i, j), ZERO)) for j in range(n)]
+         for i in range(n)]
     sign = 1
     prev = ONE
     for k in range(n - 1):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
+        piv = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
         if piv is None:
             return ZERO
         if piv != k:
@@ -632,7 +737,7 @@ def m_minus_p(d, successor):
     # P is nonzero only at (i, successor(i)), so only there is a 1 taken off
     for ij in enumerate(successor):
         e = diff.entries.pop(ij, ZERO) - ONE
-        if e:
+        if not e.is_zero():
             diff.entries[ij] = e
     return diff
 
@@ -663,7 +768,7 @@ def under_schur(d):
                 f = row.pop(a) * inv
                 for j, e in rows[a].items():
                     row[j] = row.get(j, ZERO) - f * e
-                    if not row[j]:
+                    if row[j].is_zero():
                         del row[j]
         rows[a] = {}
     overs = [a for a in range(mp.rows) if a not in under]

@@ -17,9 +17,9 @@ import sys
 import time
 
 from vkalex import alexander, groups
-from vkalex.laurent import ONE, S, T, NotDivisible, canonicalize
+from vkalex.laurent import NotDivisible, canonicalize
 
-from _util import exact_div, random_knot, substitute
+from _util import ONE, S, T, exact_div, random_knot, substitute
 
 PRODUCT = (ONE - S) * (ONE - T) * (ONE - S * T)
 

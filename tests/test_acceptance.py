@@ -9,13 +9,13 @@ import random
 import time
 
 from vkalex import alexander, gauss, groups, sieve
-from vkalex.laurent import MONOMIAL_SIGN, ONE, S, T, canonicalize
+from vkalex.laurent import MONOMIAL_SIGN, canonicalize
 from vkalex.zh import zh
 from _util import (
-    CLASSICAL_TREFOIL, TABLE1, TABLE1_EXPECTED, ZERO_NAMES, NotApplicable,
-    apply_r1, apply_r2, apply_r3, delete_omega, det_cofactor, exact_div,
-    matrix, random_knot, random_link, random_poly, relabeled, rotated,
-    substitute, table1_diagram, undo_r1, undo_r2,
+    ONE, S, T, CLASSICAL_TREFOIL, TABLE1, TABLE1_EXPECTED, ZERO_NAMES,
+    NotApplicable, apply_r1, apply_r2, apply_r3, delete_omega, det_cofactor,
+    diagram_data, exact_div, matrix, random_knot, random_link, random_poly,
+    relabeled, rotated, substitute, table1_diagram, undo_r1, undo_r2,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -246,7 +246,7 @@ def test_criterion_08_zh_structural(capsys):
         z = zh(d)
         zd = z.diagram
         omega = zd.components[z.omega_index]
-        ok = (delete_omega(z) == d
+        ok = (diagram_data(delete_omega(z)) == diagram_data(d)
               and len(zd.signs) == 3 * n
               and z.omega_index == len(d.components)
               and len(omega) == 2 * n

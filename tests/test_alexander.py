@@ -4,11 +4,10 @@ import time
 import pytest
 
 from vkalex import alexander, gauss
-from vkalex.laurent import (
-    canonicalize, MONOMIAL_SIGN, ONE, PolyMatrix, S, T, ZERO,
-)
+from vkalex.laurent import canonicalize, MONOMIAL_SIGN, PolyMatrix
 from _util import (
-    TABLE1, TABLE1_EXPECTED, CLASSICAL_TREFOIL, VIRTUAL_TREFOIL, KINK,
+    ONE, S, ST, T, ZERO, TABLE1, TABLE1_EXPECTED, CLASSICAL_TREFOIL,
+    VIRTUAL_TREFOIL, KINK, entry, matrix_data,
     NoCrossings, build_m_matrix, chord_indices, concordant, connected_sum,
     det_bareiss, divides, exact_div, knot_diagrams, m_minus_p, negated,
     p_matrix, relabeled, reversed_diagram, ribbon_double, rotated,
@@ -16,8 +15,6 @@ from _util import (
     random_link, under_first_successor, under_schur, writhe_by_division,
     writhe_from_delta0,
 )
-
-ST = S * T
 
 
 def test_table_polynomials():
@@ -132,7 +129,8 @@ def test_crossing_matrix_is_the_schur_complement(monkeypatch):
         if _zero_factor(d):
             assert seen == [] and g.is_zero(), d
         else:
-            assert seen == [under_schur(d)], d
+            assert [matrix_data(m) for m in seen] == \
+                [matrix_data(under_schur(d))], d
 
 
 def test_exact_delta0_is_label_and_basepoint_free():
@@ -192,9 +190,9 @@ def test_matrix_shapes():
     assert (p.rows, p.cols) == (8, 8)
     # P is a permutation matrix
     for r in range(8):
-        assert sum(1 for c in range(8) if p[r, c] == ONE) == 1
+        assert sum(1 for c in range(8) if entry(p, r, c) == ONE) == 1
     for c in range(8):
-        assert sum(1 for r in range(8) if p[r, c] == ONE) == 1
+        assert sum(1 for r in range(8) if entry(p, r, c) == ONE) == 1
     with pytest.raises(NoCrossings):
         build_m_matrix(gauss.to_diagram(gauss.parse_gauss_code("")))
 
@@ -203,16 +201,16 @@ def test_crossing_blocks():
     # a one-crossing kink's M is the block of its crossing
     pos = build_m_matrix(
         gauss.to_diagram(gauss.parse_gauss_code("O1+U1+")))
-    assert pos[0, 0] == T.inverse()
-    assert pos[0, 1] == ONE - ST.inverse()
-    assert pos[1, 0] == ZERO
-    assert pos[1, 1] == S.inverse()
+    assert entry(pos, 0, 0) == T.inverse()
+    assert entry(pos, 0, 1) == ONE - ST.inverse()
+    assert entry(pos, 1, 0) == ZERO
+    assert entry(pos, 1, 1) == S.inverse()
     assert pos.det() == ST.inverse()
     neg = build_m_matrix(
         gauss.to_diagram(gauss.parse_gauss_code("O1-U1-")))
-    assert neg[0, 0] == S
-    assert neg[1, 0] == ONE - ST
-    assert neg[1, 1] == T
+    assert entry(neg, 0, 0) == S
+    assert entry(neg, 1, 0) == ONE - ST
+    assert entry(neg, 1, 1) == T
     assert neg.det() == ST
 
 

@@ -7,8 +7,8 @@ import pytest
 
 import vkalex
 from vkalex import alexander, cli, gauss, groups, laurent
-from vkalex.laurent import NotDivisible, S
-from _util import TABLE1, VIRTUAL_TREFOIL, writhe_from_delta0
+from vkalex.laurent import NotDivisible
+from _util import S, TABLE1, VIRTUAL_TREFOIL, writhe_from_delta0
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 CENSUS = os.path.join(DATA, "table1.census")

@@ -6,7 +6,7 @@ from vkalex import gauss
 from _util import (
     TABLE1, CLASSICAL_TREFOIL, NoCrossings, _arc_offset, delete_component,
     random_knot, random_link, relabeled, rotated, short_arcs,
-    under_first_successor,
+    under_first_successor, diagram_data,
 )
 
 
@@ -54,7 +54,8 @@ def test_code_string_round_trip():
 def test_diagram_round_trip():
     for code_str in TABLE1.values():
         d = gauss.to_diagram(gauss.parse_gauss_code(code_str))
-        assert gauss.to_diagram(gauss.parse_gauss_code(gauss.to_code(d))) == d
+        back = gauss.to_diagram(gauss.parse_gauss_code(gauss.to_code(d)))
+        assert diagram_data(back) == diagram_data(d)
     # readback renames by first appearance
     shifted = gauss.parse_gauss_code("O7+U9+O8+U7+O9+U8+")
     d = gauss.to_diagram(shifted)
@@ -90,20 +91,20 @@ def test_rotated():
     d = gauss.to_diagram(gauss.parse_gauss_code(CLASSICAL_TREFOIL))
     r = rotated(d, 0, 2)
     assert r.components[0] == d.components[0][2:] + d.components[0][:2]
-    assert rotated(d, 0, 6) == d
-    assert rotated(d, 0, 0) == d
+    assert diagram_data(rotated(d, 0, 6)) == diagram_data(d)
+    assert diagram_data(rotated(d, 0, 0)) == diagram_data(d)
     with pytest.raises(gauss.BadIndex):
         rotated(d, 1, 1)
 
 
 def test_relabeled():
     d = gauss.to_diagram(gauss.parse_gauss_code(CLASSICAL_TREFOIL))
-    assert relabeled(d, [0, 1, 2]) == d
+    assert diagram_data(relabeled(d, [0, 1, 2])) == diagram_data(d)
     perm = [2, 0, 1]
     r = relabeled(d, perm)
     assert r.signs == d.signs  # all positive here
     inverse = [perm.index(i) for i in range(3)]
-    assert relabeled(r, inverse) == d
+    assert diagram_data(relabeled(r, inverse)) == diagram_data(d)
     with pytest.raises(ValueError):
         relabeled(d, [0, 0, 1])
 

@@ -7,11 +7,10 @@ from collections import Counter
 import pytest
 
 from vkalex import gauss, groups
-from vkalex.laurent import (
-    canonicalize, MONOMIAL_SIGN, ONE, PolyMatrix, S, T, ZERO,
-)
+from vkalex.laurent import canonicalize, MONOMIAL_SIGN, PolyMatrix
 from _util import (
-    TABLE1, CLASSICAL_TREFOIL, KINK, divides, fox_derivative, fox_matrix,
+    ONE, S, T, ZERO, TABLE1, CLASSICAL_TREFOIL, KINK, divides, entry,
+    fox_derivative, fox_matrix, matrix_data,
     table1_diagram, ideals_by_all_minors, knot_diagrams, random_knot,
     random_link, rotated, tag_images, tietze_scan,
 )
@@ -134,7 +133,8 @@ def test_abelianization_images():
     d = table1_diagram("4.12")
     p = groups.reduced_group(d)
     assert {p.tags[g] == groups.OMEGA for g in p.generators} == {True, False}
-    assert fox_matrix(p, tag_images(p)) == groups.alexander_matrix(p)
+    assert matrix_data(fox_matrix(p, tag_images(p))) == \
+        matrix_data(groups.alexander_matrix(p))
 
 
 def test_word_rejects_non_integer_letters():
@@ -162,7 +162,8 @@ def test_alexander_matrix_matches_symbolic_derivative():
         letters = [(rng.randint(0, 3), rng.choice((1, -1)))
                    for _ in range(rng.randint(0, 8))]
         p = groups.GroupPresentation(tags, [letters])
-        assert groups.alexander_matrix(p) == fox_matrix(p, tag_images(p))
+        assert matrix_data(groups.alexander_matrix(p)) == \
+            matrix_data(fox_matrix(p, tag_images(p)))
 
 
 def _small_diagrams():
@@ -196,7 +197,7 @@ def test_fox_fundamental_identity():
             for r in range(mat.rows):
                 acc = ZERO
                 for j, g in enumerate(p.generators):
-                    acc = acc + mat[r, j] * (images[g] - ONE)
+                    acc = acc + entry(mat, r, j) * (images[g] - ONE)
                 assert acc == ZERO
 
 
@@ -299,7 +300,8 @@ def test_elementary_ideals_match_all_minors():
                       _tag_alpha(p, (ONE, T)),
                       _tag_alpha(p, (T, S, S * T)),
                       {g: rng.choice((T, S)) for g in p.generators}]
-            assert fox_matrix(p, alphas[0]) == groups.alexander_matrix(p)
+            assert matrix_data(fox_matrix(p, alphas[0])) == \
+                matrix_data(groups.alexander_matrix(p))
             three += len(set(alphas[2].values())) == 3
             # the oracle takes every minor; keep it to E_0, E_1 on the
             # larger extensions

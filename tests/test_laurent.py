@@ -8,18 +8,18 @@ from hypothesis import given, settings, strategies as st
 from vkalex.laurent import (
     LaurentPoly, PolyMatrix, canonicalize, gcd, EXACT,
     MONOMIAL_SIGN, NotDivisible, NotSquare, POWERS_OF_ST, SizeTooLarge,
-    ONE, S, T, ZERO,
 )
 from vkalex import alexander, gauss, groups, laurent
 from _util import (
-    TABLE1, VIRTUAL_TREFOIL, det_bareiss, det_cofactor, divides, exact_div,
-    matrix, prs_gcd, random_knot, random_link, random_poly, substitute,
+    ONE, S, T, TABLE1, VIRTUAL_TREFOIL, ZERO, Poly, det_bareiss,
+    det_cofactor, divides, entry, exact_div, matrix, matrix_data, poly,
+    prs_gcd, random_knot, random_link, random_poly, substitute,
     unit_schur_scan,
 )
 
 exps = st.integers(min_value=-3, max_value=3)
 coeffs = st.integers(min_value=-1000, max_value=1000)
-polys = st.dictionaries(st.tuples(exps, exps), coeffs, max_size=5).map(LaurentPoly)
+polys = st.dictionaries(st.tuples(exps, exps), coeffs, max_size=5).map(Poly)
 
 
 def test_construction_drops_zero_coefficients():
@@ -52,12 +52,38 @@ def test_rendering_goldens():
 
 
 def test_equality_and_hash():
+    """The tests' Poly: equal polynomials hash alike, and no polynomial
+    equals an int."""
     assert S * T == T * S
     assert hash(S * T) == hash(T * S)
     assert S != T
-    assert ONE == 1
-    assert ZERO == 0
+    assert ONE != 1 and ZERO != 0
     assert (S + T) - T == S
+
+
+def test_operators_take_laurent_polys_only():
+    """The library's -, * and == take a LaurentPoly and nothing else: an
+    int, a float or a string raises TypeError on either side of - and *,
+    and a polynomial never equals an int, the constant 1 included."""
+    s, t = LaurentPoly({(1, 0): 1}), LaurentPoly({(0, 1): 1})
+    one = LaurentPoly({(0, 0): 1})
+    assert s * t == t * s
+    assert type(s * t) is type(s - t) is LaurentPoly
+    assert s != t
+    assert s - s == LaurentPoly({})
+    p = one - s * t
+    for bad in (1, 1.5, "1"):
+        with pytest.raises(TypeError):
+            p - bad
+        with pytest.raises(TypeError):
+            p * bad
+        with pytest.raises(TypeError):
+            bad - p
+        with pytest.raises(TypeError):
+            bad * p
+    assert not one == 1
+    assert one != 1
+    assert LaurentPoly({}) != 0
 
 
 def test_immutable():
@@ -240,7 +266,7 @@ def test_gcd_heuristic_keeps_one_minus_s_and_one_minus_t_apart(monkeypatch):
     of the images keeps the factor 1 + s in s alone.  Each call certifies
     within six points at each level."""
     counts = _count_points(monkeypatch)
-    g = canonicalize((ONE + S) * (2 - S * T + T * T), MONOMIAL_SIGN)
+    g = poly(canonicalize((ONE + S) * (2 - S * T + T * T), MONOMIAL_SIGN))
     assert gcd(g * (ONE - S), g * (ONE - T)) == g
     assert gcd(6 * g * (ONE - S), 4 * S * g * (ONE - T)) == 2 * g
     assert gcd(ONE - S, ONE - T) == ONE
@@ -514,7 +540,7 @@ def test_unit_reduced_keeps_every_ideal_of_minors():
         p, res = m.unit_reduced()
         if i % 4 == 0:
             assert p == 0
-        assert all(e.inverse() is None for e in res.entries.values())
+        assert all(poly(e).inverse() is None for e in res.entries.values())
         assert {i for i, _ in res.entries} == set(range(res.rows))
         assert {j for _, j in res.entries} == set(range(res.cols))
         for k in range(min(r, c) + 1):
@@ -631,11 +657,11 @@ def test_det_row_swap_flips_sign():
         n = rng.randint(2, 4)
         m = matrix([[random_poly(rng, span=2, terms=2)
                      for _ in range(n)] for _ in range(n)])
-        rows = [[m[r, c] for c in range(n)] for r in range(n)]
+        rows = [[entry(m, r, c) for c in range(n)] for r in range(n)]
         i, j = rng.sample(range(n), 2)
         swapped = list(rows)
         swapped[i], swapped[j] = rows[j], rows[i]
-        assert matrix(swapped).det() == -m.det()
+        assert matrix(swapped).det() == -poly(m.det())
         assert matrix(zip(*rows)).det() == m.det()
 
 
@@ -699,11 +725,13 @@ def test_minors_shared_prefix_agrees_with_bruteforce():
 
 def test_matrix_views():
     m = matrix([[S, T], [ONE, ZERO]])
-    assert m[0, 1] == T
-    assert (m[1, 0], m[1, 1]) == (ONE, ZERO)
-    assert m.submatrix([0], [1]) == matrix([[T]])
-    assert m.submatrix([1, 0], [1, 0]) == matrix([[ZERO, ONE], [T, S]])
-    assert m == PolyMatrix(2, 2, {(0, 0): S, (0, 1): T, (1, 0): ONE})
+    assert entry(m, 0, 1) == T
+    assert (entry(m, 1, 0), entry(m, 1, 1)) == (ONE, ZERO)
+    assert matrix_data(m.submatrix([0], [1])) == matrix_data(matrix([[T]]))
+    assert matrix_data(m.submatrix([1, 0], [1, 0])) == \
+        matrix_data(matrix([[ZERO, ONE], [T, S]]))
+    assert matrix_data(m) == \
+        matrix_data(PolyMatrix(2, 2, {(0, 0): S, (0, 1): T, (1, 0): ONE}))
     with pytest.raises(ValueError):
         m.submatrix([0, 0], [1])
 
@@ -720,7 +748,7 @@ def test_matrix_constructor_contract():
             PolyMatrix(1, 2, {key: ONE})
     m = PolyMatrix(2, 3, {(0, 0): 2, (0, 1): 0, (1, 2): S - S, (1, 0): T})
     assert m.entries == {(0, 0): 2 * ONE, (1, 0): T}
-    assert m[0, 1] == ZERO
+    assert entry(m, 0, 1) == ZERO
     with pytest.raises(NotSquare):
         m.det()
     assert PolyMatrix(0, 0, {}).det() == ONE
@@ -733,8 +761,9 @@ def test_matrix_constructor_contract():
         grid = [[random_poly(rng, span=1, terms=1) for _ in range(c)]
                 for _ in range(r)]
         m = matrix(grid)
-        assert len(m.entries) == sum(1 for row in grid for e in row if e)
-        assert all(m[i, j] == e for i, row in enumerate(grid)
+        assert len(m.entries) == sum(1 for row in grid for e in row
+                                     if not e.is_zero())
+        assert all(entry(m, i, j) == e for i, row in enumerate(grid)
                    for j, e in enumerate(row))
         # minors in (row set, column set) order
         for k in range(min(r, c) + 1):

@@ -1,11 +1,23 @@
 """The library holds only code the program runs: every function, class and
 method defined in src/vkalex is referred to by name somewhere in the
-library or the benchmark, every parameter default is overridden there, and
-every attribute a class stores on self is read there.  Code that only the
-tests reach lives in tests/_util.py."""
+library or the benchmark, every parameter default is overridden there,
+every attribute a class stores on self is read there, and so is every
+module-level constant.  Dunder methods are reached by syntax, not by name,
+so they are counted instead: a replay of a slice of the CLI digest corpus
+must run every dunder defined in a src/vkalex class, apart from the few
+NOT_RUN lists with their reasons, and every __eq__ and __repr__ there must
+be one that EQ_REPR names with what the program needs it for.  Code that
+only the tests reach lives in tests/_util.py."""
 
 import ast
+import contextlib
+import importlib
+import io
 from pathlib import Path
+
+from vkalex import cli
+from _util import TABLE1
+import test_cli_digests as digests
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "vkalex"
@@ -169,3 +181,123 @@ def test_every_stored_attribute_is_read():
                 stored.setdefault(name, path.name)
     unread = sorted("%s: %s" % (stored[n], n) for n in stored if n not in read)
     assert not unread, "stored on self in src/vkalex, never read: %s" % unread
+
+
+def _loaded_names(tree):
+    """Every Name and attribute name loaded."""
+    return _read_attributes(tree) | {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def _module_constants(tree):
+    """Names bound by assignments at module level."""
+    out = set()
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    out.add(name.id)
+    return out
+
+
+def test_every_module_constant_is_read():
+    """A module-level value that neither the library nor the benchmark
+    reads, a package re-export aside, is kept for the tests alone."""
+    defined = {}
+    read = set()
+    for path in _modules():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= _loaded_names(tree)
+        if path.parent == SRC:
+            for name in _module_constants(tree):
+                defined.setdefault(name, path.name)
+    unread = sorted("%s: %s" % (defined[n], n) for n in defined
+                    if n not in read)
+    assert not unread, "module constants in src/vkalex never read: %s" % unread
+
+
+# Dunders the replay need not run, each with its reason.
+NOT_RUN = {
+    # the immutability guard: it only raises, so a correct run never
+    # calls it
+    "LaurentPoly.__setattr__",
+}
+
+# Every __eq__ and __repr__ in src/vkalex, each with what the program needs
+# it for.  Equality and a printable form are the first things a test wants
+# of a value, so the library keeps one only where it runs one itself.
+EQ_REPR = {
+    # elementary_ideals stops taking gcds once acc == ONE
+    "LaurentPoly.__eq__",
+}
+
+
+def _dunders():
+    """(module, class, name) of every dunder method a class body in
+    src/vkalex defines, by a def or by binding another name's method."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names = [node.name]
+                elif (isinstance(node, ast.Assign)
+                      and isinstance(node.value, ast.Name)):
+                    names = [t.id for t in node.targets
+                             if isinstance(t, ast.Name)]
+                else:
+                    names = []
+                out += [(path.stem, cls.name, n) for n in names
+                        if n.startswith("__") and n.endswith("__")]
+    return out
+
+
+def _replay(folder):
+    """The names "Class.__name__" of the dunders that run when table 1 and
+    the hand-written links of the digest corpus go through every command
+    form it pins, with the sieve over their census in each format and once
+    without --skip-bad, which stops at the census's bad line."""
+    codes = list(TABLE1.values()) + list(digests.HAND_WRITTEN)
+    runs = digests._runs(codes, folder)
+    census = runs[-1][runs[-1].index("--census") + 1]
+    runs.append(["sieve", "--serial", "--census", census])
+    ran = set()
+    patched = []
+    try:
+        for module, owner, name in _dunders():
+            cls = getattr(importlib.import_module("vkalex." + module), owner)
+            func = cls.__dict__[name]
+
+            def counted(*args, _func=func, _key="%s.%s" % (owner, name),
+                        **kwargs):
+                ran.add(_key)
+                return _func(*args, **kwargs)
+            patched.append((cls, name, func))
+            setattr(cls, name, counted)
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                cli.main(argv)
+    finally:
+        for cls, name, func in patched:
+            setattr(cls, name, func)
+    return ran
+
+
+def test_every_library_dunder_runs(tmp_path):
+    defined = {"%s.%s" % (owner, name) for _, owner, name in _dunders()}
+    assert NOT_RUN <= defined
+    idle = sorted(defined - _replay(str(tmp_path)) - NOT_RUN)
+    assert not idle, "dunders in src/vkalex the program never runs: %s" % idle
+
+
+def test_every_eq_and_repr_is_listed():
+    found = {"%s.%s" % (owner, name) for _, owner, name in _dunders()
+             if name in ("__eq__", "__repr__")}
+    assert found == EQ_REPR

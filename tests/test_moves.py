@@ -8,7 +8,7 @@ from vkalex.laurent import MONOMIAL_SIGN, canonicalize
 from _util import (
     TABLE1, CLASSICAL_TREFOIL, NotApplicable, _insert, apply_r1, apply_r2,
     apply_r3, random_knot, random_link, rotated, table1_diagram, undo_r1,
-    undo_r2,
+    undo_r2, diagram_data,
 )
 
 # one circle, three chords, pairwise adjacent endpoint pairs, heights
@@ -28,7 +28,7 @@ def test_r1_insert_then_undo():
                 up = apply_r1(d, (0, pos), sign, kind)
                 assert up.crossings == 4
                 assert up.signs[-1] == sign
-                assert undo_r1(up, 3) == d
+                assert diagram_data(undo_r1(up, 3)) == diagram_data(d)
 
 
 def test_r1_preserves_delta0():
@@ -61,7 +61,7 @@ def test_r1_wraparound_kink():
     # U first at the end of the walk, O at the start: still adjacent
     d = gauss.to_diagram(gauss.parse_gauss_code("O1+U2+U1+O2+"))
     k = apply_r1(d, (0, 4), -1)
-    assert undo_r1(k, 2) == d
+    assert diagram_data(undo_r1(k, 2)) == diagram_data(d)
     rot = rotated(k, 0, 5)  # kink chord now wraps the basepoint
     assert undo_r1(rot, 2).crossings == 2
 
@@ -71,15 +71,15 @@ def test_r2_insert_then_undo():
     up = apply_r2(d, (0, 1), (0, 4))
     assert up.crossings == 5
     assert up.signs[3:] == [1, -1]
-    assert undo_r2(up, 3, 4) == d
-    assert undo_r2(up, 4, 3) == d
+    assert diagram_data(undo_r2(up, 3, 4)) == diagram_data(d)
+    assert diagram_data(undo_r2(up, 4, 3)) == diagram_data(d)
 
 
 def test_r2_across_components():
     d = gauss.to_diagram(gauss.parse_gauss_code("O1+U2+,U1+O2+"))
     up = apply_r2(d, (0, 0), (1, 2))
     assert up.crossings == 4
-    assert undo_r2(up, 2, 3) == d
+    assert diagram_data(undo_r2(up, 2, 3)) == diagram_data(d)
 
 
 def test_r2_preserves_delta0():
@@ -123,15 +123,15 @@ def test_r3_triple_and_chord_forms_agree():
     d = gauss.to_diagram(gauss.parse_gauss_code(R3_HOST))
     by_ids = apply_r3(d, (0, 1, 2))
     by_slots = apply_r3(d, ((0, 0, 1), (0, 2, 3), (0, 4, 5)))
-    assert by_ids == by_slots
-    assert by_ids != d
+    assert diagram_data(by_ids) == diagram_data(by_slots)
+    assert diagram_data(by_ids) != diagram_data(d)
 
 
 def test_r3_is_self_inverse():
     d = gauss.to_diagram(gauss.parse_gauss_code(R3_HOST))
     once = apply_r3(d, (0, 1, 2))
     twice = apply_r3(once, (0, 1, 2))
-    assert twice == d
+    assert diagram_data(twice) == diagram_data(d)
 
 
 def test_r3_preserves_delta0():

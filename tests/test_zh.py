@@ -2,11 +2,12 @@ import random
 import types
 
 from vkalex import alexander, gauss, groups
-from vkalex.laurent import canonicalize, MONOMIAL_SIGN, ONE, S, T
+from vkalex.laurent import canonicalize, MONOMIAL_SIGN
 from vkalex.zh import zh
 from _util import (
-    TABLE1, CLASSICAL_TREFOIL, KINK, delete_omega, knot_diagrams,
+    ONE, S, T, TABLE1, CLASSICAL_TREFOIL, KINK, delete_omega, knot_diagrams,
     random_knot, random_link, ribbon_double, substitute, zh_head_under,
+    diagram_data,
 )
 
 
@@ -41,14 +42,14 @@ def test_zh_structure():
 def test_zh_round_trip():
     for code in TABLE1.values():
         d = gauss.to_diagram(gauss.parse_gauss_code(code))
-        assert delete_omega(zh(d)) == d
+        assert diagram_data(delete_omega(zh(d))) == diagram_data(d)
     rng = random.Random(41)
     for _ in range(25):
         d = random_knot(rng, rng.randint(1, 5))
-        assert delete_omega(zh(d)) == d
+        assert diagram_data(delete_omega(zh(d))) == diagram_data(d)
     for _ in range(10):
         d = random_link(rng, rng.randint(1, 4), rng.randint(2, 3))
-        assert delete_omega(zh(d)) == d
+        assert diagram_data(delete_omega(zh(d))) == diagram_data(d)
 
 
 def test_zh_kink():
@@ -71,7 +72,7 @@ def test_zh_of_an_extension_extends_it_again():
         zz = zh(z.diagram)
         assert zz.omega_index == z.omega_index + 1
         assert zz.diagram.crossings == 3 * z.diagram.crossings
-        assert delete_omega(zz) == z.diagram
+        assert diagram_data(delete_omega(zz)) == diagram_data(z.diagram)
 
 
 def test_zh_submodule_is_importable_as_module():
@@ -155,5 +156,5 @@ def test_zh_path_vanishes_on_ribbon_doubles():
             continue
         p = groups.reduced_group(ribbon_double(d))
         e1 = groups.elementary_ideals(groups.alexander_matrix(p), 1)[1][0]
-        assert e1 == 0
+        assert e1.is_zero()
         doubled += 1
