@@ -7,8 +7,8 @@ longitudes, the omega-extension, and batch slice obstructions.
 """
 
 from .laurent import (
-    LaurentPoly, PolyMatrix, canonicalize, gcd, EXACT, MONOMIAL_SIGN, ONE,
-    POWERS_OF_ST, ZERO, NotDivisible, NotSquare, SizeTooLarge,
+    LaurentPoly, canonicalize, gcd, EXACT, MONOMIAL_SIGN, ONE, POWERS_OF_ST,
+    ZERO, NotDivisible, NotSquare, SizeTooLarge,
 )
 from .gauss import (
     GaussDiagram, GaussSyntaxError, GaussValidationError,

@@ -47,7 +47,8 @@ no determinant.
 
 from . import gauss
 # canonicalize stays importable here: bench/tracing.py patches it by name
-from .laurent import LaurentPoly, PolyMatrix, canonicalize, ONE, ZERO
+from .laurent import (LaurentPoly, PolyMatrix, canonicalize, ONE, ZERO,
+                      _add_term)
 
 
 class NotAKnot(ValueError):
@@ -64,11 +65,6 @@ def delta0(d):
     if n == 0:
         return ZERO
     entries = {}
-
-    def put(k, m, key, c):
-        e = entries.setdefault((k, m), {})
-        e[key] = e.get(key, 0) + c
-
     shift, unit = 0, ONE
     for comp in d.components:
         start = next((p for p, (_, role) in enumerate(comp)
@@ -87,16 +83,15 @@ def delta0(d):
         for c, role in reversed(slots):
             e = d.signs[c]
             if role == gauss.OVER:
-                put(c, c, (0, -e), 1)
-                put(c, nxt, (w, 0), -1)
+                _add_term(entries, (c, c), (0, -e), 1)
+                _add_term(entries, (c, nxt), (w, 0), -1)
                 nxt, w = c, 0
             else:
-                put(c, nxt, (e + w, 0), 1)
-                put(c, nxt, (w, -e), -1)
+                _add_term(entries, (c, nxt), (e + w, 0), 1)
+                _add_term(entries, (c, nxt), (w, -e), -1)
                 shift -= e
                 w += e
-    det = PolyMatrix(n, n, {km: LaurentPoly(e)
-                            for km, e in entries.items()}).det()
+    det = PolyMatrix(n, n, entries).det()
     return LaurentPoly({(shift, 0): 1}) * unit * det
 
 

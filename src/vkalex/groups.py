@@ -43,7 +43,7 @@ from math import comb
 from . import gauss
 from .zh import zh as _zh
 from .laurent import (LaurentPoly, NotDivisible, PolyMatrix, canonicalize,
-                      gcd, ONE, ZERO, _quo)
+                      gcd, ONE, ZERO, _add_term, _quo)
 
 OMEGA = "omega"
 
@@ -181,16 +181,14 @@ def alexander_matrix(p):
     for i, w in enumerate(p.relators):
         a = b = 0
         for (g, e) in w:
-            terms = entries.setdefault((i, index[g]), {})
             da, db = step[g]
             if e == 1:
-                terms[a, b] = terms.get((a, b), 0) + 1
+                _add_term(entries, (i, index[g]), (a, b), 1)
                 a, b = a + da, b + db
             else:
                 a, b = a - da, b - db
-                terms[a, b] = terms.get((a, b), 0) - 1
-    return PolyMatrix(len(p.relators), len(p.generators),
-                      {ij: LaurentPoly(t) for ij, t in entries.items()})
+                _add_term(entries, (i, index[g]), (a, b), -1)
+    return PolyMatrix(len(p.relators), len(p.generators), entries)
 
 
 _ONE_MINUS_S = {(0, 0): 1, (1, 0): -1}

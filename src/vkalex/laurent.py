@@ -4,7 +4,8 @@ algebra (fraction-free determinants, minors, gcd) the invariant engines need.
 A polynomial is stored as a dict mapping exponent pairs (e_s, e_t) to nonzero
 integer coefficients; the zero polynomial is the empty dict.  All arithmetic
 is exact integer arithmetic, no floats anywhere.  The raw-dict helpers at the
-top are the hot path; LaurentPoly is a thin immutable wrapper around them.
+top are the hot path; LaurentPoly is a thin immutable wrapper around them,
+and a PolyMatrix holds raw dicts, wrapping only what det and minors return.
 """
 
 import operator
@@ -504,24 +505,29 @@ def _det(rows):
 # ---------------------------------------------------------------------------
 # matrices
 
+def _add_term(entries, ij, key, c):
+    """Add c s^e_s t^e_t, key = (e_s, e_t), c != 0, to entry ij of the
+    entries {(i, j): raw dict} of a PolyMatrix: the builders' one
+    accumulator, which drops a cancelled term and then an empty entry."""
+    e = entries.setdefault(ij, {})
+    c += e.get(key, 0)
+    if c:
+        e[key] = c
+    else:
+        del e[key]
+        if not e:
+            del entries[ij]
+
+
 class PolyMatrix:
-    """Sparse matrix over LaurentPoly: `entries` maps (i, j) to the nonzero
-    entries only.  Ints are taken as constants, a float or a string raises
-    TypeError, a key outside the matrix ValueError, and zeros are dropped."""
+    """Sparse matrix over Z[s^{+-1}, t^{+-1}]: `entries`, stored as given,
+    maps (i, j) to the raw dict of each nonzero entry, zero terms dropped;
+    submatrices and the kernel share the dicts and never mutate one."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
-        self.rows, self.cols, self.entries = rows, cols, {}
-        ri, ci = range(rows), range(cols)
-        for (i, j), e in entries.items():
-            if i not in ri or j not in ci:
-                raise ValueError("entry (%r, %r) outside a %dx%d matrix"
-                                 % (i, j, rows, cols))
-            if not isinstance(e, LaurentPoly):
-                e = LaurentPoly({(0, 0): e})
-            if e.terms:
-                self.entries[i, j] = e
+        self.rows, self.cols, self.entries = rows, cols, entries
 
     def submatrix(self, row_idx, col_idx):
         """The rows row_idx and columns col_idx, each of distinct indices."""
@@ -536,7 +542,7 @@ class PolyMatrix:
     def _sparse_rows(self):
         rows = [{} for _ in range(self.rows)]
         for (i, j), e in self.entries.items():
-            rows[i][j] = e.terms
+            rows[i][j] = e
         return rows
 
     def det(self):
@@ -559,7 +565,7 @@ class PolyMatrix:
         used = sorted({j for i in ri for j in rows[i]})
         cj = {j: n for n, j in enumerate(used)}
         return pivots, PolyMatrix(len(ri), len(cj), {
-            (n, cj[j]): LaurentPoly._raw(e)
+            (n, cj[j]): e
             for n, i in enumerate(ri) for j, e in rows[i].items()})
 
     def minors(self, k):

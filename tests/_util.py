@@ -1,11 +1,14 @@
 """Shared fixtures: the golden table of small virtual knots, every
 one-circle diagram with a few chords, random diagram generators for
 fuzzing, ribbon doubles and concordant knots, the ring operators the
-library leaves out (Poly, and S, T, ONE and ZERO built on it), a
-PolyMatrix built from nested lists, its entries read as Polys, the data
-that makes two matrices or two diagrams equal, the reference code the
-tests compare against (exact division and divisibility, the pseudo-remainder gcd, unit substitution,
-the writhe polynomial by division and from the terms of delta0, the
+library leaves out (Poly, and S, T, ONE and ZERO built on it), the one
+pair of converters between a Poly and a matrix entry, the raw term dict a
+PolyMatrix stores (to_entry, which takes ints as constants, and
+from_entry), a PolyMatrix built from nested lists, its entries read as
+Polys, the data that makes two matrices or two diagrams equal, the
+reference code the tests compare against (exact division and
+divisibility, the pseudo-remainder gcd, unit substitution, the writhe
+polynomial by division and from the terms of delta0, the
 symbolic Fox derivative and the Fox matrix of any unit images built on
 it, the cofactor-expansion and plain Bareiss determinant oracles, the
 rescanning unit-pivot search and Tietze elimination, the elementary
@@ -110,6 +113,23 @@ def poly(p):
     """The LaurentPoly p as a Poly, for the operators the library leaves
     out."""
     return p if isinstance(p, Poly) else Poly._raw(p.terms)
+
+
+def to_entry(x):
+    """The matrix entry PolyMatrix stores for x, its raw term dict
+    {(e_s, e_t): c}: a LaurentPoly's terms, or an int taken as a constant.
+    A float or a string raises TypeError.  With from_entry, the one pair of
+    converters between the tests' polynomials and matrix entries."""
+    e = _terms(x)
+    if e is None:
+        raise TypeError("a matrix entry is a LaurentPoly or an int, not %r"
+                        % (x,))
+    return e
+
+
+def from_entry(e):
+    """The raw term dict e of a matrix entry as a Poly; {} is ZERO."""
+    return Poly._raw(e)
 
 
 ZERO = Poly({})
@@ -269,25 +289,33 @@ def random_poly(rng, span=3, terms=4, coeff=9):
     return Poly(d)
 
 
+def _sparse(rows, cols, entries):
+    """The PolyMatrix of {(i, j): x}, each x a polynomial or an int, with
+    the zero entries left out, as PolyMatrix stores nonzero ones only."""
+    entries = {ij: to_entry(x) for ij, x in entries.items()}
+    return PolyMatrix(rows, cols, {ij: e for ij, e in entries.items() if e})
+
+
 def matrix(grid):
-    """The PolyMatrix of a nested list of rows, all of one length; ints are
-    taken as constants."""
+    """The PolyMatrix of a nested list of rows, all of one length, of
+    polynomials or ints, the ints taken as constants."""
     grid = [list(r) for r in grid]
     cols = len(grid[0]) if grid else 0
     if any(len(r) != cols for r in grid):
         raise ValueError("ragged rows")
-    return PolyMatrix(len(grid), cols, {(i, j): e for i, r in enumerate(grid)
-                                        for j, e in enumerate(r)})
+    return _sparse(len(grid), cols, {(i, j): e for i, r in enumerate(grid)
+                                     for j, e in enumerate(r)})
 
 
 def entry(m, i, j):
     """Entry (i, j) of the PolyMatrix m as a Poly, ZERO where nothing is
     stored."""
-    return poly(m.entries.get((i, j), ZERO))
+    return from_entry(m.entries.get((i, j), {}))
 
 
 def matrix_data(m):
-    """What makes two PolyMatrix values equal: (rows, cols, entries)."""
+    """What makes two PolyMatrix values equal: (rows, cols, entries), the
+    entries already plain term dicts."""
     return m.rows, m.cols, m.entries
 
 
@@ -486,7 +514,7 @@ def fox_matrix(p, images):
             out = out * (images[g] if e == 1 else images[g].inverse())
         return out
 
-    return PolyMatrix(len(p.relators), len(p.generators), {
+    return _sparse(len(p.relators), len(p.generators), {
         (i, j): sum((sign * image(prefix)
                      for sign, prefix in fox_derivative(w, g)), ZERO)
         for i, w in enumerate(p.relators)
@@ -516,7 +544,8 @@ def det_cofactor(m):
             e = m.entries.get((r, c))
             if e is None:
                 continue
-            term = e * minor(rest, cols_left[:pos] + cols_left[pos + 1:])
+            term = from_entry(e) * minor(
+                rest, cols_left[:pos] + cols_left[pos + 1:])
             acc = acc + term if pos % 2 == 0 else acc - term
         memo[key] = acc
         return acc
@@ -535,8 +564,7 @@ def det_bareiss(m):
     n = m.rows
     if n == 0:
         return ONE
-    a = [[poly(m.entries.get((i, j), ZERO)) for j in range(n)]
-         for i in range(n)]
+    a = [[entry(m, i, j) for j in range(n)] for i in range(n)]
     sign = 1
     prev = ONE
     for k in range(n - 1):
@@ -719,7 +747,7 @@ def build_m_matrix(d):
     n = len(d.signs)
     if n == 0:
         raise NoCrossings("M needs at least one crossing")
-    return PolyMatrix(2 * n, 2 * n, {
+    return _sparse(2 * n, 2 * n, {
         (2 * k + r, 2 * k + c): e for k, sign in enumerate(d.signs)
         for (r, c), e in _BLOCKS[sign].items()})
 
@@ -728,7 +756,7 @@ def p_matrix(successor):
     """P, the permutation matrix of the short-arc successor: entry (i, j)
     is 1 iff arc i immediately precedes arc j."""
     n = len(successor)
-    return PolyMatrix(n, n, {ij: ONE for ij in enumerate(successor)})
+    return _sparse(n, n, {ij: ONE for ij in enumerate(successor)})
 
 
 def m_minus_p(d, successor):
@@ -736,9 +764,9 @@ def m_minus_p(d, successor):
     diff = build_m_matrix(d)
     # P is nonzero only at (i, successor(i)), so only there is a 1 taken off
     for ij in enumerate(successor):
-        e = diff.entries.pop(ij, ZERO) - ONE
+        e = from_entry(diff.entries.pop(ij, {})) - ONE
         if not e.is_zero():
-            diff.entries[ij] = e
+            diff.entries[ij] = to_entry(e)
     return diff
 
 
@@ -752,7 +780,7 @@ def under_schur(d):
     mp = m_minus_p(d, short_arcs(d))
     rows = [{} for _ in range(mp.rows)]
     for (i, j), e in mp.entries.items():
-        rows[i][j] = e
+        rows[i][j] = from_entry(e)
     under = {}
     for comp in d.components:
         closed = all(role == gauss.UNDER for _, role in comp)
@@ -773,7 +801,7 @@ def under_schur(d):
         rows[a] = {}
     overs = [a for a in range(mp.rows) if a not in under]
     index = {a: k for k, a in enumerate(overs)}
-    return PolyMatrix(len(overs), len(overs), {
+    return _sparse(len(overs), len(overs), {
         (index[a], index[b]): e for a in overs for b, e in rows[a].items()
         if b in index})
 

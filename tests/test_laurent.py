@@ -11,10 +11,10 @@ from vkalex.laurent import (
 )
 from vkalex import alexander, gauss, groups, laurent
 from _util import (
-    ONE, S, T, TABLE1, VIRTUAL_TREFOIL, ZERO, Poly, det_bareiss,
-    det_cofactor, divides, entry, exact_div, matrix, matrix_data, poly,
-    prs_gcd, random_knot, random_link, random_poly, substitute,
-    unit_schur_scan,
+    KINK, ONE, S, T, TABLE1, VIRTUAL_TREFOIL, ZERO, Poly, det_bareiss,
+    det_cofactor, divides, entry, exact_div, from_entry, knot_diagrams,
+    matrix, matrix_data, poly, prs_gcd, random_knot, random_link,
+    random_poly, substitute, table1_diagram, unit_schur_scan,
 )
 
 exps = st.integers(min_value=-3, max_value=3)
@@ -338,7 +338,7 @@ def test_det_goldens():
     # identical rows
     assert matrix([[S, T], [S, T]]).det() == ZERO
     with pytest.raises(NotSquare):
-        PolyMatrix(1, 2, {(0, 0): S, (0, 1): T}).det()
+        matrix([[S, T]]).det()
 
 
 def test_det_matches_cofactor_expansion():
@@ -540,7 +540,8 @@ def test_unit_reduced_keeps_every_ideal_of_minors():
         p, res = m.unit_reduced()
         if i % 4 == 0:
             assert p == 0
-        assert all(poly(e).inverse() is None for e in res.entries.values())
+        assert all(from_entry(e).inverse() is None
+                   for e in res.entries.values())
         assert {i for i, _ in res.entries} == set(range(res.rows))
         assert {j for _, j in res.entries} == set(range(res.cols))
         for k in range(min(r, c) + 1):
@@ -730,24 +731,18 @@ def test_matrix_views():
     assert matrix_data(m.submatrix([0], [1])) == matrix_data(matrix([[T]]))
     assert matrix_data(m.submatrix([1, 0], [1, 0])) == \
         matrix_data(matrix([[ZERO, ONE], [T, S]]))
-    assert matrix_data(m) == \
-        matrix_data(PolyMatrix(2, 2, {(0, 0): S, (0, 1): T, (1, 0): ONE}))
+    assert matrix_data(m) == matrix_data(PolyMatrix(2, 2, {
+        (0, 0): {(1, 0): 1}, (0, 1): {(0, 1): 1}, (1, 0): {(0, 0): 1}}))
     with pytest.raises(ValueError):
         m.submatrix([0, 0], [1])
 
 
 def test_matrix_constructor_contract():
-    """One constructor, PolyMatrix(rows, cols, {(i, j): entry}): ints are
-    constants, floats and strings raise TypeError, a key outside the matrix
-    ValueError, and only nonzero entries are kept."""
-    for bad in (2.9, "1"):
-        with pytest.raises(TypeError):
-            PolyMatrix(1, 1, {(0, 0): bad})
-    for key in ((1, 0), (0, 2), (-1, 0)):
-        with pytest.raises(ValueError):
-            PolyMatrix(1, 2, {key: ONE})
-    m = PolyMatrix(2, 3, {(0, 0): 2, (0, 1): 0, (1, 2): S - S, (1, 0): T})
-    assert m.entries == {(0, 0): 2 * ONE, (1, 0): T}
+    """One constructor, PolyMatrix(rows, cols, {(i, j): raw term dict}),
+    which stores the nonzero entries it is given; matrix(grid) takes ints
+    as constants and leaves the zero entries out."""
+    m = matrix([[2, 0, ZERO], [T, ZERO, S - S]])
+    assert m.entries == {(0, 0): {(0, 0): 2}, (1, 0): {(0, 1): 1}}
     assert entry(m, 0, 1) == ZERO
     with pytest.raises(NotSquare):
         m.det()
@@ -771,3 +766,57 @@ def test_matrix_constructor_contract():
                 m.submatrix(ri, ci).det()
                 for ri in combinations(range(r), k)
                 for ci in combinations(range(c), k)]
+
+
+def _check_entries(m):
+    """Each stored entry of m is a nonzero term dict with nonzero
+    coefficients, and neither det nor unit_reduced mutates an entry dict,
+    which a matrix shares with its submatrices and the kernel."""
+    assert all(e and all(e.values()) for e in m.entries.values())
+    before = {ij: dict(e) for ij, e in m.entries.items()}
+    if m.rows == m.cols:
+        m.det()
+        assert m.entries == before
+    _, res = m.unit_reduced()
+    assert m.entries == before
+    assert all(e and all(e.values()) for e in res.entries.values())
+
+
+def test_builders_store_nonzero_entries_the_kernel_leaves_alone(monkeypatch):
+    """Terms cancel in both builders: the Fox derivative of O1+U1+'s one
+    relator sums to nothing, and delta0's crossing matrix of some n = 4
+    diagrams adds a term and its negative.  Their shared accumulator drops
+    what cancels, so no matrix holds an empty entry or a zero
+    coefficient."""
+    cancelled = []
+    add_term = laurent._add_term
+
+    def count(entries, ij, key, c):
+        if entries.get(ij, {}).get(key) == -c:
+            cancelled.append(ij)
+        add_term(entries, ij, key, c)
+    for module in (alexander, groups):
+        monkeypatch.setattr(module, "_add_term", count)
+    kink = gauss.to_diagram(gauss.parse_gauss_code(KINK))
+    fox = groups.alexander_matrix(groups.wirtinger(kink))
+    assert cancelled == [(0, 0), (0, 0)]
+    assert (fox.rows, fox.cols, fox.entries) == (1, 1, {})
+    _check_entries(fox)
+    for name in TABLE1:
+        _check_entries(groups.alexander_matrix(
+            groups.reduced_group(table1_diagram(name))))
+    seen = []
+    det = PolyMatrix.det
+
+    def spy(m):
+        seen.append(m)
+        return det(m)
+    monkeypatch.setattr(PolyMatrix, "det", spy)
+    cancelled.clear()
+    diagrams = knot_diagrams(4)
+    for d in diagrams:
+        alexander.delta0(d)
+    monkeypatch.setattr(PolyMatrix, "det", det)
+    assert len(seen) == len(diagrams) and len(cancelled) > 1000
+    for m in seen:
+        _check_entries(m)

@@ -1,6 +1,9 @@
 """The benchmark's span tracer (bench/tracing.py) still fits the library:
 it patches the names it lists, reads the attributes it needs off a
-PolyMatrix and a Fox matrix, and puts every original back."""
+PolyMatrix and a Fox matrix, and puts every original back.  A PolyMatrix
+stores the raw term dicts of its nonzero entries only, by (i, j), so the
+tracer's nnz, the number of stored keys, is the number of nonzero
+entries, and det and minors return LaurentPoly, whose terms it sizes."""
 
 import importlib.util
 from pathlib import Path
