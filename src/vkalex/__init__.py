@@ -8,7 +8,7 @@ longitudes, the omega-extension, and batch slice obstructions.
 
 from .laurent import (
     LaurentPoly, canonicalize, gcd, EXACT, MONOMIAL_SIGN, ONE, POWERS_OF_ST,
-    ZERO, NotDivisible, NotSquare, SizeTooLarge,
+    ZERO, NotDivisible,
 )
 from .gauss import (
     GaussDiagram, GaussSyntaxError, GaussValidationError,

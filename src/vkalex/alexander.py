@@ -47,8 +47,8 @@ no determinant.
 
 from . import gauss
 # canonicalize stays importable here: bench/tracing.py patches it by name
-from .laurent import (LaurentPoly, PolyMatrix, canonicalize, ONE, ZERO,
-                      _add_term)
+from .laurent import (LaurentPoly, PolyMatrix, canonicalize, ZERO,
+                      _add_term, _mul, _shift)
 
 
 class NotAKnot(ValueError):
@@ -65,7 +65,7 @@ def delta0(d):
     if n == 0:
         return ZERO
     entries = {}
-    shift, unit = 0, ONE
+    shift, factors = 0, []
     for comp in d.components:
         start = next((p for p, (_, role) in enumerate(comp)
                       if role == gauss.OVER), None)
@@ -75,7 +75,7 @@ def delta0(d):
                 if total == 0:
                     # its factor s^0 - 1 is zero, whatever det(N) is
                     return ZERO
-                unit *= LaurentPoly({(-total, 0): 1}) - ONE
+                factors.append({(-total, 0): 1, (0, 0): -1})
             continue
         slots = comp[start:] + comp[:start]
         # the next O slot's chord and w, seen from the slot being visited
@@ -91,8 +91,10 @@ def delta0(d):
                 _add_term(entries, (c, nxt), (w, -e), -1)
                 shift -= e
                 w += e
-    det = PolyMatrix(n, n, entries).det()
-    return LaurentPoly({(shift, 0): 1}) * unit * det
+    out = PolyMatrix(n, n, entries).det().terms
+    for f in factors:
+        out = _mul(out, f)
+    return LaurentPoly._raw(_shift(out, shift, 0))
 
 
 def writhe_polynomial(d):

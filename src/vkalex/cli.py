@@ -168,6 +168,7 @@ def cmd_sieve(args):
     return 0
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="vkalex",
@@ -218,14 +219,9 @@ def build_parser():
     return parser
 
 
-@functools.cache
-def _parser():
-    return build_parser()
-
-
 def main(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

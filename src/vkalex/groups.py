@@ -42,8 +42,8 @@ from math import comb
 
 from . import gauss
 from .zh import zh as _zh
-from .laurent import (LaurentPoly, NotDivisible, PolyMatrix, canonicalize,
-                      gcd, ONE, ZERO, _add_term, _quo)
+from .laurent import (LaurentPoly, NotDivisible, PolyMatrix, gcd, ONE, ZERO,
+                      _add_term, _canon_monomial_sign, _quo)
 
 OMEGA = "omega"
 
@@ -200,7 +200,8 @@ def _omega_quotient(mat, omega):
     exponents are 0, divided exactly by 1 - s, which keeps that form.
     Raises NotDivisible when 1 - s does not divide it."""
     keep = [j for j in range(mat.cols) if j != omega]
-    minor = canonicalize(mat.submatrix(range(mat.rows), keep).det()).terms
+    minor = _canon_monomial_sign(
+        mat.submatrix(range(mat.rows), keep).det().terms)
     if not minor:
         return ZERO
     quo = _quo(minor, _ONE_MINUS_S)

@@ -4,8 +4,9 @@ algebra (fraction-free determinants, minors, gcd) the invariant engines need.
 A polynomial is stored as a dict mapping exponent pairs (e_s, e_t) to nonzero
 integer coefficients; the zero polynomial is the empty dict.  All arithmetic
 is exact integer arithmetic, no floats anywhere.  The raw-dict helpers at the
-top are the hot path; LaurentPoly is a thin immutable wrapper around them,
-and a PolyMatrix holds raw dicts, wrapping only what det and minors return.
+top are the hot path and all the library's arithmetic; LaurentPoly wraps a
+result, and a PolyMatrix holds raw dicts, wrapping only what det and minors
+return.
 """
 
 import operator
@@ -15,14 +16,6 @@ from math import gcd as igcd, isqrt, prod
 
 class NotDivisible(ArithmeticError):
     """Exact division requested but the quotient does not exist."""
-
-
-class NotSquare(ValueError):
-    """Determinant of a non-square matrix."""
-
-
-class SizeTooLarge(ValueError):
-    """Minor size exceeds the matrix dimensions."""
 
 
 # unit classes for canonical forms
@@ -238,11 +231,10 @@ class LaurentPoly:
     LaurentPoly(terms) is the one public constructor: `terms` maps
     (e_s, e_t) to int coefficients, zeros dropped.  Exponents and
     coefficients must be integers (operator.index): a float or a string
-    raises TypeError rather than being truncated.  The operators are the
-    ones the program applies: p - q, p * q and p == q, on LaurentPoly
-    operands only, so mixing one with an int raises TypeError (and p == 1
-    is False), plus is_zero() and str(p).  Instances must not be mutated
-    after construction.
+    raises TypeError rather than being truncated.  It offers what the
+    program uses: p == q, on LaurentPoly operands only (p == 1 is False),
+    is_zero() and str(p); the library's arithmetic runs on the raw term
+    dicts.  Instances must not be mutated after construction.
     """
 
     __slots__ = ("terms",)
@@ -264,16 +256,6 @@ class LaurentPoly:
         obj = object.__new__(cls)
         object.__setattr__(obj, "terms", terms)
         return obj
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return LaurentPoly._raw(_add(self.terms, _neg(other.terms)))
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return LaurentPoly._raw(_mul(self.terms, other.terms))
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -533,8 +515,6 @@ class PolyMatrix:
         """The rows row_idx and columns col_idx, each of distinct indices."""
         ri = {r: i for i, r in enumerate(row_idx)}
         ci = {c: j for j, c in enumerate(col_idx)}
-        if len(ri) != len(row_idx) or len(ci) != len(col_idx):
-            raise ValueError("repeated row or column index")
         return PolyMatrix(len(ri), len(ci), {
             (ri[r], ci[c]): e for (r, c), e in self.entries.items()
             if r in ri and c in ci})
@@ -546,10 +526,9 @@ class PolyMatrix:
         return rows
 
     def det(self):
-        """Determinant, by unit pivots and then a Kronecker-substituted
-        integer Bareiss.  0x0 matrices have determinant 1."""
-        if self.rows != self.cols:
-            raise NotSquare("det of a %dx%d matrix" % (self.rows, self.cols))
+        """Determinant of the square matrix, by unit pivots and then a
+        Kronecker-substituted integer Bareiss.  0x0 matrices have
+        determinant 1."""
         return LaurentPoly._raw(_det(self._sparse_rows()))
 
     def unit_reduced(self):
@@ -569,12 +548,9 @@ class PolyMatrix:
             for n, i in enumerate(ri) for j, e in rows[i].items()})
 
     def minors(self, k):
-        """All k x k minors, ordered by (row-set, col-set) lexicographically,
-        each taken as its own determinant.  k = 0 yields the single empty
-        minor 1."""
-        if k < 0 or k > min(self.rows, self.cols):
-            raise SizeTooLarge(
-                "no %dx%d minors of a %dx%d matrix" % (k, k, self.rows, self.cols))
+        """All k x k minors, 0 <= k <= min(rows, cols), ordered by (row-set,
+        col-set) lexicographically, each taken as its own determinant.
+        k = 0 yields the single empty minor 1."""
         col_sets = list(combinations(range(self.cols), k))
         return [self.submatrix(ri, ci).det()
                 for ri in combinations(range(self.rows), k)

@@ -28,7 +28,7 @@ from vkalex import gauss, groups
 from vkalex.alexander import NotAKnot
 from vkalex.zh import ZhDiagram, zh
 from vkalex.laurent import (
-    LaurentPoly, NotDivisible, NotSquare, PolyMatrix, SizeTooLarge, _ONE,
+    LaurentPoly, NotDivisible, PolyMatrix, _ONE,
     _add, _canon_monomial_sign, _min_exp, _mul, _neg, _quo, _render, _shift,
     gcd,
 )
@@ -526,9 +526,9 @@ def det_cofactor(m):
     oracle for PolyMatrix.det.  Exponential; refuses anything larger than
     8x8."""
     if m.rows != m.cols:
-        raise NotSquare("det of a %dx%d matrix" % (m.rows, m.cols))
+        raise ValueError("det of a %dx%d matrix" % (m.rows, m.cols))
     if m.rows > 8:
-        raise SizeTooLarge("cofactor oracle capped at 8x8")
+        raise ValueError("cofactor oracle capped at 8x8")
     memo = {}
 
     def minor(rows_left, cols_left):
@@ -560,7 +560,7 @@ def det_bareiss(m):
     unit pivots and no pre-scaling.  The oracle for PolyMatrix.det on
     matrices too large for det_cofactor."""
     if m.rows != m.cols:
-        raise NotSquare("det of a %dx%d matrix" % (m.rows, m.cols))
+        raise ValueError("det of a %dx%d matrix" % (m.rows, m.cols))
     n = m.rows
     if n == 0:
         return ONE

@@ -73,12 +73,16 @@ def _circle_kinds(d):
                 for comp in d.components))
 
 
+def _under_sums(d):
+    """The eps sum of each circle of U slots only of the diagram."""
+    return [sum(d.signs[c] for c, _ in comp) for comp in d.components
+            if comp and all(role == gauss.UNDER for _, role in comp)]
+
+
 def _zero_factor(d):
     """Whether some circle of U slots only has eps summing to 0, so that its
     factor s^0 - 1 makes delta0 zero before N is built."""
-    return any(comp and all(role == gauss.UNDER for _, role in comp)
-               and sum(d.signs[c] for c, _ in comp) == 0
-               for comp in d.components)
+    return 0 in _under_sums(d)
 
 
 def test_delta0_is_det_of_m_minus_p():
@@ -88,7 +92,9 @@ def test_delta0_is_det_of_m_minus_p():
     one-circle diagram of 1-4 chords, on 500 seeded links, some with
     chordless circles and some with circles of U slots only, and on knots
     of 16-24 crossings.  Some of those links have a circle of U slots only
-    whose eps sum to 0, where delta0 returns zero without taking det(N)."""
+    whose eps sum to 0, where delta0 returns zero without taking det(N),
+    and some have two or more such circles, none of them summing to 0,
+    whose factors all multiply into det(N)."""
     rng = random.Random(37)
     links = [random_link(rng, rng.randint(1, 8), rng.randint(2, 4))
              for _ in range(500)]
@@ -96,6 +102,8 @@ def test_delta0_is_det_of_m_minus_p():
     assert sum(1 for c, _ in kinds if c) > 0
     assert sum(1 for _, u in kinds if u) > 0
     assert sum(1 for d in links if _zero_factor(d)) > 0
+    assert sum(1 for u in map(_under_sums, links)
+               if len(u) >= 2 and 0 not in u) > 0
     diagrams = [d for n in range(1, 5) for d in knot_diagrams(n)] + links
     diagrams += [random_knot(rng, rng.randint(16, 24)) for _ in range(10)]
     for d in diagrams:

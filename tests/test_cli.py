@@ -300,18 +300,12 @@ def test_csv_rejected_outside_sieve(capsys):
     assert "csv" in err
 
 
-def test_parser_built_once_per_process(capsys, monkeypatch):
-    built = []
-
-    def spy():
-        built.append(1)
-        return build()
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", spy)
-    cli._parser.cache_clear()
+def test_parser_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
     rc1, out1, _ = run(capsys, "--format", "json", "delta", "")
     rc2, out2, _ = run(capsys, "delta", "--format", "json", "")
-    assert built == [1]
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
     assert rc1 == rc2 == 0
     assert out1 == out2
 
